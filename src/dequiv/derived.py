@@ -6,6 +6,7 @@ pipelines and the exhaustive no-poset search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import QQ, ExactMatrix
@@ -16,9 +17,10 @@ from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
                       unique_path_property)
 from .algebra import (BoundQuiverAlgebra, ModuleMap, Representation,
                       build_algebra, incidence_algebra, kernel_of, make_rep,
-                      module_map, simple_module, zero_rep)
-from .homology import (InvariantCertificate, certificate, ext_dims, global_dimension,
-                       projective_cover)
+                      module_map, zero_rep)
+from .homology import (InvariantCertificate, ProjectiveResolution, certificate,
+                       global_dimension, minimal_resolution, projective_cover,
+                       simple_resolutions)
 from .algebra import hom_from_generators
 
 
@@ -156,20 +158,28 @@ class DiagramOfComplexes:
     def cover_map(self, x, y) -> VectChainMap:
         return dict(self.cover_maps)[(x, y)]
 
-    def _hasse_paths(self, u, v):
-        covers = self.poset.covers()
+    @cached_property
+    def _successors(self) -> Dict[str, List[str]]:
         succ: Dict[str, List[str]] = {}
-        for a, b in covers:
+        for a, b in self.poset.covers():
             succ.setdefault(a, []).append(b)
+        return succ
+
+    def _hasse_paths(self, u, v):
+        """Every chain of covers from u up to v, as a list of cover pairs."""
+        succ, leq = self._successors, self.poset.leq
         out = []
-
-        def walk(cur, acc):
-            if cur == v and acc:
-                out.append(acc)
-            for w in succ.get(cur, []):
-                walk(w, acc + [(cur, w)])
-
-        walk(u, [])
+        stack = [(u, [])]
+        while stack:
+            cur, acc = stack.pop()
+            if cur == v:
+                if acc:
+                    out.append(acc)
+                continue
+            # reversed, so that paths come out in depth-first cover order
+            for w in reversed(succ.get(cur, [])):
+                if leq(w, v):
+                    stack.append((w, acc + [(cur, w)]))
         return out
 
     def path_composite(self, path) -> VectChainMap:
@@ -291,13 +301,26 @@ def stalk_complex_of(m: Representation, degree: int = 0) -> ComplexOfReps:
 
 @dataclass(frozen=True)
 class StalkComplex:
-    """A complex concentrated in a single degree."""
+    """A complex concentrated in a single degree.
+
+    The minimal resolution and the projective replacement are built the
+    first time derived Hom needs them and kept on this object, so a table
+    of Hom entries out of one stalk resolves its module once."""
 
     module: Representation
     degree: int
 
     def to_complex(self) -> ComplexOfReps:
         return stalk_complex_of(self.module, self.degree)
+
+    @cached_property
+    def resolution(self) -> ProjectiveResolution:
+        return minimal_resolution(self.module)
+
+    @cached_property
+    def replacement(self):
+        """(Q, dQ, eps) as returned by proj_replacement."""
+        return proj_replacement(self.to_complex())
 
 
 def shift(k: ComplexOfReps, n: int) -> ComplexOfReps:
@@ -584,9 +607,9 @@ def derived_hom_dims(x: StalkComplex, y: StalkComplex, i: int,
         k = i + x.degree - y.degree
         if k < 0:
             return 0
-        return ext_dims(x.module, y.module, k)[k]
+        return x.resolution.ext_dims(y.module, k)[k]
     if method == "resolution":
-        return derived_hom_complexes(x.to_complex(), y.to_complex(), i)
+        return _hom_from_replacement(x.replacement, y.to_complex(), i)
     raise DerivedError("unknown method %r" % method)
 
 
@@ -666,9 +689,13 @@ def derived_hom_complexes(x: ComplexOfReps, y: ComplexOfReps, i: int) -> int:
     """dim Hom_{D^b}(X, Y[i]) via a projective replacement of X."""
     if x.is_zero() or y.is_zero():
         return 0
-    alg = x.algebra
-    f = alg.field
-    q, dq, eps = proj_replacement(x)
+    return _hom_from_replacement(proj_replacement(x), y, i)
+
+
+def _hom_from_replacement(replacement, y: ComplexOfReps, i: int) -> int:
+    """dim H^i of Hom(Q, Y) for a projective replacement (Q, dQ, eps) of X."""
+    f = y.algebra.field
+    q, dq, _ = replacement
 
     def hom_basis(n):
         """Basis labels of Hom^n = (+)_j Hom(Q^j, Y^{j+n})."""
@@ -763,15 +790,15 @@ def beilinson_table_check(weights: Tuple[int, int, int],
     p1, p2, p3 = weights
     xp = build_Xp(p1, p2, p3)
     ax = incidence_algebra(xp)
-    g = global_dimension(ax)
+    res = simple_resolutions(ax)
+    g = max(r.length for r in res.values())
     if window[0] > -g or window[1] < g:
         raise DerivedError("window must contain [-gldim, gldim] = [%d, %d]" % (-g, g))
-    simples = {v: simple_module(ax, v) for v in ax.vertex_order}
     left = ExtTable(tuple(ax.vertex_order), window, {})
     maxi = window[1]
     for sx in ax.vertex_order:
         for sy in ax.vertex_order:
-            exts = ext_dims(simples[sx], simples[sy], maxi)
+            exts = res[sx].ext_dims(res[sy].module, maxi)
             for i in range(window[0], window[1] + 1):
                 left.entries[(sx, sy, i)] = exts[i] if 0 <= i <= maxi else 0
 
@@ -900,11 +927,12 @@ def search_matching_posets(target: InvariantCertificate, n: int,
                            connected_only: bool = True) -> List[Poset]:
     """All (connected) posets on n elements whose incidence-algebra
     certificate matches the target's invariants."""
-    out = []
-    for p in enumerate_posets(n, connected_only=connected_only):
-        if certificate(incidence_algebra(p)).same_invariants(target):
-            out.append(p)
-    return out
+    return _matching(target, enumerate_posets(n, connected_only=connected_only))
+
+
+def _matching(target: InvariantCertificate, candidates: Sequence[Poset]) -> List[Poset]:
+    return [p for p in candidates
+            if certificate(incidence_algebra(p)).same_invariants(target)]
 
 
 def no_poset_search(p: int) -> dict:
@@ -915,7 +943,8 @@ def no_poset_search(p: int) -> dict:
         raise DerivedError("poset size %d out of supported range" % (p + 1))
     pres = a1p_presentation(p)
     target = certificate(build_algebra(pres))
-    matches = search_matching_posets(target, p + 1)
+    candidates = enumerate_posets(p + 1, connected_only=True)
+    matches = _matching(target, candidates)
     analysis = []
     for poset in matches:
         ipres = incidence_presentation(poset)
@@ -928,7 +957,7 @@ def no_poset_search(p: int) -> dict:
             "gentle": is_gentle(ipres),
         })
     return {"p": p, "target": target.to_json(),
-            "candidates": len(enumerate_posets(p + 1, connected_only=True)),
+            "candidates": len(candidates),
             "matches": [m.to_json() for m in matches],
             "analysis": analysis,
             "verdict": "pass" if not matches else "fail"}

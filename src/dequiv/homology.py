@@ -34,6 +34,21 @@ class ProjectiveResolution:
     def length(self) -> int:
         return len(self.steps) - 1
 
+    def ext_dims(self, n: Representation, max_i: int) -> List[int]:
+        """dim Ext^i(M, N) for i = 0..max_i, read off this resolution of M."""
+        if n.is_zero():
+            return [0] * (max_i + 1)
+        dims, mats = hom_complex(self.steps, n, max_i)
+        out = []
+        for i in range(max_i + 1):
+            if i >= len(dims):
+                out.append(0)
+                continue
+            rank_in = mats[i - 1].rank() if 1 <= i <= len(mats) else 0
+            rank_out = mats[i].rank() if i < len(mats) else 0
+            out.append(dims[i] - rank_out - rank_in)
+        return out
+
 
 def _top_generators(m: Representation):
     """Vertexwise lifts of a basis of M / rad M: (vertex, column) pairs.
@@ -152,17 +167,7 @@ def ext_dims(m: Representation, n: Representation, max_i: int) -> List[int]:
     """dim Ext^i(M, N) for i = 0..max_i."""
     if m.is_zero() or n.is_zero():
         return [0] * (max_i + 1)
-    res = minimal_resolution(m)
-    dims, mats = hom_complex(res.steps, n, max_i)
-    out = []
-    for i in range(max_i + 1):
-        if i >= len(dims):
-            out.append(0)
-            continue
-        rank_in = mats[i - 1].rank() if 1 <= i <= len(mats) else 0
-        rank_out = mats[i].rank() if i < len(mats) else 0
-        out.append(dims[i] - rank_out - rank_in)
-    return out
+    return minimal_resolution(m).ext_dims(n, max_i)
 
 
 def projective_dimension(m: Representation) -> int:
@@ -171,6 +176,12 @@ def projective_dimension(m: Representation) -> int:
 
 def global_dimension(a: BoundQuiverAlgebra) -> int:
     return max(projective_dimension(simple_module(a, v)) for v in a.vertex_order)
+
+
+def simple_resolutions(a: BoundQuiverAlgebra) -> Dict[str, ProjectiveResolution]:
+    """Minimal resolution of every simple, keyed by vertex.  The largest
+    length among them is the global dimension of a."""
+    return {v: minimal_resolution(simple_module(a, v)) for v in a.vertex_order}
 
 
 def coxeter_matrix(a: BoundQuiverAlgebra) -> ExactMatrix:
@@ -186,11 +197,12 @@ def coxeter_polynomial(a: BoundQuiverAlgebra) -> IntPolynomial:
 def euler_form_check(a: BoundQuiverAlgebra) -> bool:
     """sum_i (-1)^i dim Ext^i(S_x, S_y) must equal (C^{-1})_{x,y}."""
     cinv = a.cartan_matrix().inverse()
-    g = global_dimension(a)
-    simples = {v: simple_module(a, v) for v in a.vertex_order}
+    res = simple_resolutions(a)
+    g = max(r.length for r in res.values())
     for i, x in enumerate(a.vertex_order):
         for j, y in enumerate(a.vertex_order):
-            alt = sum((-1) ** k * d for k, d in enumerate(ext_dims(simples[x], simples[y], g)))
+            exts = res[x].ext_dims(res[y].module, g)
+            alt = sum((-1) ** k * d for k, d in enumerate(exts))
             if cinv.entries[i][j] != alt:
                 return False
     return True

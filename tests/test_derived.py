@@ -7,7 +7,8 @@ from dequiv.posets import build_Xp, diamond
 from dequiv.quivers import canonical_presentation
 from dequiv.algebra import (build_algebra, identity_map, incidence_algebra,
                             make_rep, simple_module)
-from dequiv.homology import ext_dims
+from dequiv import derived, homology
+from dequiv.homology import ext_dims, global_dimension
 from dequiv.derived import (DerivedError, DiagramOfComplexes, RepChainMap,
                             StalkComplex, VectChainMap, VectComplex, as_stalk,
                             beilinson_table_check, cone, derived_hom_dims,
@@ -168,6 +169,89 @@ def test_beilinson_left_table_euler_identity():
         for yi, y in enumerate(order):
             alt = sum((-1) ** i * left.entries[(x, y, i)] for i in range(0, 4))
             assert cinv.entries[xi][yi] == alt
+
+
+def count_calls(monkeypatch, module, name, *also):
+    """Wrap module.name (and the same name in the modules in `also`) with a
+    call counter; returns the list the calls are appended to."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (module,) + also:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_beilinson_resolves_each_module_once(monkeypatch):
+    resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
+    replacements = count_calls(monkeypatch, derived, "proj_replacement")
+    left, right, equal, unimod = beilinson_table_check((3, 3, 3))
+    assert equal and unimod
+    # 8 poset simples and 8 cone-functor images, each resolved once
+    assert len(resolutions) == 16
+    assert replacements == []
+
+
+def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
+    resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
+    replacements = count_calls(monkeypatch, derived, "proj_replacement")
+    a = incidence_algebra(diamond())
+    x = StalkComplex(simple_module(a, "0"), 0)
+    y = StalkComplex(simple_module(a, "1"), 1)
+    for i in range(-3, 4):
+        derived_hom_dims(x, y, i, method="shift")
+        derived_hom_dims(x, y, i, method="resolution")
+    assert len(resolutions) == 1
+    assert len(replacements) == 1
+
+
+def test_reused_stalk_matches_fresh_stalk():
+    images = dict(f_images_of_simples((3, 3, 3)))
+    pairs = [("0", "w"), ("w", "0"), ("1,2", "2,1"), ("3,1", "3,1")]
+    for method in ("shift", "resolution"):
+        for sx, sy in pairs:
+            x, y = images[sx], images[sy]
+            for i in range(-3, 4):
+                fresh = StalkComplex(x.module, x.degree)
+                assert derived_hom_dims(x, y, i, method) == \
+                    derived_hom_dims(fresh, y, i, method)
+
+
+def test_beilinson_gldim_is_global_dimension():
+    # a window narrower than [-gldim, gldim] is refused, naming the gldim used
+    for w in ((3, 3, 3), (3, 3, 4), (3, 4, 4)):
+        g = global_dimension(incidence_algebra(build_Xp(*w)))
+        with pytest.raises(DerivedError, match=r"= \[%d, %d\]" % (-g, g)):
+            beilinson_table_check(w, window=(0, 0))
+
+
+def test_hasse_paths_match_recursive_walk():
+    xp = build_Xp(3, 3, 4)
+    diag = simple_diagram(xp, "0")
+    succ = {}
+    for a, b in xp.covers():
+        succ.setdefault(a, []).append(b)
+
+    def reference(u, v):
+        out = []
+
+        def walk(cur, acc):
+            if cur == v and acc:
+                out.append(acc)
+            for w in succ.get(cur, []):
+                walk(w, acc + [(cur, w)])
+
+        walk(u, [])
+        return out
+
+    for u in xp.elements:
+        for v in xp.elements:
+            if xp.lt(u, v):
+                assert diag._hasse_paths(u, v) == reference(u, v)
 
 
 def test_verify_pipelines():

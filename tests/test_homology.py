@@ -10,7 +10,8 @@ from dequiv.homology import (ResourceRefusal, certificate, coxeter_matrix,
                              global_dimension, hochschild_bar,
                              hochschild_of_poset, minimal_resolution,
                              mitchell_equivalence_check, nerve_cohomology,
-                             projective_dimension)
+                             projective_dimension, simple_resolutions)
+from dequiv.algebra import projective_rep, zero_rep
 
 
 def sphere_poset():
@@ -41,6 +42,28 @@ def test_ext_truncation_consistency():
         full = ext_dims(s0, t, 3)
         for k in range(3):
             assert ext_dims(s0, t, k) == full[: k + 1]
+
+
+def test_resolution_ext_dims_matches_ext_dims():
+    # Ext read off an existing resolution equals ext_dims, which resolves afresh
+    for a in (incidence_algebra(diamond()),
+              build_algebra(canonical_presentation([2, 3, 3]))):
+        mods = [simple_module(a, v) for v in a.vertex_order]
+        mods += [projective_rep(a, [v]).rep for v in a.vertex_order]
+        mods.append(zero_rep(a))
+        for m in mods:
+            res = minimal_resolution(m)
+            for n in mods:
+                for k in (0, 2, 4):
+                    assert res.ext_dims(n, k) == ext_dims(m, n, k)
+
+
+def test_simple_resolutions_give_global_dimension():
+    for p in (diamond(), chain(3), antichain(3), sphere_poset()):
+        a = incidence_algebra(p)
+        res = simple_resolutions(a)
+        assert list(res) == list(a.vertex_order)
+        assert max(r.length for r in res.values()) == global_dimension(a)
 
 
 def test_global_dimensions():

@@ -19,8 +19,8 @@ from .algebra import (BoundQuiverAlgebra, ModuleMap, Representation,
                       build_algebra, incidence_algebra, kernel_of, make_rep,
                       module_map, zero_rep)
 from .homology import (InvariantCertificate, ProjectiveResolution, certificate,
-                       global_dimension, minimal_resolution, projective_cover,
-                       simple_resolutions)
+                       global_dimension, matches_certificate, minimal_resolution,
+                       projective_cover, simple_resolutions)
 from .algebra import hom_from_generators
 
 
@@ -787,10 +787,14 @@ def beilinson_table_check(weights: Tuple[int, int, int],
     """Compare simple Ext tables over the poset with derived Hom tables of
     the cone-functor images over the canonical algebra; also test the
     necessary K-theoretic condition for generation (unimodular class matrix)."""
-    p1, p2, p3 = weights
-    xp = build_Xp(p1, p2, p3)
-    ax = incidence_algebra(xp)
-    res = simple_resolutions(ax)
+    ax = incidence_algebra(build_Xp(*weights))
+    return _table_check(weights, ax, simple_resolutions(ax), window)
+
+
+def _table_check(weights, ax: BoundQuiverAlgebra,
+                 res: Dict[str, ProjectiveResolution], window):
+    """beilinson_table_check on the poset algebra ax = incidence_algebra(X_p)
+    and the minimal resolutions of its simples."""
     g = max(r.length for r in res.values())
     if window[0] > -g or window[1] < g:
         raise DerivedError("window must contain [-gldim, gldim] = [%d, %d]" % (-g, g))
@@ -827,9 +831,11 @@ def canonical_vs_poset_report(p1: int, p2: int, p3: int,
     """Certificate comparison (optionally plus the table check) between the
     canonical algebra and the incidence algebra of its poset."""
     ac = build_algebra(canonical_presentation([p1, p2, p3]))
-    xp = build_Xp(p1, p2, p3)
-    ax = incidence_algebra(xp)
-    cc, cx = certificate(ac), certificate(ax)
+    ax = incidence_algebra(build_Xp(p1, p2, p3))
+    tables = with_beilinson and p1 >= 3
+    # the table check resolves the poset simples anyway; gldim reads them too
+    res = simple_resolutions(ax) if tables else None
+    cc, cx = certificate(ac), certificate(ax, res)
     fields = ["simples", "det_cartan", "coxeter", "snf_antisym"]
     jc, jx = cc.to_json(), cx.to_json()
     equal_fields = [f for f in fields if jc[f] == jx[f]]
@@ -840,8 +846,8 @@ def canonical_vs_poset_report(p1: int, p2: int, p3: int,
         "verdict": "pass" if len(equal_fields) == len(fields) else "fail",
     }
     if with_beilinson:
-        if p1 >= 3:
-            left, right, equal, unimod = beilinson_table_check((p1, p2, p3))
+        if tables:
+            left, right, equal, unimod = _table_check((p1, p2, p3), ax, res, (-3, 3))
             report["beilinson"] = {"window": [-3, 3], "equal": equal,
                                    "k0_unimodular": unimod}
             if not (equal and unimod):
@@ -931,8 +937,7 @@ def search_matching_posets(target: InvariantCertificate, n: int,
 
 
 def _matching(target: InvariantCertificate, candidates: Sequence[Poset]) -> List[Poset]:
-    return [p for p in candidates
-            if certificate(incidence_algebra(p)).same_invariants(target)]
+    return [p for p in candidates if matches_certificate(incidence_algebra(p), target)]
 
 
 def no_poset_search(p: int) -> dict:

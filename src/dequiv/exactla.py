@@ -265,8 +265,11 @@ class ExactMatrix:
 
     def kernel(self) -> "ExactMatrix":
         """Matrix whose columns form a basis of the right kernel."""
-        f = self.field
         rank, pivots, rr = self.rref()
+        return self._kernel_from_rref(pivots, rr)
+
+    def _kernel_from_rref(self, pivots, rr) -> "ExactMatrix":
+        f = self.field
         free = [c for c in range(self.ncols) if c not in set(pivots)]
         cols = []
         for fc in free:
@@ -402,32 +405,42 @@ class IntPolynomial:
 
 def rank_and_kernel(m: ExactMatrix):
     """Rank and a basis of the right kernel (as columns)."""
-    rank = m.rank()
-    return rank, m.kernel()
+    rank, pivots, rr = m.rref()
+    return rank, m._kernel_from_rref(pivots, rr)
 
 
 def char_poly(m: ExactMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - m) of a square integer matrix.
 
-    Faddeev-LeVerrier over Q; coefficients are asserted integral.
+    Division-free Berkowitz over Z (Berkowitz, IPL 18, 1984).  Bordering the
+    leading k x k block B by column c, row r and corner e gives
+
+        p_{k+1}(x) = (x - e) p_k(x) - sum_i x^{k-1-i} sum_{j<=i} q_j r B^{i-j} c
+
+    with q_j the descending coefficients of p_k.  Entries must be integers.
     """
     if m.nrows != m.ncols:
         raise ValueError("char_poly requires a square matrix")
-    n = m.nrows
-    a = ExactMatrix.from_rows([[Fraction(x) for x in row] for row in m.to_int_rows()])
-    coeffs = [Fraction(1)]  # c_n .. c_0, descending
-    mk = a
-    ident = ExactMatrix.identity(n)
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = a @ (mk + ident.scale(coeffs[-1]))
-        tr = sum((mk.entries[i][i] for i in range(n)), Fraction(0))
-        coeffs.append(Fraction(-tr, k))
-    asc = list(reversed(coeffs))
-    for c in asc:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integer characteristic coefficient %s" % c)
-    return IntPolynomial.of([c.numerator for c in asc])
+    a = m.to_int_rows()
+    q = [1]  # descending coefficients of the leading block's char poly
+    for k in range(len(a)):
+        # s[t] = r B^t c for the k x k block B bordered by row and column k
+        block = [row[:k] for row in a[:k]]
+        r = a[k][:k]
+        v = [row[k] for row in a[:k]]
+        s = []
+        for t in range(k):
+            if t:
+                v = [sum(x * y for x, y in zip(row, v)) for row in block]
+            s.append(sum(x * y for x, y in zip(r, v)))
+        e = a[k][k]
+        nxt = q + [0]
+        for d in range(1, k + 2):
+            nxt[d] -= e * q[d - 1]
+            if d >= 2:
+                nxt[d] -= sum(q[j] * s[d - 2 - j] for j in range(d - 1))
+        q = nxt
+    return IntPolynomial.of(reversed(q))
 
 
 def smith_normal_form(m: ExactMatrix):

@@ -184,10 +184,32 @@ def simple_resolutions(a: BoundQuiverAlgebra) -> Dict[str, ProjectiveResolution]
     return {v: minimal_resolution(simple_module(a, v)) for v in a.vertex_order}
 
 
+def _inverse_unitriangular(c: List[List[int]]) -> List[List[int]]:
+    """C^{-1} of an integer matrix by back-substitution, for C upper
+    unitriangular: a Cartan matrix in the topological vertex order, where
+    every path goes forward and the only path v -> v is trivial.
+
+    C @ C^{-1} = I is checked in integers, so a matrix of any other shape
+    raises instead of giving a wrong inverse."""
+    n = len(c)
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(c[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+    if any(sum(c[i][k] * inv[k][j] for k in range(n)) != int(i == j)
+           for i in range(n) for j in range(n)):
+        raise ValueError("Cartan matrix is not unitriangular in the vertex order")
+    return inv
+
+
 def coxeter_matrix(a: BoundQuiverAlgebra) -> ExactMatrix:
     """Phi = -C^{-T} C in the fixed topological vertex order."""
-    c = a.cartan_matrix()
-    return (c.transpose().inverse() @ c).scale(-1)
+    c = a.cartan_matrix().to_int_rows()
+    inv = _inverse_unitriangular(c)
+    n = len(c)
+    return ExactMatrix.from_rows(
+        [[-sum(inv[k][i] * c[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)])
 
 
 def coxeter_polynomial(a: BoundQuiverAlgebra) -> IntPolynomial:
@@ -196,14 +218,14 @@ def coxeter_polynomial(a: BoundQuiverAlgebra) -> IntPolynomial:
 
 def euler_form_check(a: BoundQuiverAlgebra) -> bool:
     """sum_i (-1)^i dim Ext^i(S_x, S_y) must equal (C^{-1})_{x,y}."""
-    cinv = a.cartan_matrix().inverse()
+    cinv = _inverse_unitriangular(a.cartan_matrix().to_int_rows())
     res = simple_resolutions(a)
     g = max(r.length for r in res.values())
     for i, x in enumerate(a.vertex_order):
         for j, y in enumerate(a.vertex_order):
             exts = res[x].ext_dims(res[y].module, g)
             alt = sum((-1) ** k * d for k, d in enumerate(exts))
-            if cinv.entries[i][j] != alt:
+            if cinv[i][j] != alt:
                 return False
     return True
 
@@ -215,8 +237,12 @@ COXETER_CONVENTION = "phi=-C^{-T}C"
 
 @dataclass(frozen=True)
 class InvariantCertificate:
-    """Derived-invariant fingerprint.  total_dimension is informational
-    only and excluded from invariant comparison."""
+    """Derived-invariant fingerprint.  total_dimension and the gldim value
+    are informational only and excluded from invariant comparison.
+
+    Finiteness of gldim is derived invariant too, but it is not compared:
+    quivers here have no oriented cycles, so every algebra is directed and
+    of finite global dimension."""
 
     simple_count: int
     total_dimension: int
@@ -227,9 +253,8 @@ class InvariantCertificate:
     vertex_order: tuple
 
     def key(self):
-        # the gldim *value* is not derived invariant; its finiteness is
         return (self.simple_count, self.cartan_det, self.coxeter.coeffs,
-                self.snf_antisym, self.gldim >= 0)
+                self.snf_antisym)
 
     def same_invariants(self, other: "InvariantCertificate") -> bool:
         return self.key() == other.key()
@@ -247,18 +272,42 @@ class InvariantCertificate:
         }
 
 
-def certificate(a: BoundQuiverAlgebra) -> InvariantCertificate:
+def certificate(a: BoundQuiverAlgebra,
+                resolutions: Optional[Dict[str, ProjectiveResolution]] = None
+                ) -> InvariantCertificate:
+    """The full certificate of a.  A caller that already holds the simples'
+    resolutions (`simple_resolutions(a)`) passes them, and gldim is read
+    off them instead of resolving the simples again."""
     c = a.cartan_matrix()
     anti = c - c.transpose()
+    if resolutions is None:
+        gldim = global_dimension(a)
+    else:
+        gldim = max(r.length for r in resolutions.values())
     return InvariantCertificate(
         simple_count=len(a.vertex_order),
         total_dimension=a.dimension,
         cartan_det=int(c.det()),
         coxeter=coxeter_polynomial(a),
         snf_antisym=tuple(smith_normal_form(anti)),
-        gldim=global_dimension(a),
+        gldim=gldim,
         vertex_order=tuple(a.vertex_order),
     )
+
+
+def matches_certificate(a: BoundQuiverAlgebra, target: InvariantCertificate) -> bool:
+    """certificate(a).same_invariants(target), computing the compared fields
+    cheapest first and stopping at the first that differs: simple count,
+    det C, Smith form of C - C^T, Coxeter polynomial.  gldim is never
+    computed; it is not part of the comparison."""
+    if len(a.vertex_order) != target.simple_count:
+        return False
+    c = a.cartan_matrix()
+    if int(c.det()) != target.cartan_det:
+        return False
+    if tuple(smith_normal_form(c - c.transpose())) != target.snf_antisym:
+        return False
+    return coxeter_polynomial(a).coeffs == target.coxeter.coeffs
 
 
 # -- nerve (simplicial) cohomology -------------------------------------------

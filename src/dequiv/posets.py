@@ -102,22 +102,6 @@ class Poset:
                     stack.append(w)
         return len(seen) == len(self.elements)
 
-    def linear_extension(self) -> List[str]:
-        rest = list(self.elements)
-        out = []
-        while rest:
-            x = next(e for e in rest if all(not self.lt(y, e) for y in rest))
-            out.append(x)
-            rest.remove(x)
-        return out
-
-    def dual(self) -> "Poset":
-        return Poset(self.elements, frozenset((y, x) for x, y in self.relation))
-
-    def relabel(self, mapping) -> "Poset":
-        return Poset(tuple(mapping[x] for x in self.elements),
-                     frozenset((mapping[x], mapping[y]) for x, y in self.relation))
-
     # -- io ----------------------------------------------------------------
 
     def to_json(self) -> dict:

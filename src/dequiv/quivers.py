@@ -95,9 +95,6 @@ class Quiver:
         walk(u, ())
         return out
 
-    def path_count(self) -> int:
-        return sum(len(self.paths(u, v)) for u in self.vertices for v in self.vertices)
-
     def to_json(self, relations=None) -> dict:
         data = {
             "vertices": list(self.vertices),

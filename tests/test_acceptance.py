@@ -86,6 +86,13 @@ def test_criterion_04_hochschild_t4():
     report(4, "dim HH^2(canonical (2,2,2,2)) = 1 = t-3, HH^1 = 0 (%.1fs)" % elapsed)
 
 
+def test_hochschild_canonical_t5_t6():
+    for t in (5, 6):
+        hh = hochschild_bar(build_algebra(canonical_presentation([2] * t)), 2)
+        assert hh == [1, 0, t - 3]
+    report(4, "HH^0..2(canonical (2^t)) = [1, 0, t-3] for t = 5, 6")
+
+
 def test_criterion_05_nerve_bar_agreement():
     for p in enumerate_posets(5, connected_only=True):
         assert hochschild_of_poset(p, 2) == nerve_cohomology(p, 2)

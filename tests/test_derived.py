@@ -209,6 +209,43 @@ def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
     assert len(replacements) == 1
 
 
+def test_report_resolves_poset_simples_once(monkeypatch):
+    resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
+    r = verify_weights(3, 3, 3, True)
+    assert r["verdict"] == "pass"
+    # 8 canonical simples, 8 poset simples (gldim and the Ext table share
+    # them) and 8 cone-functor images
+    assert len(resolutions) == 24
+    assert r["certificates"]["poset"]["gldim"] == \
+        global_dimension(incidence_algebra(build_Xp(3, 3, 3)))
+
+
+def canonical_target(weights):
+    return homology.certificate(build_algebra(canonical_presentation(weights)))
+
+
+def test_search_compares_in_cost_order(monkeypatch):
+    target = canonical_target([2, 2, 2, 2])
+    gldims = count_calls(monkeypatch, homology, "global_dimension", derived)
+    coxeters = count_calls(monkeypatch, homology, "coxeter_polynomial")
+    hits = derived.search_matching_posets(target, 6)
+    assert len(hits) == 1  # lambda = 2: the octahedron poset 2+2+2
+    # of the 238 connected 6-element posets, 15 agree with the target up to
+    # the Smith form and reach the Coxeter polynomial; none needs its gldim
+    assert gldims == []
+    assert len(coxeters) == 15
+
+
+def test_2223_search_hits_share_hochschild():
+    # canonical (2,2,2,3) matches twelve 7-element posets, all with the
+    # canonical algebra's HH^0..2 = [1, 0, 1]: the certificates agree, which
+    # does not make the algebras derived equivalent
+    hits = derived.search_matching_posets(canonical_target([2, 2, 2, 3]), 7)
+    assert len(hits) == 12
+    for p in hits:
+        assert homology.hochschild_of_poset(p, 2) == [1, 0, 1]
+
+
 def test_reused_stalk_matches_fresh_stalk():
     images = dict(f_images_of_simples((3, 3, 3)))
     pairs = [("0", "w"), ("w", "0"), ("1,2", "2,1"), ("3,1", "3,1")]

@@ -87,6 +87,29 @@ def test_det_against_cofactor_expansion():
         assert ExactMatrix.from_rows(rows).det() == cofactor_det(rows)
 
 
+def faddeev_leverrier(rows):
+    """Oracle: det(xI - A) ascending, by Faddeev-LeVerrier over Fraction."""
+    n = len(rows)
+    a = ExactMatrix.from_rows([[Fraction(x) for x in r] for r in rows])
+    ident = ExactMatrix.identity(n)
+    coeffs = [Fraction(1)]  # descending
+    mk = a
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = a @ (mk + ident.scale(coeffs[-1]))
+        coeffs.append(-sum((mk.entries[i][i] for i in range(n)), Fraction(0)) / k)
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(int(c) for c in reversed(coeffs))
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for _ in range(12):
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            assert char_poly(ExactMatrix.from_rows(rows)).coeffs == faddeev_leverrier(rows)
+
+
 def test_char_poly_examples():
     assert char_poly(ExactMatrix.identity(2)).coeffs == (1, -2, 1)
     assert char_poly(ExactMatrix.from_rows([[-1, -2], [2, 3]])).coeffs == (1, -2, 1)
@@ -149,3 +172,18 @@ def test_rank_and_kernel_consistency():
 
 def test_int_polynomial_rendering():
     assert str(IntPolynomial((1, -2, 1))) == "x^2 - 2x + 1"
+
+
+def test_rank_and_kernel_eliminates_once(monkeypatch):
+    calls = []
+    original = ExactMatrix.rref
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "rref", counted)
+    m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    rank, kernel = rank_and_kernel(m)
+    assert len(calls) == 1
+    assert (rank, kernel) == (m.rank(), m.kernel())

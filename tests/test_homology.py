@@ -3,12 +3,14 @@ import pytest
 from dequiv.exactla import char_poly
 from dequiv.posets import (antichain, chain, diamond, enumerate_posets,
                            poset_from_covers)
-from dequiv.quivers import canonical_presentation, kronecker_presentation
+from dequiv.quivers import (a1p_presentation, canonical_presentation,
+                            kronecker_presentation)
 from dequiv.algebra import build_algebra, incidence_algebra, simple_module
-from dequiv.homology import (ResourceRefusal, certificate, coxeter_matrix,
-                             coxeter_polynomial, euler_form_check, ext_dims,
-                             global_dimension, hochschild_bar,
-                             hochschild_of_poset, minimal_resolution,
+from dequiv.homology import (ResourceRefusal, _inverse_unitriangular,
+                             certificate, coxeter_matrix, coxeter_polynomial,
+                             euler_form_check, ext_dims, global_dimension,
+                             hochschild_bar, hochschild_of_poset,
+                             matches_certificate, minimal_resolution,
                              mitchell_equivalence_check, nerve_cohomology,
                              projective_dimension, simple_resolutions)
 from dequiv.algebra import projective_rep, zero_rep
@@ -141,3 +143,55 @@ def test_mitchell_small_sweep():
 def test_coxeter_matrix_of_kronecker():
     phi = coxeter_matrix(build_algebra(kronecker_presentation()))
     assert phi.to_int_rows() == [[-1, -2], [2, 3]]
+
+
+CANONICAL_TRIPLES = [(p1, p2, p3) for p1 in range(2, 6) for p2 in range(p1, 6)
+                     for p3 in range(p2, 6)]
+
+
+def test_integer_coxeter_matrix_matches_fraction_inverse():
+    algebras = [incidence_algebra(p) for n in range(1, 6)
+                for p in enumerate_posets(n, connected_only=True)]
+    algebras += [build_algebra(canonical_presentation(w)) for w in CANONICAL_TRIPLES]
+    assert len(algebras) == 59 + 20
+    for a in algebras:
+        c = a.cartan_matrix()
+        assert coxeter_matrix(a) == (c.transpose().inverse() @ c).scale(-1)
+
+
+def test_integer_inverse_refuses_non_unitriangular():
+    assert _inverse_unitriangular([[1, 2], [0, 1]]) == [[1, -2], [0, 1]]
+    for c in ([[2]], [[1, 0], [1, 1]]):
+        with pytest.raises(ValueError, match="unitriangular"):
+            _inverse_unitriangular(c)
+
+
+def search_targets():
+    """Certificates the searches compare candidate posets against."""
+    pres = [a1p_presentation(p) for p in range(1, 6)]
+    pres += [canonical_presentation(w) for w in ([2, 2, 2], [2, 2, 2, 2], [2, 2, 2, 3])]
+    return [certificate(build_algebra(q)) for q in pres]
+
+
+def test_matches_certificate_agrees_with_full_comparison():
+    targets = search_targets()
+    hits = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n, connected_only=True):
+            a = incidence_algebra(p)
+            cert = certificate(a)
+            for t in targets:
+                same = cert.same_invariants(t)
+                assert matches_certificate(a, t) == same
+                hits += same
+    # 8 five-element posets (X_(2,2,2) among them) match the canonical
+    # (2,2,2) algebra and one six-element poset matches (2,2,2,2)
+    assert hits == 9
+
+
+def test_certificate_key_ignores_gldim():
+    a = build_algebra(kronecker_presentation())
+    cert = certificate(a)
+    resolutions = simple_resolutions(a)
+    assert certificate(a, resolutions) == cert
+    assert cert.key() == (2, 1, (1, -2, 1), (2, 2))

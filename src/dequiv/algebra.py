@@ -308,8 +308,7 @@ def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> Projec
             for bp, c in red.items():
                 col[tgt_index[(j, bp)]] = c
             cols.append(col)
-        maps[a.name] = ExactMatrix(f, len(tgt_labels), len(cols), tuple(
-            tuple(cols[c][r] for c in range(len(cols))) for r in range(len(tgt_labels))))
+        maps[a.name] = ExactMatrix.from_cols(cols, len(tgt_labels), f)
     rep = make_rep(algebra, dims, maps)
     return ProjectiveRep(rep, blocks, tuple(labels_by_vertex))
 
@@ -393,49 +392,35 @@ def hom_from_generators(p: ProjectiveRep, n: Representation,
     f = alg.field
     blocks = {}
     for w in alg.vertex_order:
-        labels = p.labels_at(w)
-        cols = []
-        for j, path in labels:
-            img = n.act_path(p.blocks[j], path) @ gen_images[j]
-            cols.append([img.entries[r][0] for r in range(img.nrows)])
-        blocks[w] = ExactMatrix(f, n.dim(w), len(cols), tuple(
-            tuple(cols[c][r] for c in range(len(cols))) for r in range(n.dim(w))))
+        cols = [(n.act_path(p.blocks[j], path) @ gen_images[j]).col(0)
+                for j, path in p.labels_at(w)]
+        blocks[w] = ExactMatrix.from_cols(cols, n.dim(w), f)
     return module_map(p.rep, n, blocks)
+
+
+def direct_sum_rep(reps: Sequence[Representation]) -> Representation:
+    """Direct sum of representations, summands in the given order."""
+    alg = reps[0].algebra
+    dims = {v: sum(r.dim(v) for r in reps) for v in alg.vertex_order}
+    maps = {}
+    for a in alg.quiver.arrows:
+        maps[a.name] = ExactMatrix.from_blocks(
+            {(i, i): r.map_of(a.name) for i, r in enumerate(reps)},
+            [r.dim(a.target) for r in reps], [r.dim(a.source) for r in reps], alg.field)
+    return make_rep(alg, dims, maps, check=False)
 
 
 def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[ModuleMap]]:
     """Direct sum with the inclusion maps of the summands."""
     assert reps
     alg = reps[0].algebra
-    f = alg.field
-    dims = {v: sum(r.dim(v) for r in reps) for v in alg.vertex_order}
-    maps = {}
-    for a in alg.quiver.arrows:
-        mats = [r.map_of(a.name) for r in reps]
-        nr, nc = dims[a.target], dims[a.source]
-        rows = [[f.zero] * nc for _ in range(nr)]
-        r0 = c0 = 0
-        for m in mats:
-            for i in range(m.nrows):
-                for j in range(m.ncols):
-                    rows[r0 + i][c0 + j] = m.entries[i][j]
-            r0 += m.nrows
-            c0 += m.ncols
-        maps[a.name] = ExactMatrix(f, nr, nc, tuple(tuple(r) for r in rows))
-    total = make_rep(alg, dims, maps, check=False)
+    total = direct_sum_rep(reps)
     incls = []
-    off = {v: 0 for v in alg.vertex_order}
-    for r in reps:
-        blocks = {}
-        for v in alg.vertex_order:
-            rows = [[f.zero] * r.dim(v) for _ in range(total.dim(v))]
-            for i in range(r.dim(v)):
-                rows[off[v] + i][i] = f.one
-            blocks[v] = ExactMatrix(f, total.dim(v), r.dim(v),
-                                    tuple(tuple(row) for row in rows))
+    for k, r in enumerate(reps):
+        blocks = {v: ExactMatrix.from_blocks(
+            {(k, 0): ExactMatrix.identity(r.dim(v), alg.field)},
+            [s.dim(v) for s in reps], [r.dim(v)], alg.field) for v in alg.vertex_order}
         incls.append(module_map(r, total, blocks, check=False))
-        for v in alg.vertex_order:
-            off[v] += r.dim(v)
     return total, incls
 
 

@@ -9,15 +9,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactla import QQ, ExactMatrix
+from .exactla import ExactMatrix
 from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
                      enumerate_posets, remark_free_edges)
 from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
                       a1p_presentation, incidence_presentation, is_gentle, t2_poset,
                       unique_path_property)
 from .algebra import (BoundQuiverAlgebra, ModuleMap, Representation,
-                      build_algebra, incidence_algebra, kernel_of, make_rep,
-                      module_map, zero_rep)
+                      build_algebra, direct_sum_rep, incidence_algebra, kernel_of,
+                      make_rep, module_map, zero_rep)
 from .homology import (InvariantCertificate, ProjectiveResolution, certificate,
                        global_dimension, matches_certificate, minimal_resolution,
                        projective_cover, simple_resolutions)
@@ -332,42 +332,16 @@ def shift(k: ComplexOfReps, n: int) -> ComplexOfReps:
     return ComplexOfReps.make(k.algebra, terms, diffs)
 
 
-def _block_matrix(f, blocks, row_dims, col_dims):
-    """Assemble a block matrix from {(i, j): ExactMatrix} with zero fill."""
-    nr, nc = sum(row_dims), sum(col_dims)
-    rows = [[f.zero] * nc for _ in range(nr)]
-    roff = [sum(row_dims[:i]) for i in range(len(row_dims))]
-    coff = [sum(col_dims[:j]) for j in range(len(col_dims))]
-    for (i, j), m in blocks.items():
-        for r in range(m.nrows):
-            for c in range(m.ncols):
-                rows[roff[i] + r][coff[j] + c] = m.entries[r][c]
-    return ExactMatrix(f, nr, nc, tuple(tuple(r) for r in rows))
-
-
-def _sum_rep(algebra, parts: Sequence[Representation]) -> Representation:
-    """Direct sum as a plain representation (block order = parts order)."""
-    f = algebra.field
-    dims = {v: sum(p.dim(v) for p in parts) for v in algebra.vertex_order}
-    maps = {}
-    for a in algebra.quiver.arrows:
-        maps[a.name] = _block_matrix(
-            f, {(i, i): p.map_of(a.name) for i, p in enumerate(parts)},
-            [p.dim(a.target) for p in parts], [p.dim(a.source) for p in parts])
-    return make_rep(algebra, dims, maps, check=False)
-
-
 def _sum_map(algebra, sources, targets, blocks: Dict[Tuple[int, int], ModuleMap],
              check: bool = True) -> ModuleMap:
     """Module map between direct sums given by a sparse block dict."""
-    f = algebra.field
-    src = _sum_rep(algebra, sources)
-    tgt = _sum_rep(algebra, targets)
+    src = direct_sum_rep(sources)
+    tgt = direct_sum_rep(targets)
     vb = {}
     for v in algebra.vertex_order:
-        vb[v] = _block_matrix(
-            f, {(i, j): mm.block(v) for (i, j), mm in blocks.items()},
-            [t.dim(v) for t in targets], [s.dim(v) for s in sources])
+        vb[v] = ExactMatrix.from_blocks(
+            {(i, j): mm.block(v) for (i, j), mm in blocks.items()},
+            [t.dim(v) for t in targets], [s.dim(v) for s in sources], algebra.field)
     return module_map(src, tgt, vb, check=check)
 
 
@@ -381,7 +355,7 @@ def cone(fmap: RepChainMap) -> ComplexOfReps:
     terms = {}
     diffs = {}
     for d in degs:
-        terms[d] = _sum_rep(alg, [k.term(d + 1), l.term(d)])
+        terms[d] = direct_sum_rep([k.term(d + 1), l.term(d)])
     for d in degs:
         if d + 1 not in degs:
             continue
@@ -496,7 +470,7 @@ def functor_F(diagram: DiagramOfComplexes, weights: Tuple[int, int, int],
                 m = fmap.comp(d)
                 if not m.is_zero():
                     blocks[(widx, idx)] = -m
-        return _block_matrix(QQ, blocks, rows, cols)
+        return ExactMatrix.from_blocks(blocks, rows, cols)
 
     # arrow chain maps in block coordinates
     def arrow_blocks(arrow: Arrow) -> Dict[Tuple[int, int], Dict[int, ExactMatrix]]:
@@ -545,7 +519,7 @@ def functor_F(diagram: DiagramOfComplexes, weights: Tuple[int, int, int],
                     m = chain_map.comp(d - off)
                 if not m.is_zero():
                     blocks[(ti, si)] = m
-            maps[a.name] = _block_matrix(QQ, blocks, rows, cols)
+            maps[a.name] = ExactMatrix.from_blocks(blocks, rows, cols)
         terms[d] = make_rep(alg, dims, maps, check=True)
 
     diffs: Dict[int, ModuleMap] = {}
@@ -680,8 +654,7 @@ def _component_map(mm: ModuleMap, targets: Sequence[Representation], idx: int) -
         off = sum(t.dim(v) for t in targets[:idx])
         d = targets[idx].dim(v)
         m = mm.block(v)
-        blocks[v] = ExactMatrix(f, d, m.ncols, tuple(
-            tuple(m.entries[off + r][c] for c in range(m.ncols)) for r in range(d)))
+        blocks[v] = ExactMatrix(f, d, m.ncols, m.entries[off:off + d])
     return module_map(mm.source, targets[idx], blocks, check=False)
 
 
@@ -712,10 +685,9 @@ def _hom_from_replacement(replacement, y: ComplexOfReps, i: int) -> int:
         """Turn coordinates into the full module map Q^j -> Y^{j+n}."""
         p = q[j]
         yt = y.term(j + n)
-        gen_images = []
-        for g, v in enumerate(p.blocks):
-            col = [[coeffs.get((j, g, c), f.zero)] for c in range(yt.dim(v))]
-            gen_images.append(ExactMatrix(f, yt.dim(v), 1, tuple(tuple(r) for r in col)))
+        gen_images = [ExactMatrix.from_cols(
+            [[coeffs.get((j, g, c), f.zero) for c in range(yt.dim(v))]], yt.dim(v), f)
+            for g, v in enumerate(p.blocks)]
         return hom_from_generators(p, yt, gen_images)
 
     def d_matrix(n):
@@ -729,37 +701,29 @@ def _hom_from_replacement(replacement, y: ComplexOfReps, i: int) -> int:
             col = [f.zero] * len(tgt)
             # d_Y o phi lands in component j of degree n+1
             comp1 = y.diff(j + n).compose(phi)
-            _read_into(col, tgt_idx, j, q[j], comp1, f)
+            _read_into(col, tgt_idx, j, q[j], comp1, f.one, f)
             # -(-1)^n phi o dQ^{j-1} lands in component j-1
             if (j - 1) in q:
                 comp2 = phi.compose(dq[j - 1])
                 sign = f.from_int(-((-1) ** n))
-                _read_scaled(col, tgt_idx, j - 1, q[j - 1], comp2, sign, f)
+                _read_into(col, tgt_idx, j - 1, q[j - 1], comp2, sign, f)
             cols.append(col)
-        return ExactMatrix(f, len(tgt), len(src), tuple(
-            tuple(cols[cc][r] for cc in range(len(src))) for r in range(len(tgt)))), len(src)
+        return ExactMatrix.from_cols(cols, len(tgt), f), len(src)
 
     d_i, dim_i = d_matrix(i)
     d_prev, _ = d_matrix(i - 1)
     return dim_i - d_i.rank() - d_prev.rank()
 
 
-def _read_into(col, tgt_idx, j, p, comp, f):
+def _read_into(col, tgt_idx, j, p, comp, scale, f):
+    """Add scale times the generator images of comp : Q^j -> ..., in the
+    coordinates (j, generator, entry), into col."""
     for g, v in enumerate(p.blocks):
         img = comp.block(v) @ p.gen_vector(g)
-        for c in range(img.nrows):
+        for c, x in enumerate(img.col(0)):
             key = (j, g, c)
             if key in tgt_idx:
-                col[tgt_idx[key]] = f.add(col[tgt_idx[key]], img.entries[c][0])
-
-
-def _read_scaled(col, tgt_idx, j, p, comp, sign, f):
-    for g, v in enumerate(p.blocks):
-        img = comp.block(v) @ p.gen_vector(g)
-        for c in range(img.nrows):
-            key = (j, g, c)
-            if key in tgt_idx:
-                col[tgt_idx[key]] = f.add(col[tgt_idx[key]], f.mul(sign, img.entries[c][0]))
+                col[tgt_idx[key]] = f.add(col[tgt_idx[key]], f.mul(scale, x))
 
 
 # ===========================================================================

@@ -1,27 +1,18 @@
 """Exact linear algebra over Q and prime fields, plus Z-matrix normal forms.
 
 Everything downstream (path-class bases, Cartan matrices, resolutions,
-Hochschild cochains) runs through :class:`ExactMatrix`.  Over Q the row
-reduction is delegated to the elimination kernel (compiled if available,
-pure Python otherwise); prime fields use a generic fallback.
+Hochschild cochains) runs through :class:`ExactMatrix`.  Rank, kernel,
+solve, inverse and det all read their results off one fraction-free
+Gauss-Jordan elimination on integer rows (:func:`_eliminate`); the field
+supplies the few steps where Q and GF(p) differ.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence
-
-if os.environ.get("DEQUIV_PURE"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels  # type: ignore[no-redef]
-
-KERNEL_BACKEND = _kernels.BACKEND
 
 
 class RationalField:
@@ -60,6 +51,29 @@ class RationalField:
 
     def from_str(self, s):
         return Fraction(s)
+
+    # steps of _eliminate that differ between the fields
+
+    def integer_rows(self, entries):
+        """Each row times the lcm of its denominators, and those multipliers."""
+        rows, mults = [], []
+        for r in entries:
+            m = lcm(*[x.denominator for x in r])
+            rows.append([x.numerator for x in r] if m == 1
+                        else [x.numerator * (m // x.denominator) for x in r])
+            mults.append(m)
+        return rows, mults
+
+    def divider(self, d):
+        """Divides an integer row by d, which divides every entry."""
+        if d == 1:
+            return lambda row: row
+        return lambda row: [x // d for x in row]
+
+    def quotient(self, d):
+        """Maps an integer x to the field element x / d."""
+        zero = self.zero
+        return lambda x: Fraction(x, d) if x else zero
 
     def __repr__(self):
         return "QQ"
@@ -105,6 +119,23 @@ class PrimeField:
     def from_str(self, s):
         return int(s) % self.p
 
+    # steps of _eliminate that differ between the fields
+
+    def integer_rows(self, entries):
+        """The entries as ints in [0, p); every row multiplier is 1."""
+        p = self.p
+        return [[x % p for x in r] for r in entries], [1] * len(entries)
+
+    def divider(self, d):
+        """Divides an integer row by d in GF(p), reducing it mod p."""
+        p, inv = self.p, self.inv(d)
+        return lambda row: [x * inv % p for x in row]
+
+    def quotient(self, d):
+        """Maps an integer x to the field element x / d."""
+        p, inv = self.p, self.inv(d)
+        return lambda x: x * inv % p
+
     def __repr__(self):
         return "GF(%d)" % self.p
 
@@ -141,6 +172,30 @@ class ExactMatrix:
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         return ExactMatrix(field, nrows, ncols, tuple(rows))
+
+    @staticmethod
+    def from_cols(cols: Sequence[Sequence], nrows: int, field=QQ) -> "ExactMatrix":
+        """Matrix with the given columns of field elements; nrows fixes the
+        shape when there are no columns."""
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("columns must have %d entries" % nrows)
+        entries = tuple(zip(*cols)) if cols else ((),) * nrows
+        return ExactMatrix(field, nrows, len(cols), entries)
+
+    @staticmethod
+    def from_blocks(blocks, row_dims: Sequence[int], col_dims: Sequence[int],
+                    field=QQ) -> "ExactMatrix":
+        """Block matrix from {(i, j): ExactMatrix}; missing blocks are zero.
+        Block (i, j) must be row_dims[i] x col_dims[j]."""
+        for (i, j), m in blocks.items():
+            if (m.nrows, m.ncols) != (row_dims[i], col_dims[j]):
+                raise ValueError("block (%d, %d) is %dx%d, expected %dx%d"
+                                 % (i, j, m.nrows, m.ncols, row_dims[i], col_dims[j]))
+        zero = field.zero
+        rows = tuple(sum((blocks[i, j].entries[r] if (i, j) in blocks else (zero,) * nc
+                          for j, nc in enumerate(col_dims)), ())
+                     for i, nr in enumerate(row_dims) for r in range(nr))
+        return ExactMatrix(field, sum(row_dims), sum(col_dims), rows)
 
     @staticmethod
     def zero(nrows: int, ncols: int, field=QQ) -> "ExactMatrix":
@@ -217,88 +272,36 @@ class ExactMatrix:
         return ExactMatrix(self.field, self.nrows, self.ncols + other.ncols,
                            tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
 
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.ncols == other.ncols
-        return ExactMatrix(self.field, self.nrows + other.nrows, self.ncols,
-                           self.entries + other.entries)
-
     # -- elimination -------------------------------------------------------
 
     def rref(self):
         """Return (rank, pivot_cols, rref matrix)."""
         f = self.field
-        if f is QQ or isinstance(f, RationalField):
-            nums = [x.numerator for r in self.entries for x in r]
-            dens = [x.denominator for r in self.entries for x in r]
-            rank, pivots = _kernels.rref(nums, dens, self.nrows, self.ncols)
-            rows = tuple(
-                tuple(Fraction(nums[r * self.ncols + c], dens[r * self.ncols + c])
-                      for c in range(self.ncols))
-                for r in range(self.nrows))
-            return rank, pivots, ExactMatrix(f, self.nrows, self.ncols, rows)
-        return self._rref_generic()
-
-    def _rref_generic(self):
-        f = self.field
-        rows = [list(r) for r in self.entries]
-        rank = 0
-        pivots = []
-        for col in range(self.ncols):
-            piv = next((r for r in range(rank, self.nrows) if not f.is_zero(rows[r][col])), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = f.inv(rows[rank][col])
-            rows[rank] = [f.mul(inv, x) for x in rows[rank]]
-            for r in range(self.nrows):
-                if r != rank and not f.is_zero(rows[r][col]):
-                    c0 = rows[r][col]
-                    rows[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-            if rank == self.nrows:
-                break
-        return rank, pivots, ExactMatrix(f, self.nrows, self.ncols, tuple(tuple(r) for r in rows))
+        pivots, rows, last, _, _ = _eliminate(f, self.entries, self.ncols)
+        rank = len(pivots)
+        q = f.quotient(last)
+        out = tuple(tuple(map(q, r)) for r in rows[:rank])
+        out += ((f.zero,) * self.ncols,) * (self.nrows - rank)
+        return rank, pivots, ExactMatrix(f, self.nrows, self.ncols, out)
 
     def rank(self) -> int:
         return self.rref()[0]
 
     def kernel(self) -> "ExactMatrix":
         """Matrix whose columns form a basis of the right kernel."""
-        rank, pivots, rr = self.rref()
-        return self._kernel_from_rref(pivots, rr)
-
-    def _kernel_from_rref(self, pivots, rr) -> "ExactMatrix":
-        f = self.field
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
-        cols = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for i, pc in enumerate(pivots):
-                v[pc] = f.neg(rr.entries[i][fc])
-            cols.append(v)
-        if not cols:
-            return ExactMatrix(f, self.ncols, 0, tuple(tuple() for _ in range(self.ncols)))
-        return ExactMatrix(f, self.ncols, len(cols),
-                           tuple(tuple(col[r] for col in cols) for r in range(self.ncols)))
+        return rank_and_kernel(self)[1]
 
     def solve(self, b: "ExactMatrix") -> Optional["ExactMatrix"]:
         """A particular solution X of self @ X = b, or None if inconsistent."""
         f = self.field
         assert b.nrows == self.nrows
-        aug = self.hstack(b)
-        rank, pivots, rr = aug.rref()
-        if any(p >= self.ncols for p in pivots):
+        rank, pivots, rr = self.hstack(b).rref()
+        if pivots and pivots[-1] >= self.ncols:
             return None
-        xcols = []
-        for j in range(b.ncols):
-            v = [f.zero] * self.ncols
-            for i, pc in enumerate(pivots):
-                v[pc] = rr.entries[i][self.ncols + j]
-            xcols.append(v)
-        return ExactMatrix(f, self.ncols, b.ncols,
-                           tuple(tuple(col[r] for col in xcols) for r in range(self.ncols)))
+        rows = [(f.zero,) * b.ncols] * self.ncols
+        for i, pc in enumerate(pivots):
+            rows[pc] = rr.entries[i][self.ncols:]
+        return ExactMatrix(f, self.ncols, b.ncols, tuple(rows))
 
     def inverse(self) -> "ExactMatrix":
         if self.nrows != self.ncols:
@@ -309,27 +312,16 @@ class ExactMatrix:
         return x
 
     def det(self):
-        """Exact determinant (fraction-free not required; elimination based)."""
+        """Exact determinant: the sign of the row swaps times the last pivot
+        of the fraction-free elimination, over the product of the row
+        multipliers."""
         if self.nrows != self.ncols:
             raise ValueError("not square")
         f = self.field
-        rows = [list(r) for r in self.entries]
-        det = f.one
-        n = self.nrows
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not f.is_zero(rows[r][col])), None)
-            if piv is None:
-                return f.zero
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = f.neg(det)
-            det = f.mul(det, rows[col][col])
-            inv = f.inv(rows[col][col])
-            for r in range(col + 1, n):
-                if not f.is_zero(rows[r][col]):
-                    c0 = f.mul(inv, rows[r][col])
-                    rows[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(rows[r], rows[col])]
-        return det
+        pivots, _, last, sign, mults = _eliminate(f, self.entries, self.ncols)
+        if len(pivots) < self.nrows:
+            return f.zero
+        return f.quotient(prod(mults))(sign * last)
 
     # -- conversions -------------------------------------------------------
 
@@ -353,6 +345,47 @@ class ExactMatrix:
 
     def __str__(self):
         return "\n".join("[" + " ".join(self.field.to_str(x) for x in r) + "]" for r in self.entries)
+
+
+def _eliminate(field, entries, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+
+    field.integer_rows turns the entries into integer rows, each scaled by
+    a row multiplier.  With p the new pivot and prev the previous one (1 at
+    the start), each step replaces every other row r by
+    (p * r - r[col] * pivot row) / prev; over Z the division is exact, over
+    GF(p) it is a multiplication by the inverse.  At the end every pivot
+    row has the last pivot in its pivot column, so dividing the first rank
+    rows by it gives the rref, and the rows past the rank are zero.
+
+    Returns (pivot columns, integer rows, last pivot, sign, row multipliers),
+    sign being the parity of the row swaps: a square matrix of full rank has
+    det = sign * last pivot / prod(row multipliers).
+    """
+    rows, mults = field.integer_rows(entries)
+    nrows = len(rows)
+    pivots = []
+    prev = sign = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        prow = rows[rank]
+        p = prow[col]
+        div = field.divider(prev)
+        for r, row in enumerate(rows):
+            a = row[col]
+            if r != rank and (a or p != prev):
+                rows[r] = div([p * x - a * y for x, y in zip(row, prow)])
+        pivots.append(col)
+        prev = p
+        if rank + 1 == nrows:
+            break
+    return pivots, rows, prev, sign, mults
 
 
 @dataclass(frozen=True)
@@ -404,9 +437,20 @@ class IntPolynomial:
 
 
 def rank_and_kernel(m: ExactMatrix):
-    """Rank and a basis of the right kernel (as columns)."""
+    """Rank and a basis of the right kernel (as columns), from one rref."""
+    f = m.field
     rank, pivots, rr = m.rref()
-    return rank, m._kernel_from_rref(pivots, rr)
+    pivset = set(pivots)
+    cols = []
+    for fc in range(m.ncols):
+        if fc in pivset:
+            continue
+        v = [f.zero] * m.ncols
+        v[fc] = f.one
+        for i, pc in enumerate(pivots):
+            v[pc] = f.neg(rr.entries[i][fc])
+        cols.append(v)
+    return rank, ExactMatrix.from_cols(cols, m.ncols, f)
 
 
 def char_poly(m: ExactMatrix) -> IntPolynomial:

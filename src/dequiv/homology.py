@@ -61,13 +61,9 @@ def _top_generators(m: Representation):
         d = m.dim(v)
         if d == 0:
             continue
-        cols = []
-        for a in alg.quiver.arrows_into(v):
-            ma = m.map_of(a.name)
-            for c in range(ma.ncols):
-                cols.append([ma.entries[r][c] for r in range(d)])
-        cur = ExactMatrix(f, d, len(cols), tuple(
-            tuple(cols[c][r] for c in range(len(cols))) for r in range(d)))
+        cols = [c for a in alg.quiver.arrows_into(v)
+                for c in m.map_of(a.name).transpose().entries]
+        cur = ExactMatrix.from_cols(cols, d, f)
         rank = cur.rank()
         if rank == d:
             continue
@@ -156,10 +152,9 @@ def hom_complex(res_steps, n: Representation, max_i: int):
                 col = []
                 for j2, v2 in enumerate(p_hi.blocks):
                     img = comp.block(v2) @ p_hi.gen_vector(j2)
-                    col.extend(img.entries[r][0] for r in range(img.nrows))
+                    col.extend(img.col(0))
                 cols.append(col)
-        mats.append(ExactMatrix(f, dims[i], dims[i - 1], tuple(
-            tuple(cols[c][r] for c in range(dims[i - 1])) for r in range(dims[i]))))
+        mats.append(ExactMatrix.from_cols(cols, dims[i], f))
     return dims, mats
 
 
@@ -438,8 +433,7 @@ def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int,
                     elem, _ = rmul(blk, {bp: f.one}, big[-1])
                     add_at(big, elem, (-1) ** (n + 1))
             cols.append(col)
-        mats.append(ExactMatrix(f, len(tgt), len(src), tuple(
-            tuple(cols[c][r] for c in range(len(src))) for r in range(len(tgt)))))
+        mats.append(ExactMatrix.from_cols(cols, len(tgt), f))
 
     out = []
     for n in range(max_deg + 1):

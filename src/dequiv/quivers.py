@@ -152,6 +152,12 @@ class Presentation:
 
     def __post_init__(self):
         for rel in self.relations:
+            for _, path in rel.terms:
+                if len(path) < 2:
+                    raise QuiverError(
+                        "relation %s is not admissible: its term %s has %d arrow(s), "
+                        "and every path in a relation needs at least 2"
+                        % (_relation_text(rel, self.field), _path_text(path), len(path)))
             rel.endpoints(self.quiver)
             paths = [p.arrow_names for _, p in rel.terms]
             if len(set(paths)) != len(paths):
@@ -164,16 +170,28 @@ class Presentation:
 
     @staticmethod
     def from_json(data: dict, field=QQ) -> "Presentation":
-        q = Quiver(tuple(data["vertices"]),
-                   tuple(Arrow(a["id"], a["from"], a["to"]) for a in data["arrows"]))
+        """Presentation from quiver JSON.  A missing key, an unknown arrow or
+        a term with neither arrows nor a source raises QuiverError naming it."""
+        vertices = tuple(_key(data, "vertices", "quiver"))
+        arrows = []
+        for a in _key(data, "arrows", "quiver"):
+            where = "arrow %s" % json.dumps(a)
+            arrows.append(Arrow(_key(a, "id", where), _key(a, "from", where), _key(a, "to", where)))
+        q = Quiver(vertices, tuple(arrows))
         rels = []
         arrow_src = {a.name: a.source for a in q.arrows}
         for rel in data.get("relations", []):
             terms = []
-            for t in rel["terms"]:
-                path = tuple(t["path"])
+            for t in _key(rel, "terms", "relation %s" % json.dumps(rel)):
+                where = "relation term %s" % json.dumps(t)
+                path = tuple(_key(t, "path", where))
+                unknown = [name for name in path if name not in arrow_src]
+                if unknown:
+                    raise QuiverError("%s uses unknown arrow %r" % (where, unknown[0]))
                 src = arrow_src[path[0]] if path else t.get("source")
-                terms.append((field.from_str(t["coeff"]), QPath(src, path)))
+                if src not in q.vertices:
+                    raise QuiverError("%s has an empty path and no 'source' vertex" % where)
+                terms.append((field.from_str(_key(t, "coeff", where)), QPath(src, path)))
             rels.append(Relation(tuple(terms)))
         return Presentation(q, tuple(rels), field)
 
@@ -181,6 +199,20 @@ class Presentation:
     def load(path, field=QQ) -> "Presentation":
         with open(path) as fh:
             return Presentation.from_json(json.load(fh), field)
+
+
+def _key(obj, key, where):
+    if not isinstance(obj, dict) or key not in obj:
+        raise QuiverError("%s is missing key %r" % (where, key))
+    return obj[key]
+
+
+def _path_text(path: QPath) -> str:
+    return ".".join(path.arrow_names) or "e_%s" % path.source
+
+
+def _relation_text(rel: Relation, field) -> str:
+    return " + ".join("%s*%s" % (field.to_str(c), _path_text(p)) for c, p in rel.terms)
 
 
 # -- canonical algebras ------------------------------------------------------
@@ -220,6 +252,11 @@ def canonical_presentation(weights: Sequence[int], lambdas: Optional[Sequence] =
     if t >= 3:
         if lambdas is None:
             lam = [field.from_int(i - 1) for i in range(2, t)]  # 1, 2, ... by default
+            if any(field.is_zero(x) for x in lam):
+                raise QuiverError(
+                    "no default lambdas for t = %d weights over GF(%d): they must be "
+                    "t - 2 = %d distinct nonzero elements and GF(%d) has only %d"
+                    % (t, field.p, t - 2, field.p, field.p - 1))
         if len(lam) != t - 2:
             raise QuiverError("need %d lambda parameters for %d weights" % (t - 2, t))
         if any(field.is_zero(x) for x in lam):

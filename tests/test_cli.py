@@ -82,3 +82,41 @@ def test_text_format(diamond_file, capsys):
     assert run(["--format", "text", "invariants", "--poset", diamond_file]) == 0
     out = capsys.readouterr().out
     assert "coxeter:" in out and not out.lstrip().startswith("{")
+
+
+PATH_QUIVER = {"vertices": ["a", "b", "c"],
+               "arrows": [{"id": "x", "from": "a", "to": "b"},
+                          {"id": "y", "from": "b", "to": "c"}]}
+
+
+@pytest.mark.parametrize("data, message", [
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": []}]}]),
+     'relation term {"coeff": "1", "path": []} has an empty path and no \'source\' vertex'),
+    ({"vertices": ["a"]}, "quiver is missing key 'arrows'"),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x", "z"]}]}]),
+     'relation term {"coeff": "1", "path": ["x", "z"]} uses unknown arrow \'z\''),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x"]}]}]),
+     "relation 1*x is not admissible: its term x has 1 arrow(s)"),
+], ids=["empty-path", "missing-key", "unknown-arrow", "length-1-relation"])
+def test_malformed_quiver_names_the_problem(tmp_path, capsys, data, message):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(data))
+    assert run(["invariants", "--quiver", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_admissible_quiver_relation_is_accepted(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(dict(
+        PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x", "y"]}]}])))
+    assert run(["invariants", "--quiver", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["total_dimension"] == 5
+
+
+@pytest.mark.parametrize("p, weights", [(2, "2,2,2,2"), (3, "2,2,2,2,2")])
+def test_default_lambdas_too_few_in_prime_field(capsys, p, weights):
+    t = len(weights.split(","))
+    assert run(["--field", "fp:%d" % p, "invariants", "--weights", weights]) == 2
+    err = capsys.readouterr().err
+    assert ("no default lambdas for t = %d weights over GF(%d)" % (t, p)) in err
+    assert "GF(%d) has only %d" % (p, p - 1) in err

@@ -2,30 +2,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dequiv.exactla import (QQ, ExactMatrix, IntPolynomial, PrimeField,
                             char_poly, field_from_spec, rank_and_kernel,
                             smith_normal_form)
 
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(101)]
 
-def naive_gauss_rank(rows):
-    """Independent rank oracle: fraction Gaussian elimination from scratch."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+
+def gauss_jordan(rows, ncols, f):
+    """Independent rref oracle: textbook Gauss-Jordan in the field's own
+    arithmetic (Fraction or ints mod p), normalising each pivot to 1.
+    Returns (rank, pivot columns, rref rows)."""
+    rows = [list(r) for r in rows]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+    pivots = []
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if not f.is_zero(rows[r][col])), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
+        inv = f.inv(rows[rank][col])
+        rows[rank] = [f.mul(inv, x) for x in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            if r != rank and not f.is_zero(rows[r][col]):
+                c0 = rows[r][col]
+                rows[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return rank, pivots, rows
 
 
 def cofactor_det(rows):
@@ -46,7 +52,7 @@ def test_rank_against_hand_elimination():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         m = ExactMatrix.from_rows(rows)
-        assert m.rank() == naive_gauss_rank(rows)
+        assert m.rank() == gauss_jordan(m.entries, nc, QQ)[0]
 
 
 def test_rank_equals_transpose_rank():
@@ -187,3 +193,68 @@ def test_rank_and_kernel_eliminates_once(monkeypatch):
     rank, kernel = rank_and_kernel(m)
     assert len(calls) == 1
     assert (rank, kernel) == (m.rank(), m.kernel())
+
+
+# -- the one elimination against the oracles, over Q and GF(p) ---------------
+
+def _entries(f):
+    """Mostly-sparse entries; over Q with denominators up to 4."""
+    nonzero = (st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)) if f is QQ
+               else st.integers(0, f.p - 1))
+    return st.one_of(st.just(f.zero), nonzero)
+
+
+def _matrix(data, f, nrows, ncols):
+    rows = data.draw(st.lists(st.lists(_entries(f), min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    return ExactMatrix(f, nrows, ncols, tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rref_and_kernel_match_gauss_jordan(f, data):
+    m = _matrix(data, f, data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6)))
+    rank, pivots, rr = m.rref()
+    o_rank, o_pivots, o_rows = gauss_jordan(m.entries, m.ncols, f)
+    assert (rank, pivots) == (o_rank, o_pivots)
+    assert rr.entries == tuple(tuple(r) for r in o_rows)
+    k = m.kernel()
+    assert (k.nrows, k.ncols) == (m.ncols, m.ncols - o_rank)
+    assert (m @ k).is_zero()
+    assert gauss_jordan(k.transpose().entries, k.nrows, f)[0] == k.ncols
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_solve_matches_gauss_jordan_consistency(f, data):
+    m = _matrix(data, f, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+    nb = data.draw(st.integers(1, 2))
+    if data.draw(st.booleans()):
+        b = m @ _matrix(data, f, m.ncols, nb)
+    else:
+        b = _matrix(data, f, m.nrows, nb)
+    x = m.solve(b)
+    consistent = (gauss_jordan(m.hstack(b).entries, m.ncols + nb, f)[0]
+                  == gauss_jordan(m.entries, m.ncols, f)[0])
+    if consistent:
+        assert (x.nrows, x.ncols) == (m.ncols, nb)
+        assert (m @ x - b).is_zero()
+    else:
+        assert x is None
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_det_and_inverse_match_cofactor_expansion(f, data):
+    n = data.draw(st.integers(1, 5))
+    m = _matrix(data, f, n, n)
+    d = cofactor_det(m.entries) if f is QQ else cofactor_det(m.entries) % f.p
+    assert m.det() == d
+    if f.is_zero(d):
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert m @ m.inverse() == ExactMatrix.identity(n, f)

@@ -195,18 +195,12 @@ class Representation:
                 return m
         raise KeyError(arrow_name)
 
-    def dims_dict(self):
-        return {v: self.dim(v) for v in self.algebra.vertex_order}
-
     def act_path(self, source: str, path: tuple) -> ExactMatrix:
         """Composite matrix of a path (identity for the trivial path)."""
         f = self.algebra.field
         m = ExactMatrix.identity(self.dim(source), f)
-        v = source
         for name in path:
-            a = self.algebra.quiver.arrow(name)
             m = self.map_of(name) @ m
-            v = a.target
         return m
 
     def check_relations(self) -> bool:
@@ -264,8 +258,8 @@ class ProjectiveRep:
 
     blocks[j] is the vertex of the j-th summand; the basis of the underlying
     representation at vertex w is indexed by (j, basis path v_j -> w) in
-    block-major order.  gen_index[j] locates the trivial-path generator of
-    summand j inside the space at blocks[j]."""
+    block-major order.  The generator of summand j is the trivial-path
+    label (j, ()) among labels_at(blocks[j])."""
 
     rep: Representation
     blocks: tuple
@@ -273,14 +267,6 @@ class ProjectiveRep:
 
     def labels_at(self, v) -> tuple:
         return self.basis_labels[self.rep.algebra._vidx[v]]
-
-    def gen_vector(self, j: int) -> ExactMatrix:
-        """Column vector of the j-th generator inside the space at blocks[j]."""
-        alg = self.rep.algebra
-        v = self.blocks[j]
-        labels = self.labels_at(v)
-        col = [[alg.field.one] if lab == (j, ()) else [alg.field.zero] for lab in labels]
-        return ExactMatrix.from_rows(col, alg.field)
 
 
 def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> ProjectiveRep:

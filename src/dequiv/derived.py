@@ -13,15 +13,14 @@ from .exactla import ExactMatrix
 from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
                      enumerate_posets, remark_free_edges)
 from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
-                      a1p_presentation, incidence_presentation, is_gentle, t2_poset,
-                      unique_path_property)
+                      a1p_presentation, hasse_quiver, incidence_presentation,
+                      is_gentle, t2_poset, unique_path_property)
 from .algebra import (BoundQuiverAlgebra, ModuleMap, Representation,
                       build_algebra, direct_sum_rep, incidence_algebra, kernel_of,
                       make_rep, module_map, zero_rep)
 from .homology import (InvariantCertificate, ProjectiveResolution, certificate,
-                       global_dimension, matches_certificate, minimal_resolution,
-                       projective_cover, simple_resolutions)
-from .algebra import hom_from_generators
+                       global_dimension, hom_cohomology, matches_certificate,
+                       minimal_resolution, projective_cover, simple_resolutions)
 
 
 class DerivedError(ValueError):
@@ -158,48 +157,27 @@ class DiagramOfComplexes:
     def cover_map(self, x, y) -> VectChainMap:
         return dict(self.cover_maps)[(x, y)]
 
-    @cached_property
-    def _successors(self) -> Dict[str, List[str]]:
-        succ: Dict[str, List[str]] = {}
-        for a, b in self.poset.covers():
-            succ.setdefault(a, []).append(b)
-        return succ
-
-    def _hasse_paths(self, u, v):
-        """Every chain of covers from u up to v, as a list of cover pairs."""
-        succ, leq = self._successors, self.poset.leq
-        out = []
-        stack = [(u, [])]
-        while stack:
-            cur, acc = stack.pop()
-            if cur == v:
-                if acc:
-                    out.append(acc)
-                continue
-            # reversed, so that paths come out in depth-first cover order
-            for w in reversed(succ.get(cur, [])):
-                if leq(w, v):
-                    stack.append((w, acc + [(cur, w)]))
-        return out
-
-    def path_composite(self, path) -> VectChainMap:
+    def path_composite(self, q: Quiver, path) -> VectChainMap:
+        """Composite of the cover maps along a path of the Hasse quiver q."""
         m = None
-        for cov in path:
-            step = self.cover_map(*cov)
+        for name in path:
+            a = q.arrow(name)
+            step = self.cover_map(a.source, a.target)
             m = step if m is None else step.compose(m)
         return m
 
     def is_commutative(self) -> bool:
+        q = hasse_quiver(self.poset)
         for u in self.poset.elements:
             for v in self.poset.elements:
                 if not self.poset.lt(u, v):
                     continue
-                paths = self._hasse_paths(u, v)
+                paths = q.paths(u, v)
                 if len(paths) < 2:
                     continue
-                base = self.path_composite(paths[0])
+                base = self.path_composite(q, paths[0])
                 for other in paths[1:]:
-                    m = self.path_composite(other)
+                    m = self.path_composite(q, other)
                     degs = set(base.source.support)
                     for d in degs:
                         if not (base.comp(d) - m.comp(d)).is_zero():
@@ -576,15 +554,17 @@ def f_images_of_simples(weights: Tuple[int, int, int]):
 
 def derived_hom_dims(x: StalkComplex, y: StalkComplex, i: int,
                      method: str = "shift") -> int:
-    """dim Hom_{D^b}(X, Y[i]) for stalk complexes over one algebra."""
+    """dim Hom_{D^b}(X, Y[i]) for stalk complexes over one algebra, as
+    H^i Hom(Q, Y) with Q the minimal resolution of X's module placed below
+    X's degree ("shift") or the certified projective replacement of X
+    ("resolution")."""
     if method == "shift":
-        k = i + x.degree - y.degree
-        if k < 0:
-            return 0
-        return x.resolution.ext_dims(y.module, k)[k]
-    if method == "resolution":
-        return _hom_from_replacement(x.replacement, y.to_complex(), i)
-    raise DerivedError("unknown method %r" % method)
+        q, dq = x.resolution.as_complex(x.degree)
+    elif method == "resolution":
+        q, dq, _ = x.replacement
+    else:
+        raise DerivedError("unknown method %r" % method)
+    return hom_cohomology(q, dq, {y.degree: y.module}, {}, [i])[0]
 
 
 def proj_replacement(x: ComplexOfReps, cap: Optional[int] = None):
@@ -658,74 +638,6 @@ def _component_map(mm: ModuleMap, targets: Sequence[Representation], idx: int) -
     return module_map(mm.source, targets[idx], blocks, check=False)
 
 
-def derived_hom_complexes(x: ComplexOfReps, y: ComplexOfReps, i: int) -> int:
-    """dim Hom_{D^b}(X, Y[i]) via a projective replacement of X."""
-    if x.is_zero() or y.is_zero():
-        return 0
-    return _hom_from_replacement(proj_replacement(x), y, i)
-
-
-def _hom_from_replacement(replacement, y: ComplexOfReps, i: int) -> int:
-    """dim H^i of Hom(Q, Y) for a projective replacement (Q, dQ, eps) of X."""
-    f = y.algebra.field
-    q, dq, _ = replacement
-
-    def hom_basis(n):
-        """Basis labels of Hom^n = (+)_j Hom(Q^j, Y^{j+n})."""
-        labels = []
-        for j in sorted(q):
-            p = q[j]
-            yt = y.term(j + n)
-            for g, v in enumerate(p.blocks):
-                for c in range(yt.dim(v)):
-                    labels.append((j, g, c))
-        return labels
-
-    def extend(j, n, coeffs):
-        """Turn coordinates into the full module map Q^j -> Y^{j+n}."""
-        p = q[j]
-        yt = y.term(j + n)
-        gen_images = [ExactMatrix.from_cols(
-            [[coeffs.get((j, g, c), f.zero) for c in range(yt.dim(v))]], yt.dim(v), f)
-            for g, v in enumerate(p.blocks)]
-        return hom_from_generators(p, yt, gen_images)
-
-    def d_matrix(n):
-        src = hom_basis(n)
-        tgt = hom_basis(n + 1)
-        tgt_idx = {lab: k for k, lab in enumerate(tgt)}
-        cols = []
-        for lab in src:
-            j, g, c = lab
-            phi = extend(j, n, {lab: f.one})
-            col = [f.zero] * len(tgt)
-            # d_Y o phi lands in component j of degree n+1
-            comp1 = y.diff(j + n).compose(phi)
-            _read_into(col, tgt_idx, j, q[j], comp1, f.one, f)
-            # -(-1)^n phi o dQ^{j-1} lands in component j-1
-            if (j - 1) in q:
-                comp2 = phi.compose(dq[j - 1])
-                sign = f.from_int(-((-1) ** n))
-                _read_into(col, tgt_idx, j - 1, q[j - 1], comp2, sign, f)
-            cols.append(col)
-        return ExactMatrix.from_cols(cols, len(tgt), f), len(src)
-
-    d_i, dim_i = d_matrix(i)
-    d_prev, _ = d_matrix(i - 1)
-    return dim_i - d_i.rank() - d_prev.rank()
-
-
-def _read_into(col, tgt_idx, j, p, comp, scale, f):
-    """Add scale times the generator images of comp : Q^j -> ..., in the
-    coordinates (j, generator, entry), into col."""
-    for g, v in enumerate(p.blocks):
-        img = comp.block(v) @ p.gen_vector(g)
-        for c, x in enumerate(img.col(0)):
-            key = (j, g, c)
-            if key in tgt_idx:
-                col[tgt_idx[key]] = f.add(col[tgt_idx[key]], f.mul(scale, x))
-
-
 # ===========================================================================
 # Beilinson-style table check and verification pipelines
 # ===========================================================================
@@ -762,21 +674,12 @@ def _table_check(weights, ax: BoundQuiverAlgebra,
     g = max(r.length for r in res.values())
     if window[0] > -g or window[1] < g:
         raise DerivedError("window must contain [-gldim, gldim] = [%d, %d]" % (-g, g))
-    left = ExtTable(tuple(ax.vertex_order), window, {})
-    maxi = window[1]
-    for sx in ax.vertex_order:
-        for sy in ax.vertex_order:
-            exts = res[sx].ext_dims(res[sy].module, maxi)
-            for i in range(window[0], window[1] + 1):
-                left.entries[(sx, sy, i)] = exts[i] if 0 <= i <= maxi else 0
-
+    labels = tuple(ax.vertex_order)
+    left = _ext_table(labels, {x: (res[x], 0) for x in labels}, window)
     images = dict(f_images_of_simples(weights))
     alg = images[next(iter(images))].module.algebra
-    right = ExtTable(tuple(ax.vertex_order), window, {})
-    for sx in ax.vertex_order:
-        for sy in ax.vertex_order:
-            for i in range(window[0], window[1] + 1):
-                right.entries[(sx, sy, i)] = derived_hom_dims(images[sx], images[sy], i)
+    right = _ext_table(labels, {x: (images[x].resolution, images[x].degree)
+                                for x in labels}, window)
 
     equal = all(left.entries[k] == right.entries[k] for k in left.entries)
 
@@ -788,6 +691,22 @@ def _table_check(weights, ax: BoundQuiverAlgebra,
         rows.append([sign * st.module.dim(v) for v in alg.vertex_order])
     det = int(ExactMatrix.from_rows(rows).det())
     return left, right, equal, det in (1, -1)
+
+
+def _ext_table(labels, modules: Dict[str, Tuple[ProjectiveResolution, int]],
+               window) -> ExtTable:
+    """ExtTable of stalks given as {label: (resolution, degree)}: the entry
+    (x, y, i) is Ext^{i + deg x - deg y}, read from one Hom complex per pair."""
+    shifts = range(window[0], window[1] + 1)
+    table = ExtTable(labels, window, {})
+    for x in labels:
+        res_x, deg_x = modules[x]
+        q, dq = res_x.as_complex(deg_x)
+        for y in labels:
+            res_y, deg_y = modules[y]
+            dims = hom_cohomology(q, dq, {deg_y: res_y.module}, {}, shifts)
+            table.entries.update(((x, y, i), d) for i, d in zip(shifts, dims))
+    return table
 
 
 def canonical_vs_poset_report(p1: int, p2: int, p3: int,

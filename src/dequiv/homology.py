@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_form
 from .posets import Poset, order_complex
@@ -34,20 +34,17 @@ class ProjectiveResolution:
     def length(self) -> int:
         return len(self.steps) - 1
 
+    def as_complex(self, degree: int = 0):
+        """(terms, differentials) of the complex of projectives with P_i in
+        degree `degree` - i, keyed by degree; d[j] : Q^j -> Q^{j+1}."""
+        q = {degree - i: p for i, (p, _) in enumerate(self.steps)}
+        dq = {degree - i: d for i, (_, d) in enumerate(self.steps) if i}
+        return q, dq
+
     def ext_dims(self, n: Representation, max_i: int) -> List[int]:
         """dim Ext^i(M, N) for i = 0..max_i, read off this resolution of M."""
-        if n.is_zero():
-            return [0] * (max_i + 1)
-        dims, mats = hom_complex(self.steps, n, max_i)
-        out = []
-        for i in range(max_i + 1):
-            if i >= len(dims):
-                out.append(0)
-                continue
-            rank_in = mats[i - 1].rank() if 1 <= i <= len(mats) else 0
-            rank_out = mats[i].rank() if i < len(mats) else 0
-            out.append(dims[i] - rank_out - rank_in)
-        return out
+        q, dq = self.as_complex()
+        return hom_cohomology(q, dq, {0: n}, {}, range(max_i + 1))
 
 
 def _top_generators(m: Representation):
@@ -119,43 +116,74 @@ def _assert_minimal(steps):
         p_prev = steps[i - 1][0]
         f = p_i.rep.algebra.field
         for j, v in enumerate(p_i.blocks):
-            img = d_i.block(v) @ p_i.gen_vector(j)
-            for r, lab in enumerate(p_prev.labels_at(v)):
-                if lab[1] == () and not f.is_zero(img.entries[r][0]):
+            img = d_i.block(v).col(p_i.labels_at(v).index((j, ())))
+            for x, lab in zip(img, p_prev.labels_at(v)):
+                if lab[1] == () and not f.is_zero(x):
                     raise ResolutionError("non-minimal differential at step %d" % i)
 
 
-def hom_complex(res_steps, n: Representation, max_i: int):
-    """Hom(P_*, N) in generator coordinates: (dims, differential matrices).
+def hom_cohomology(q: Dict[int, ProjectiveRep], dq: Dict[int, ModuleMap],
+                   y: Dict[int, Representation], dy: Dict[int, ModuleMap],
+                   degrees: Sequence[int]) -> List[int]:
+    """dim H^n Hom(Q, Y) for each n in degrees, in that order.
 
-    mats[i] maps Hom(P_i, N) -> Hom(P_{i+1}, N)."""
-    if not res_steps:
-        return [], []
-    alg = n.algebra
-    f = alg.field
-    # one step beyond max_i so the outgoing differential of Ext^{max_i} exists
-    steps = res_steps[: max_i + 2]
-    dims = [sum(n.dim(v) for v in p.blocks) for p, _ in steps]
-    mats = []
-    for i in range(1, len(steps)):
-        p_hi, d = steps[i]
-        p_lo = steps[i - 1][0]
-        cols = []
-        for j, v in enumerate(p_lo.blocks):
-            for c in range(n.dim(v)):
-                unit = ExactMatrix(f, n.dim(v), 1, tuple(
-                    (f.one,) if r == c else (f.zero,) for r in range(n.dim(v))))
-                gen_images = [ExactMatrix.zero(n.dim(w), 1, f) for w in p_lo.blocks]
-                gen_images[j] = unit
-                phi = hom_from_generators(p_lo, n, gen_images)
-                comp = phi.compose(d)
-                col = []
-                for j2, v2 in enumerate(p_hi.blocks):
-                    img = comp.block(v2) @ p_hi.gen_vector(j2)
-                    col.extend(img.col(0))
-                cols.append(col)
-        mats.append(ExactMatrix.from_cols(cols, dims[i], f))
-    return dims, mats
+    Q is a bounded complex of projectives and Y a bounded complex of
+    representations, each given as terms and differentials keyed by degree
+    (d[j] : T^j -> T^{j+1}).  In generator coordinates a map out of a sum of
+    projectives is its generator images, Hom(P, N) = (+)_g N(blocks[g]), and
+    Hom^n = (+)_j Hom(Q^j, Y^{j+n}) with D(phi) = d_Y phi - (-1)^n phi d_Q."""
+    if not q or not y:
+        return [0] * len(degrees)
+    f = next(iter(q.values())).rep.algebra.field
+    acts: Dict[tuple, ExactMatrix] = {}
+
+    def act(k, v, path):
+        """Y^k(path) for a path out of v, computed once per call."""
+        if (k, v, path) not in acts:
+            acts[k, v, path] = y[k].act_path(v, path)
+        return acts[k, v, path]
+
+    def coords(n):
+        """Blocks (j, g) of Hom^n with their dimensions; empty ones skipped."""
+        return [((j, g), y[j + n].dim(v)) for j in sorted(q) if j + n in y
+                for g, v in enumerate(q[j].blocks) if y[j + n].dim(v)]
+
+    def rank(n):
+        """Rank of D : Hom^n -> Hom^{n+1}."""
+        src, tgt = coords(n), coords(n + 1)
+        if not src or not tgt:
+            return 0
+        col = {c: i for i, (c, _) in enumerate(src)}
+        row = {c: i for i, (c, _) in enumerate(tgt)}
+        sign = f.from_int(-(-1) ** n)
+        blocks = {}
+        for (j, g), i in col.items():
+            # d_Y phi: each generator image moves along d_Y at its vertex
+            if j + n in dy and (j, g) in row:
+                blocks[row[j, g], i] = dy[j + n].block(q[j].blocks[g])
+        for j in q:
+            if j - 1 not in dq or j + n not in y:
+                continue
+            p, p_lo, d = q[j], q[j - 1], dq[j - 1]
+            # phi d_Q: generator h of Q^{j-1} maps to d(e_h) = sum c . path e_g,
+            # whose image under phi is sum c Y(path) phi(e_g)
+            for h, w in enumerate(p_lo.blocks):
+                if (j - 1, h) not in row:
+                    continue
+                image = d.block(w).col(p_lo.labels_at(w).index((h, ())))
+                for (g, path), c in zip(p.labels_at(w), image):
+                    if f.is_zero(c) or (j, g) not in col:
+                        continue
+                    term = act(j + n, p.blocks[g], path).scale(f.mul(sign, c))
+                    key = (row[j - 1, h], col[j, g])
+                    blocks[key] = blocks[key] + term if key in blocks else term
+        if not blocks:
+            return 0
+        return ExactMatrix.from_blocks(blocks, [k for _, k in tgt],
+                                       [k for _, k in src], f).rank()
+
+    ranks = {m: rank(m) for m in set(degrees) | {n - 1 for n in degrees}}
+    return [sum(k for _, k in coords(n)) - ranks[n] - ranks[n - 1] for n in degrees]
 
 
 def ext_dims(m: Representation, n: Representation, max_i: int) -> List[int]:

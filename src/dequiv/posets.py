@@ -68,12 +68,6 @@ class Poset:
     def up_set(self, x):
         return [y for y in self.elements if self.leq(x, y)]
 
-    def minima(self):
-        return [x for x in self.elements if all(not self.lt(y, x) for y in self.elements)]
-
-    def maxima(self):
-        return [x for x in self.elements if all(not self.lt(x, y) for y in self.elements)]
-
     def covers(self) -> Tuple[Tuple[str, str], ...]:
         """Cover pairs (x, y) with x covered by y: the transitive reduction."""
         out = []
@@ -109,7 +103,17 @@ class Poset:
 
     @staticmethod
     def from_json(data: dict) -> "Poset":
-        return poset_from_covers(data["elements"], [tuple(c) for c in data["covers"]])
+        """Poset from {"elements": [...], "covers": [[x, y], ...]}.  A missing
+        key or a cover that is not a pair raises PosetError naming it."""
+        for key in ("elements", "covers"):
+            if not isinstance(data, dict) or key not in data:
+                raise PosetError("poset is missing key %r" % key)
+        covers = []
+        for c in data["covers"]:
+            if not isinstance(c, (list, tuple)) or len(c) != 2:
+                raise PosetError("cover %s is not a pair [lower, upper]" % json.dumps(c))
+            covers.append(tuple(c))
+        return poset_from_covers(data["elements"], covers)
 
     @staticmethod
     def load(path) -> "Poset":

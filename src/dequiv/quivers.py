@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,17 +43,22 @@ class Quiver:
                 raise QuiverError("arrow %s has endpoint off the vertex set" % a.name)
         self.topological_order()  # raises on an oriented cycle
 
+    @cached_property
+    def _index(self):
+        """Arrows by name, and the arrows out of and into each vertex in
+        arrow order; built once."""
+        return ({a.name: a for a in self.arrows},
+                {v: tuple(a for a in self.arrows if a.source == v) for v in self.vertices},
+                {v: tuple(a for a in self.arrows if a.target == v) for v in self.vertices})
+
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+        return self._index[0][name]
 
     def arrows_from(self, v):
-        return [a for a in self.arrows if a.source == v]
+        return self._index[1].get(v, ())
 
     def arrows_into(self, v):
-        return [a for a in self.arrows if a.target == v]
+        return self._index[2].get(v, ())
 
     def is_source(self, v) -> bool:
         return not self.arrows_into(v)
@@ -78,22 +84,26 @@ class Quiver:
             raise QuiverError("quiver has an oriented cycle")
         return out
 
+    @cached_property
+    def _walks(self) -> Dict[str, Dict[str, List[Tuple[str, ...]]]]:
+        """Per source already walked: every path out of it, by target."""
+        return {}
+
     def paths(self, u, v) -> List[Tuple[str, ...]]:
         """All directed paths u -> v as arrow-name tuples ('' paths excluded
-        unless u == v, where the empty tuple denotes the trivial path)."""
-        out = []
-        if u == v:
-            out.append(())
+        unless u == v, where the empty tuple denotes the trivial path), in
+        depth-first pre-order over the arrow order.  One walk per source."""
+        if u not in self._walks:
+            by_target: Dict[str, List[Tuple[str, ...]]] = {}
 
-        def walk(cur, acc):
-            for a in self.arrows_from(cur):
-                nxt = acc + (a.name,)
-                if a.target == v:
-                    out.append(nxt)
-                walk(a.target, nxt)
+            def walk(cur, acc):
+                by_target.setdefault(cur, []).append(acc)
+                for a in self.arrows_from(cur):
+                    walk(a.target, acc + (a.name,))
 
-        walk(u, ())
-        return out
+            walk(u, ())
+            self._walks[u] = by_target
+        return list(self._walks[u].get(v, ()))
 
     def to_json(self, relations=None) -> dict:
         data = {
@@ -289,6 +299,12 @@ def a1p_presentation(p: int, field=QQ) -> Presentation:
 
 # -- incidence algebras ------------------------------------------------------
 
+def hasse_quiver(p: Poset) -> Quiver:
+    """The Hasse diagram of p as a quiver, one arrow "x->y" per cover."""
+    return Quiver(tuple(p.elements),
+                  tuple(Arrow("%s->%s" % (x, y), x, y) for x, y in p.covers()))
+
+
 def incidence_presentation(p: Poset, field=QQ) -> Presentation:
     """Presentation of the incidence algebra on the Hasse quiver.
 
@@ -297,9 +313,7 @@ def incidence_presentation(p: Poset, field=QQ) -> Presentation:
     commutativity ideal.  The dimension check (order pairs = algebra
     dimension) is run by the algebra builder downstream.
     """
-    covers = p.covers()
-    arrows = tuple(Arrow("%s->%s" % (x, y), x, y) for x, y in covers)
-    q = Quiver(tuple(p.elements), arrows)
+    q = hasse_quiver(p)
     rels = []
     for u in p.elements:
         for v in p.elements:

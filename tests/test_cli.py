@@ -105,6 +105,17 @@ def test_malformed_quiver_names_the_problem(tmp_path, capsys, data, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"elements": ["a", "b"]}, "poset is missing key 'covers'"),
+    ({"elements": ["a", "b"], "covers": [["a"]]}, 'cover ["a"] is not a pair [lower, upper]'),
+], ids=["missing-key", "bad-cover"])
+def test_malformed_poset_names_the_problem(tmp_path, capsys, data, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    assert run(["invariants", "--poset", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_admissible_quiver_relation_is_accepted(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(dict(

@@ -4,7 +4,7 @@ import pytest
 
 from dequiv.exactla import ExactMatrix
 from dequiv.posets import build_Xp, diamond
-from dequiv.quivers import canonical_presentation
+from dequiv.quivers import canonical_presentation, hasse_quiver
 from dequiv.algebra import (build_algebra, identity_map, incidence_algebra,
                             make_rep, simple_module)
 from dequiv import derived, homology
@@ -13,7 +13,7 @@ from dequiv.derived import (DerivedError, DiagramOfComplexes, RepChainMap,
                             StalkComplex, VectChainMap, VectComplex, as_stalk,
                             beilinson_table_check, cone, derived_hom_dims,
                             f_images_of_simples, functor_F, no_poset_search,
-                            shift, simple_diagram, stalk_complex_of,
+                            shift, stalk_complex_of,
                             stalk_vect, verify_22p, verify_remark_family,
                             verify_t2, verify_weights)
 
@@ -189,11 +189,14 @@ def count_calls(monkeypatch, module, name, *also):
 def test_beilinson_resolves_each_module_once(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     replacements = count_calls(monkeypatch, derived, "proj_replacement")
+    complexes = count_calls(monkeypatch, homology, "hom_cohomology", derived)
     left, right, equal, unimod = beilinson_table_check((3, 3, 3))
     assert equal and unimod
     # 8 poset simples and 8 cone-functor images, each resolved once
     assert len(resolutions) == 16
     assert replacements == []
+    # one Hom complex per (x, y) pair of each 8 x 8 table, for all shifts
+    assert len(complexes) == 128
 
 
 def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
@@ -267,8 +270,9 @@ def test_beilinson_gldim_is_global_dimension():
 
 
 def test_hasse_paths_match_recursive_walk():
+    # is_commutative reads its cover chains off the Hasse quiver's paths
     xp = build_Xp(3, 3, 4)
-    diag = simple_diagram(xp, "0")
+    q = hasse_quiver(xp)
     succ = {}
     for a, b in xp.covers():
         succ.setdefault(a, []).append(b)
@@ -288,7 +292,9 @@ def test_hasse_paths_match_recursive_walk():
     for u in xp.elements:
         for v in xp.elements:
             if xp.lt(u, v):
-                assert diag._hasse_paths(u, v) == reference(u, v)
+                chains = [[(q.arrow(name).source, q.arrow(name).target)
+                           for name in path] for path in q.paths(u, v)]
+                assert chains == reference(u, v)
 
 
 def test_verify_pipelines():

@@ -1,15 +1,13 @@
 import pytest
 
-from dequiv.posets import chain, diamond, hasse, poset_from_covers
+from dequiv.posets import (chain, diamond, enumerate_posets, hasse,
+                           poset_from_covers)
 from dequiv.quivers import (Arrow, NotPosetQuiverError, Presentation, Quiver,
                             QuiverError, a1p_presentation, bgp_reflect,
-                            canonical_presentation, incidence_presentation,
-                            is_gentle, kronecker_presentation, quiver_as_poset,
-                            t2_poset, unique_path_property)
-
-
-def hasse_quiver(p):
-    return Quiver(p.elements, tuple(Arrow("%s>%s" % c, c[0], c[1]) for c in hasse(p)))
+                            canonical_presentation, hasse_quiver,
+                            incidence_presentation, is_gentle,
+                            kronecker_presentation, quiver_as_poset, t2_poset,
+                            unique_path_property)
 
 
 def test_acyclicity_enforced():
@@ -102,3 +100,43 @@ def test_presentation_json_round_trip():
     again = Presentation.from_json(pres.to_json())
     assert again.quiver == pres.quiver
     assert len(again.relations) == len(pres.relations)
+
+
+def recursive_paths(q, u, v):
+    """The walk Quiver.paths replaced: a linear arrow scan at every step and
+    one walk per (u, v) pair."""
+    out = [()] if u == v else []
+
+    def walk(cur, acc):
+        for a in q.arrows:
+            if a.source == cur:
+                nxt = acc + (a.name,)
+                if a.target == v:
+                    out.append(nxt)
+                walk(a.target, nxt)
+
+    walk(u, ())
+    return out
+
+
+def test_paths_and_arrow_index_match_linear_scans():
+    quivers = [hasse_quiver(p) for n in range(1, 6) for p in enumerate_posets(n)]
+    quivers += [canonical_presentation(w).quiver
+                for w in ([2, 3, 4], [3, 3, 3], [2, 2, 2, 2])]
+    quivers.append(kronecker_presentation().quiver)
+    pairs = 0
+    for q in quivers:
+        for v in q.vertices:
+            assert q.arrows_from(v) == tuple(a for a in q.arrows if a.source == v)
+            assert q.arrows_into(v) == tuple(a for a in q.arrows if a.target == v)
+        for a in q.arrows:
+            assert q.arrow(a.name) is a
+        for u in q.vertices:
+            for v in q.vertices:
+                expected = recursive_paths(q, u, v)
+                got = q.paths(u, v)
+                assert got == expected
+                got.append(("extra",))  # a copy: callers cannot change the walk
+                assert q.paths(u, v) == expected
+                pairs += 1
+    assert pairs == 2053

@@ -28,6 +28,8 @@ class BoundQuiverAlgebra:
         self.presentation = pres
         self.quiver = pres.quiver
         self.field = pres.field
+        # the poset of an incidence algebra (set by incidence_algebra)
+        self.poset: Optional[Poset] = None
         self.vertex_order = pres.quiver.topological_order()
         self._vidx = {v: i for i, v in enumerate(self.vertex_order)}
         self._paths: Dict[Tuple[str, str], List[tuple]] = {}
@@ -164,11 +166,13 @@ def build_algebra(pres: Presentation) -> BoundQuiverAlgebra:
 
 def incidence_algebra(p: Poset, field=QQ) -> BoundQuiverAlgebra:
     """Incidence algebra via its Hasse presentation, with the mandatory
-    dimension check (algebra dimension = number of order pairs)."""
+    dimension check (algebra dimension = number of order pairs).  The
+    algebra keeps p, from which its Ext between simples is read."""
     a = build_algebra(incidence_presentation(p, field))
     if a.dimension != p.order_pairs():
         raise AlgebraError("incidence algebra dimension %d != order pairs %d"
                            % (a.dimension, p.order_pairs()))
+    a.poset = p
     return a
 
 
@@ -373,7 +377,9 @@ def identity_map(m: Representation) -> ModuleMap:
 def hom_from_generators(p: ProjectiveRep, n: Representation,
                         gen_images: Sequence[ExactMatrix]) -> ModuleMap:
     """The module map P -> N sending the j-th projective generator to the
-    given column vector in N at blocks[j]."""
+    given column vector in N at blocks[j].  It commutes with the arrows by
+    construction (each basis label is a path applied to a generator), so
+    the commutation check is skipped."""
     alg = p.rep.algebra
     f = alg.field
     blocks = {}
@@ -381,7 +387,7 @@ def hom_from_generators(p: ProjectiveRep, n: Representation,
         cols = [(n.act_path(p.blocks[j], path) @ gen_images[j]).col(0)
                 for j, path in p.labels_at(w)]
         blocks[w] = ExactMatrix.from_cols(cols, n.dim(w), f)
-    return module_map(p.rep, n, blocks)
+    return module_map(p.rep, n, blocks, check=False)
 
 
 def direct_sum_rep(reps: Sequence[Representation]) -> Representation:
@@ -411,7 +417,9 @@ def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[Mod
 
 
 def kernel_of(mm: ModuleMap) -> Tuple[Representation, ModuleMap]:
-    """Kernel subrepresentation with its inclusion."""
+    """Kernel subrepresentation with its inclusion.  The arrow maps of the
+    kernel are solved for so that the inclusion commutes with them, so the
+    inclusion is built without the commutation check."""
     alg = mm.source.algebra
     f = alg.field
     kbases = {}
@@ -426,7 +434,7 @@ def kernel_of(mm: ModuleMap) -> Tuple[Representation, ModuleMap]:
             raise AlgebraError("kernel not arrow-stable (inconsistent solve)")
         maps[a.name] = sol
     ker = make_rep(alg, dims, maps, check=False)
-    incl = module_map(ker, mm.source, {v: kbases[v] for v in alg.vertex_order}, check=True)
+    incl = module_map(ker, mm.source, {v: kbases[v] for v in alg.vertex_order}, check=False)
     return ker, incl
 
 

@@ -190,7 +190,7 @@ def hh(ctx, poset_path, weights, lambdas, max_degree, method):
     out = {"max_degree": max_degree, "method": method}
     poset = Poset.load(poset_path) if poset_path else None
     if method in ("nerve", "both"):
-        out["nerve"] = nerve_cohomology(poset, max_degree)
+        out["nerve"] = nerve_cohomology(poset, max_degree, ctx.obj["field"])
     if method in ("bar", "both"):
         alg = _algebra_from_source(ctx, weights, lambdas, poset_path, None)
         out["bar"] = hochschild_bar(alg, max_degree)

@@ -285,7 +285,8 @@ class ExactMatrix:
         return rank, pivots, ExactMatrix(f, self.nrows, self.ncols, out)
 
     def rank(self) -> int:
-        return self.rref()[0]
+        """The number of pivots of the elimination; no rref is built."""
+        return len(_eliminate(self.field, self.entries, self.ncols)[0])
 
     def kernel(self) -> "ExactMatrix":
         """Matrix whose columns form a basis of the right kernel."""
@@ -359,8 +360,8 @@ def _eliminate(field, entries, ncols):
     rows by it gives the rref, and the rows past the rank are zero.
 
     Returns (pivot columns, integer rows, last pivot, sign, row multipliers),
-    sign being the parity of the row swaps: a square matrix of full rank has
-    det = sign * last pivot / prod(row multipliers).
+    sign being the parity of the row swaps and row negations: a square
+    matrix of full rank has det = sign * last pivot / prod(row multipliers).
     """
     rows, mults = field.integer_rows(entries)
     nrows = len(rows)
@@ -376,6 +377,13 @@ def _eliminate(field, entries, ncols):
             sign = -sign
         prow = rows[rank]
         p = prow[col]
+        if p != prev and field.is_zero(p + prev):
+            # negate a pivot row whose pivot is -prev (and the sign of det):
+            # then p == prev, and a row with a zero in this column is left as
+            # it is instead of being rescaled by -1
+            prow = rows[rank] = [field.neg(x) for x in prow]
+            p = prow[col]
+            sign = -sign
         div = field.divider(prev)
         for r, row in enumerate(rows):
             a = row[col]

@@ -1,11 +1,11 @@
 """Homological machinery: minimal projective resolutions, Ext dimensions,
 global dimension, Coxeter polynomials, the derived-invariant certificate,
-Hochschild cohomology (relative bar complex) and nerve cohomology."""
+Hochschild cohomology (relative bar complex), nerve cohomology and Ext
+between the simples of an incidence algebra from interval cohomology."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_form
@@ -198,13 +198,12 @@ def projective_dimension(m: Representation) -> int:
 
 
 def global_dimension(a: BoundQuiverAlgebra) -> int:
+    """The largest projective dimension of a simple.  For an incidence
+    algebra it is read off the interval cohomology of its poset
+    (`poset_global_dimension`); no simple is resolved."""
+    if a.poset is not None:
+        return poset_global_dimension(a.poset, a.field)
     return max(projective_dimension(simple_module(a, v)) for v in a.vertex_order)
-
-
-def simple_resolutions(a: BoundQuiverAlgebra) -> Dict[str, ProjectiveResolution]:
-    """Minimal resolution of every simple, keyed by vertex.  The largest
-    length among them is the global dimension of a."""
-    return {v: minimal_resolution(simple_module(a, v)) for v in a.vertex_order}
 
 
 def _inverse_unitriangular(c: List[List[int]]) -> List[List[int]]:
@@ -242,7 +241,7 @@ def coxeter_polynomial(a: BoundQuiverAlgebra) -> IntPolynomial:
 def euler_form_check(a: BoundQuiverAlgebra) -> bool:
     """sum_i (-1)^i dim Ext^i(S_x, S_y) must equal (C^{-1})_{x,y}."""
     cinv = _inverse_unitriangular(a.cartan_matrix().to_int_rows())
-    res = simple_resolutions(a)
+    res = {v: minimal_resolution(simple_module(a, v)) for v in a.vertex_order}
     g = max(r.length for r in res.values())
     for i, x in enumerate(a.vertex_order):
         for j, y in enumerate(a.vertex_order):
@@ -295,25 +294,17 @@ class InvariantCertificate:
         }
 
 
-def certificate(a: BoundQuiverAlgebra,
-                resolutions: Optional[Dict[str, ProjectiveResolution]] = None
-                ) -> InvariantCertificate:
-    """The full certificate of a.  A caller that already holds the simples'
-    resolutions (`simple_resolutions(a)`) passes them, and gldim is read
-    off them instead of resolving the simples again."""
+def certificate(a: BoundQuiverAlgebra) -> InvariantCertificate:
+    """The full certificate of a."""
     c = a.cartan_matrix()
     anti = c - c.transpose()
-    if resolutions is None:
-        gldim = global_dimension(a)
-    else:
-        gldim = max(r.length for r in resolutions.values())
     return InvariantCertificate(
         simple_count=len(a.vertex_order),
         total_dimension=a.dimension,
         cartan_det=int(c.det()),
         coxeter=coxeter_polynomial(a),
         snf_antisym=tuple(smith_normal_form(anti)),
-        gldim=gldim,
+        gldim=global_dimension(a),
         vertex_order=tuple(a.vertex_order),
     )
 
@@ -333,31 +324,104 @@ def matches_certificate(a: BoundQuiverAlgebra, target: InvariantCertificate) -> 
     return coxeter_polynomial(a).coeffs == target.coxeter.coeffs
 
 
-# -- nerve (simplicial) cohomology -------------------------------------------
+# -- nerve (simplicial) cohomology and interval cohomology -------------------
 
-def nerve_cohomology(p: Poset, max_deg: int) -> List[int]:
-    """Simplicial cohomology dims of the order complex, degrees 0..max_deg."""
-    faces = order_complex(p).faces
-    dims = []
-    mats = []
-    for d in range(max_deg + 1):
-        lo = faces[d] if d < len(faces) else ()
-        hi = faces[d + 1] if d + 1 < len(faces) else ()
-        lo_idx = {f: i for i, f in enumerate(lo)}
+def _reduced_cohomology(faces: Sequence[Sequence[tuple]], top: int, field) -> List[int]:
+    """dim H~^d over field of the simplicial complex with faces[k] its
+    k-simplices, for d = -1..top.  A simplex is a tuple of vertices, and
+    deleting one of them gives a tuple listed one dimension lower (the
+    chains of `order_complex` are such tuples).
+
+    The augmented cochain complex puts the empty simplex in degree -1, so
+    H~^{-1} = k exactly when the complex is empty.  With cells[k] the
+    simplices on k vertices, the coboundary cells[k] -> cells[k+1] sends a
+    simplex s to the sum of (-1)^j f over the f whose j-th vertex removed
+    is s."""
+    cells = [((),)] + [tuple(fs) for fs in faces]
+    size = [len(cells[k]) if k < len(cells) else 0 for k in range(top + 3)]
+
+    def rank(k):
+        """Rank of the coboundary cells[k] -> cells[k+1]."""
+        if not size[k] or not size[k + 1]:
+            return 0
+        index = {s: i for i, s in enumerate(cells[k])}
         rows = []
-        for f in hi:
-            row = [Fraction(0)] * len(lo)
-            for k in range(len(f)):
-                row[lo_idx[f[:k] + f[k + 1:]]] += (-1) ** k
-            rows.append(row)
-        mats.append(ExactMatrix(QQ, len(hi), len(lo), tuple(tuple(r) for r in rows)))
-        dims.append(len(lo))
-    out = []
-    for d in range(max_deg + 1):
-        rank_out = mats[d].rank()
-        rank_in = mats[d - 1].rank() if d >= 1 else 0
-        out.append(dims[d] - rank_out - rank_in)
-    return out
+        for face in cells[k + 1]:
+            row = [field.zero] * size[k]
+            for j in range(k + 1):
+                row[index[face[:j] + face[j + 1:]]] = field.from_int((-1) ** j)
+            rows.append(tuple(row))
+        return ExactMatrix(field, size[k + 1], size[k], tuple(rows)).rank()
+
+    ranks = [rank(k) for k in range(top + 2)]
+    return [size[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 2)]
+
+
+def nerve_cohomology(p: Poset, max_deg: int, field=QQ) -> List[int]:
+    """Simplicial cohomology dims of the order complex over field, degrees
+    0..max_deg: the reduced cohomology plus k in degree 0 (p nonempty)."""
+    reduced = _reduced_cohomology(order_complex(p).faces, max_deg, field)[1:]
+    return [h + (1 if d == 0 and p.n else 0) for d, h in enumerate(reduced)]
+
+
+def poset_ext_dims(p: Poset, x: str, y: str, max_i: int, field=QQ) -> List[int]:
+    """dim Ext^i(S_x, S_y) over the incidence algebra of p, i = 0..max_i,
+    from the order complex of the open interval (x, y).
+
+    Ext^i(S_x, S_y) vanishes unless x <= y; Ext^*(S_x, S_x) = k in degree
+    0; and for x < y, Ext^n(S_x, S_y) = H~^{n-2}(Delta(x, y)), with
+    H~^{-1} of the empty complex equal to k, so a cover gives Ext^1 = k
+    (Cibils, JPAA 56, 1989; Igusa-Zacharia, Comm. Algebra 18, 1990)."""
+    if x == y:
+        return [1] + [0] * max_i
+    if not p.lt(x, y):
+        return [0] * (max_i + 1)
+    inner = _core(p, [z for z in p.elements if p.lt(x, z) and p.lt(z, y)])
+    return [0] + _reduced_cohomology(order_complex(p, inner).faces, max_i - 2, field)
+
+
+def _core(p: Poset, elements: Sequence[str]) -> List[str]:
+    """The subposet of p on elements with beat points removed one at a
+    time until none is left.  A beat point is an element such that the
+    elements above it, or those below it, in what remains have a least
+    (greatest) one.  Removing one keeps the homotopy type of the order
+    complex (Stong, Trans. AMS 123, 1966), so its cohomology over every
+    field is unchanged; a chain shrinks to a point, so the 2^m - 1 chains
+    of an interval of length m are never built."""
+
+    def has_extreme(s, least):
+        """Whether s has a least (or greatest) element."""
+        if not s:
+            return False
+        m = s[0]
+        for w in s:
+            if (p.lt(w, m) if least else p.lt(m, w)):
+                m = w
+        return all(p.leq(m, w) if least else p.leq(w, m) for w in s)
+
+    q = list(elements)
+    removed = True
+    while removed:
+        removed = False
+        for z in list(q):
+            if (has_extreme([w for w in q if p.lt(z, w)], True)
+                    or has_extreme([w for w in q if p.lt(w, z)], False)):
+                q.remove(z)
+                removed = True
+    return q
+
+
+def poset_global_dimension(p: Poset, field=QQ) -> int:
+    """Global dimension of the incidence algebra of p: the largest n with
+    Ext^n(S_x, S_y) != 0.  The order complex of an open interval has
+    dimension below its size, which bounds the degrees to compute."""
+    g = 0
+    for x in p.elements:
+        for y in p.elements:
+            if p.lt(x, y):
+                exts = poset_ext_dims(p, x, y, p.n, field)
+                g = max(g, max((n for n, d in enumerate(exts) if d), default=0))
+    return g
 
 
 # -- Hochschild cohomology (relative bar complex) ----------------------------

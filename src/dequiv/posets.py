@@ -453,13 +453,15 @@ class OrderComplex:
         return tuple(len(fs) for fs in self.faces)
 
 
-def order_complex(p: Poset) -> OrderComplex:
-    """Strict chains of the poset, closed under subchains by construction."""
-    by_dim: List[List[tuple]] = [[(x,) for x in sorted(p.elements)]]
+def order_complex(p: Poset, elements: Optional[Iterable[str]] = None) -> OrderComplex:
+    """Strict chains of the poset, or of its subposet on `elements`, closed
+    under subchains by construction."""
+    elems = sorted(p.elements if elements is None else elements)
+    by_dim: List[List[tuple]] = [[(x,) for x in elems]]
     while by_dim[-1]:
         nxt = []
         for ch in by_dim[-1]:
-            for x in sorted(p.elements):
+            for x in elems:
                 if p.lt(ch[-1], x):
                     nxt.append(ch + (x,))
         if not nxt:

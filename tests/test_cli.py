@@ -131,3 +131,17 @@ def test_default_lambdas_too_few_in_prime_field(capsys, p, weights):
     err = capsys.readouterr().err
     assert ("no default lambdas for t = %d weights over GF(%d)" % (t, p)) in err
     assert "GF(%d) has only %d" % (p, p - 1) in err
+
+
+def test_hh_nerve_over_the_prime_field(rp2, tmp_path, capsys):
+    # the projective plane has H^1 = H^2 = k over GF(2): the nerve must be
+    # taken over the field of the bar complex for the two to agree
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps(rp2.to_json()))
+    args = ["hh", "--poset", str(path), "--method", "both", "--max-degree", "2"]
+    assert run(["--field", "fp:2"] + args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["nerve"] == out["bar"] == [1, 1, 1] and out["agree"]
+    assert run(args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["nerve"] == out["bar"] == [1, 0, 0] and out["agree"]

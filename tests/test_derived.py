@@ -8,7 +8,7 @@ from dequiv.quivers import canonical_presentation, hasse_quiver
 from dequiv.algebra import (build_algebra, identity_map, incidence_algebra,
                             make_rep, simple_module)
 from dequiv import derived, homology
-from dequiv.homology import ext_dims, global_dimension
+from dequiv.homology import ext_dims, minimal_resolution
 from dequiv.derived import (DerivedError, DiagramOfComplexes, RepChainMap,
                             StalkComplex, VectChainMap, VectComplex, as_stalk,
                             beilinson_table_check, cone, derived_hom_dims,
@@ -186,17 +186,24 @@ def count_calls(monkeypatch, module, name, *also):
     return calls
 
 
+def resolved_algebras(calls):
+    """The algebras of the modules passed to a counted minimal_resolution."""
+    return [args[0].algebra for args in calls]
+
+
 def test_beilinson_resolves_each_module_once(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     replacements = count_calls(monkeypatch, derived, "proj_replacement")
     complexes = count_calls(monkeypatch, homology, "hom_cohomology", derived)
     left, right, equal, unimod = beilinson_table_check((3, 3, 3))
     assert equal and unimod
-    # 8 poset simples and 8 cone-functor images, each resolved once
-    assert len(resolutions) == 16
+    # the 8 cone-functor images, each resolved once; the poset side comes
+    # from interval cohomology and resolves nothing
+    assert len(resolutions) == 8
+    assert all(a.poset is None for a in resolved_algebras(resolutions))
     assert replacements == []
-    # one Hom complex per (x, y) pair of each 8 x 8 table, for all shifts
-    assert len(complexes) == 128
+    # one Hom complex per (x, y) pair of the 8 x 8 right table, for all shifts
+    assert len(complexes) == 64
 
 
 def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
@@ -212,15 +219,35 @@ def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
     assert len(replacements) == 1
 
 
-def test_report_resolves_poset_simples_once(monkeypatch):
+def resolution_gldim(a):
+    return max(minimal_resolution(simple_module(a, v)).length for v in a.vertex_order)
+
+
+def test_report_resolves_no_poset_simples(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
+    r = verify_weights(3, 3, 3)
+    assert r["verdict"] == "pass"
+    # the 8 canonical simples; the poset gldim comes from its intervals
+    assert len(resolutions) == 8
+    resolutions.clear()
     r = verify_weights(3, 3, 3, True)
     assert r["verdict"] == "pass"
-    # 8 canonical simples, 8 poset simples (gldim and the Ext table share
-    # them) and 8 cone-functor images
-    assert len(resolutions) == 24
+    # the 8 canonical simples and the 8 cone-functor images of the table check
+    assert len(resolutions) == 16
+    assert all(a.poset is None for a in resolved_algebras(resolutions))
+    monkeypatch.undo()
     assert r["certificates"]["poset"]["gldim"] == \
-        global_dimension(incidence_algebra(build_Xp(3, 3, 3)))
+        resolution_gldim(incidence_algebra(build_Xp(3, 3, 3)))
+
+
+def test_remark_family_resolves_only_the_target(monkeypatch):
+    resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
+    r = verify_remark_family(1, 3, 4)
+    assert r["verdict"] == "pass"
+    # the 8 simples of the canonical (2,3,4) target; each orientation's
+    # gldim comes from its intervals
+    assert len(resolutions) == 8
+    assert all(a.poset is None for a in resolved_algebras(resolutions))
 
 
 def canonical_target(weights):
@@ -264,7 +291,7 @@ def test_reused_stalk_matches_fresh_stalk():
 def test_beilinson_gldim_is_global_dimension():
     # a window narrower than [-gldim, gldim] is refused, naming the gldim used
     for w in ((3, 3, 3), (3, 3, 4), (3, 4, 4)):
-        g = global_dimension(incidence_algebra(build_Xp(*w)))
+        g = resolution_gldim(incidence_algebra(build_Xp(*w)))
         with pytest.raises(DerivedError, match=r"= \[%d, %d\]" % (-g, g)):
             beilinson_table_check(w, window=(0, 0))
 

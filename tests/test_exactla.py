@@ -195,6 +195,31 @@ def test_rank_and_kernel_eliminates_once(monkeypatch):
     assert (rank, kernel) == (m.rank(), m.kernel())
 
 
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=repr)
+def test_opposite_sign_pivots_rescale_no_row(monkeypatch, f):
+    # a signed permutation matrix: each pivot is +-1 and every other row has
+    # a zero in its column.  A pivot of the sign opposite to the previous
+    # one has its row negated, so no row is rescaled by -1, and det picks
+    # up the sign of each negation.
+    n = 6
+    perm = [3, 0, 5, 1, 4, 2]
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = (-1) ** (i * (i + 1) // 2)
+    m = ExactMatrix(f, n, n, tuple(tuple(f.from_int(x) for x in r) for r in rows))
+    updates = []
+    divider = f.divider
+
+    def counted(d):
+        div = divider(d)
+        return lambda row: updates.append(row) or div(row)
+
+    monkeypatch.setattr(f, "divider", counted)
+    assert m.det() == f.from_int(cofactor_det(rows))
+    assert m.rref() == (n, list(range(n)), ExactMatrix.identity(n, f))
+    assert updates == []
+
+
 # -- the one elimination against the oracles, over Q and GF(p) ---------------
 
 def _entries(f):

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dequiv import algebra, homology
 from dequiv.exactla import QQ, ExactMatrix, PrimeField, char_poly
-from dequiv.posets import (antichain, chain, diamond, enumerate_posets,
-                           poset_from_covers)
+from dequiv.posets import (CycleError, antichain, build_Xp, build_remark_poset,
+                           chain, diamond, enumerate_posets, poset_from_covers,
+                           remark_free_edges)
 from dequiv.quivers import (a1p_presentation, canonical_presentation,
                             kronecker_presentation)
 from dequiv.algebra import build_algebra, incidence_algebra, make_rep, simple_module
@@ -12,8 +15,8 @@ from dequiv.homology import (ResourceRefusal, _inverse_unitriangular,
                              hochschild_bar, hochschild_of_poset,
                              hom_cohomology, matches_certificate,
                              minimal_resolution, mitchell_equivalence_check,
-                             nerve_cohomology, projective_dimension,
-                             simple_resolutions)
+                             nerve_cohomology, poset_ext_dims,
+                             poset_global_dimension, projective_dimension)
 from dequiv.algebra import hom_from_generators, projective_rep, zero_rep
 
 
@@ -61,12 +64,16 @@ def test_resolution_ext_dims_matches_ext_dims():
                     assert res.ext_dims(n, k) == ext_dims(m, n, k)
 
 
+def resolution_gldim(a):
+    """The largest length of a minimal resolution of a simple: the oracle
+    for the interval-cohomology global dimension of incidence algebras."""
+    return max(minimal_resolution(simple_module(a, v)).length for v in a.vertex_order)
+
+
 def test_simple_resolutions_give_global_dimension():
     for p in (diamond(), chain(3), antichain(3), sphere_poset()):
         a = incidence_algebra(p)
-        res = simple_resolutions(a)
-        assert list(res) == list(a.vertex_order)
-        assert max(r.length for r in res.values()) == global_dimension(a)
+        assert resolution_gldim(a) == global_dimension(a)
 
 
 def test_global_dimensions():
@@ -193,8 +200,6 @@ def test_matches_certificate_agrees_with_full_comparison():
 def test_certificate_key_ignores_gldim():
     a = build_algebra(kronecker_presentation())
     cert = certificate(a)
-    resolutions = simple_resolutions(a)
-    assert certificate(a, resolutions) == cert
     assert cert.key() == (2, 1, (1, -2, 1), (2, 2))
 
 
@@ -293,3 +298,133 @@ def test_hom_cohomology_into_a_complex():
                 terms = {d: p.rep for d, p in py.items()}
                 assert hom_cohomology(q, dq, terms, dpy, range(-1, 4)) == \
                     [0] + res[x].ext_dims(res[y].module, 3)
+
+
+# -- Ext between poset simples from interval cohomology ----------------------
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+def test_poset_ext_dims_match_resolutions(field):
+    pairs = 0
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            a = incidence_algebra(p, field)
+            simples = {v: simple_module(a, v) for v in a.vertex_order}
+            for x in a.vertex_order:
+                res = minimal_resolution(simples[x])
+                for y in a.vertex_order:
+                    assert poset_ext_dims(p, x, y, 4, field) == \
+                        res.ext_dims(simples[y], 4), (p, x, y)
+                    pairs += 1
+    assert pairs == 1885
+
+
+def remark_posets():
+    """Every acyclic orientation of the remark families of the theorem sweep."""
+    out = []
+    for family, p2, p3 in ((1, 3, 3), (1, 3, 4), (2, 3, 3), (2, 3, 4),
+                           (3, 2, 2), (3, 2, 3), (3, 3, 3)):
+        free = remark_free_edges(family, p2, p3)
+        for mask in range(1 << len(free)):
+            try:
+                out.append(build_remark_poset(
+                    family, p2, p3, [(mask >> k) & 1 for k in range(len(free))]))
+            except CycleError:
+                pass
+    return out
+
+
+def test_poset_global_dimension_matches_resolutions():
+    posets = [build_Xp(*w) for w in CANONICAL_TRIPLES] + remark_posets()
+    assert len(posets) == 20 + 29
+    for p in posets:
+        assert poset_global_dimension(p) == resolution_gldim(incidence_algebra(p))
+
+
+@pytest.mark.parametrize("p, largest_core", [(chain(20), 1), (build_Xp(3, 3, 20), 6)],
+                         ids=["chain20", "X_3_3_20"])
+def test_long_intervals_shrink_to_their_cores(monkeypatch, p, largest_core):
+    # an open interval of a chain is a chain and shrinks to a point; (0, w)
+    # of X_p is three arms tied by cross covers and shrinks to a circle of
+    # six elements, the two ends of each arm.  No order complex of a long
+    # interval (2^18 chains in chain(20)) is built, and gldim still agrees
+    # with the simples' resolutions
+    real = homology.order_complex
+    sizes = []
+
+    def order_complex(q, elements=None):
+        elements = list(q.elements if elements is None else elements)
+        sizes.append(len(elements))
+        assert len(elements) <= largest_core
+        return real(q, elements)
+
+    monkeypatch.setattr(homology, "order_complex", order_complex)
+    assert poset_global_dimension(p) == resolution_gldim(incidence_algebra(p))
+    assert max(sizes) == largest_core
+
+
+def test_interval_cohomology_is_taken_over_the_field(rp2):
+    # with a bottom and a top adjoined, the order complex of the projective
+    # plane is the open interval (bottom, top), so Ext^n(S_bottom, S_top) is
+    # H~^{n-2}(RP^2): k in degrees 3 and 4 over GF(2), zero over Q
+    gf2 = PrimeField(2)
+    covers = [("bottom", x) for x in rp2.elements if len(x) == 1]
+    covers += [(x, "top") for x in rp2.elements if len(x) == 3]
+    p = poset_from_covers(rp2.elements + ("bottom", "top"), rp2.covers() + tuple(covers))
+    assert poset_ext_dims(p, "bottom", "top", 5, gf2) == [0, 0, 0, 1, 1, 0]
+    assert poset_ext_dims(p, "bottom", "top", 5, QQ) == [0] * 6
+    assert nerve_cohomology(rp2, 3, gf2) == [1, 1, 1, 0]
+    assert nerve_cohomology(rp2, 3) == [1, 0, 0, 0]
+    a = incidence_algebra(p, gf2)
+    res = minimal_resolution(simple_module(a, "bottom"))
+    assert res.ext_dims(simple_module(a, "top"), 5) == [0, 0, 0, 1, 1, 0]
+    # links of vertices and boundaries of triangles are circles: gldim 3
+    # over Q, and the whole plane adds a fourth degree over GF(2)
+    assert poset_global_dimension(p, gf2) == 4 == res.length
+    assert poset_global_dimension(p) == 3
+
+
+@st.composite
+def random_posets(draw, max_n=7):
+    """A poset on up to max_n shuffled labels, from random comparable pairs."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = draw(st.permutations([str(i) for i in range(n)]))
+    return poset_from_covers(labels, [(labels[i], labels[j]) for i, j in edges])
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_posets())
+def test_philip_hall_euler_characteristic(p):
+    # sum_i (-1)^i dim Ext^i(S_x, S_y) is the reduced Euler characteristic
+    # of the interval, which by Philip Hall's theorem is the Moebius
+    # function mu(x, y) = (C^{-1})_{x,y}
+    a = incidence_algebra(p)
+    cinv = _inverse_unitriangular(a.cartan_matrix().to_int_rows())
+    for i, x in enumerate(a.vertex_order):
+        for j, y in enumerate(a.vertex_order):
+            exts = poset_ext_dims(p, x, y, p.n)
+            assert sum((-1) ** k * d for k, d in enumerate(exts)) == cinv[i][j]
+
+
+def test_constructed_maps_commute(monkeypatch):
+    # hom_from_generators and kernel_of build their maps without the
+    # commutation check; every map they build for a resolution must pass it
+    import dequiv.homology as homology
+    built = []
+    for name in ("hom_from_generators", "kernel_of"):
+        def recorded(*args, _original=getattr(algebra, name)):
+            out = _original(*args)
+            built.append(out[1] if isinstance(out, tuple) else out)
+            return out
+        monkeypatch.setattr(homology, name, recorded)
+    algebras = [incidence_algebra(p) for n in range(1, 5)
+                for p in enumerate_posets(n, connected_only=True)]
+    algebras += [build_algebra(canonical_presentation(w))
+                 for w in ([2, 2, 2], [2, 3, 3], [3, 3, 3])]
+    differentials = []
+    for a in algebras:
+        for v in a.vertex_order:
+            differentials += [d for _, d in minimal_resolution(simple_module(a, v)).steps]
+    assert len(built) > len(differentials) > 100
+    assert all(m.check() for m in built + differentials)

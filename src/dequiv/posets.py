@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -20,32 +20,50 @@ class CycleError(PosetError):
         super().__init__("cover relation contains a cycle: %s" % " < ".join(self.cycle))
 
 
+def _members(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Poset:
     """Finite poset; the full order relation (reflexive-transitive closure)
-    is stored as a frozenset of (x, y) pairs with x <= y."""
+    is stored as a frozenset of (x, y) pairs with x <= y.  Validation also
+    records, per element in `elements` order, the bitmask of its up-set
+    (bit j set when x <= elements[j]), which the isomorphism and
+    enumeration routines read."""
 
     elements: tuple
     relation: frozenset
+    up_masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = self.elements
         if len(set(elems)) != len(elems):
             raise PosetError("duplicate element labels")
-        es = set(elems)
+        index = {x: i for i, x in enumerate(elems)}
+        up = [0] * len(elems)
         for x, y in self.relation:
-            if x not in es or y not in es:
+            if x not in index or y not in index:
                 raise PosetError("relation pair (%s, %s) off the element set" % (x, y))
-        for x in elems:
-            if (x, x) not in self.relation:
+            up[index[x]] |= 1 << index[y]
+        for i, x in enumerate(elems):
+            if not up[i] >> i & 1:
                 raise PosetError("relation not reflexive at %s" % x)
-        for x, y in self.relation:
-            if x != y and (y, x) in self.relation:
-                raise PosetError("relation not antisymmetric on (%s, %s)" % (x, y))
-        for x, y in self.relation:
-            for z in elems:
-                if (y, z) in self.relation and (x, z) not in self.relation:
-                    raise PosetError("relation not transitive on (%s, %s, %s)" % (x, y, z))
+        for i, x in enumerate(elems):
+            for j in _members(up[i] & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise PosetError("relation not antisymmetric on (%s, %s)" % (x, elems[j]))
+        for i, x in enumerate(elems):
+            for j in _members(up[i]):
+                missing = up[j] & ~up[i]
+                if missing:
+                    z = elems[(missing & -missing).bit_length() - 1]
+                    raise PosetError("relation not transitive on (%s, %s, %s)" % (x, elems[j], z))
+        object.__setattr__(self, "up_masks", tuple(up))
 
     # -- queries -----------------------------------------------------------
 
@@ -208,103 +226,91 @@ def diamond() -> Poset:
 
 # -- isomorphism ------------------------------------------------------------
 
-def _profiles(p: Poset):
-    """Iterated neighbourhood-refinement invariant per element."""
-    prof = {x: (len(p.down_set(x)), len(p.up_set(x))) for x in p.elements}
-    for _ in range(p.n):
-        nxt = {}
-        for x in p.elements:
-            below = sorted(prof[y] for y in p.elements if p.lt(y, x))
-            above = sorted(prof[y] for y in p.elements if p.lt(x, y))
-            nxt[x] = (prof[x], tuple(below), tuple(above))
-        if len(set(nxt.values())) == len(set(prof.values())):
-            prof = nxt
+def _canonical_labelling(p: Poset) -> Tuple[int, List[int]]:
+    """The least strict-relation bitmask of p over the orderings allowed by
+    its refined colouring, and an ordering of element indices reaching it.
+
+    Colours start equal and are refined by re-ranking the signatures
+    (colour, sorted colours below, sorted colours above) until no class
+    splits; the ranks depend only on the order, so colours are invariant.
+    Orderings list the colour cells in colour order, each cell permuted in
+    every way; an ordering sends the element at position a to the row a,
+    so x < y sets bit pos(x) * n + pos(y).  Isomorphic posets reach the
+    same least bitmask, and equal bitmasks give an isomorphism.
+    """
+    n = p.n
+    above = [list(_members(m & ~(1 << i))) for i, m in enumerate(p.up_masks)]
+    below: List[List[int]] = [[] for _ in range(n)]
+    for i, ups in enumerate(above):
+        for j in ups:
+            below[j].append(i)
+    colour = [0] * n
+    count = 1
+    while True:
+        sigs = [(colour[i], tuple(sorted(colour[j] for j in below[i])),
+                 tuple(sorted(colour[j] for j in above[i]))) for i in range(n)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        colour = [rank[s] for s in sigs]
+        if len(rank) == count:
             break
-        prof = nxt
-    return prof
+        count = len(rank)
+    cells: List[List[int]] = [[] for _ in range(count)]
+    for i in range(n):
+        cells[colour[i]].append(i)
+    best, best_order = -1, None
+    pos = [0] * n
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        order = [i for part in parts for i in part]
+        for a, i in enumerate(order):
+            pos[i] = a
+        bits = 0
+        for i in range(n):
+            row = pos[i] * n
+            for j in above[i]:
+                bits |= 1 << (row + pos[j])
+        if best_order is None or bits < best:
+            best, best_order = bits, order
+    return best, best_order
 
 
 def are_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
     """An order-isomorphism p -> q as a dict, or None.
 
-    The witness is verified by replay before being returned.
+    Both canonical orderings are composed; the witness is verified by
+    replay before being returned.
     """
     if p.n != q.n or p.order_pairs() != q.order_pairs():
         return None
-    pp, pq = _profiles(p), _profiles(q)
-    if sorted(pp.values()) != sorted(pq.values()):
+    bits_p, order_p = _canonical_labelling(p)
+    bits_q, order_q = _canonical_labelling(q)
+    if bits_p != bits_q:
         return None
-    bucket: Dict[object, List[str]] = {}
-    for y in q.elements:
-        bucket.setdefault(pq[y], []).append(y)
-    order = sorted(p.elements, key=lambda x: (len(bucket.get(pp[x], [])), str(x)))
-
-    assign: Dict[str, str] = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in bucket.get(pp[x], []):
-            if y in used:
-                continue
-            ok = True
-            for x2, y2 in assign.items():
-                if p.leq(x, x2) != q.leq(y, y2) or p.leq(x2, x) != q.leq(y2, y):
-                    ok = False
-                    break
-            if ok:
-                assign[x] = y
-                used.add(y)
-                if extend(i + 1):
-                    return True
-                del assign[x]
-                used.remove(y)
-        return False
-
-    if not extend(0):
-        return None
+    assign = {p.elements[i]: q.elements[j] for i, j in zip(order_p, order_q)}
     # replay check
     for x in p.elements:
         for y in p.elements:
             assert p.leq(x, y) == q.leq(assign[x], assign[y])
-    return dict(assign)
+    return assign
 
 
 def canonical_key(p: Poset):
-    """A canonical form: hashable, equal iff posets are isomorphic."""
-    prof = _profiles(p)
-    keys = sorted(set(prof.values()), key=repr)
-    keyidx = {k: i for i, k in enumerate(keys)}
-    cells: List[List[str]] = [[] for _ in keys]
-    for x in p.elements:
-        cells[keyidx[prof[x]]].append(x)
-    best = None
-    idx_of = {}
-    for perm_parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        order = [x for part in perm_parts for x in part]
-        for i, x in enumerate(order):
-            idx_of[x] = i
-        bits = 0
-        for x, y in p.relation:
-            if x != y:
-                bits |= 1 << (idx_of[x] * p.n + idx_of[y])
-        if best is None or bits < best:
-            best = bits
-    return (p.n, tuple(keyidx[prof[x]] for x in sorted(p.elements, key=lambda e: keyidx[prof[e]])), best)
+    """A canonical form (n, bits): hashable, equal iff posets are isomorphic."""
+    return (p.n, _canonical_labelling(p)[0])
 
 
 # -- enumeration ------------------------------------------------------------
 
-def _order_ideals(p: Poset):
-    """All down-closed subsets, as frozensets."""
+def _order_ideals(p: Poset) -> List[int]:
+    """All down-closed subsets, as bitmasks over element indices, in
+    increasing mask order."""
+    down = [0] * p.n
+    for i, m in enumerate(p.up_masks):
+        for j in _members(m):
+            down[j] |= 1 << i
     out = []
-    elems = list(p.elements)
-    for mask in range(1 << len(elems)):
-        s = {elems[i] for i in range(len(elems)) if mask >> i & 1}
-        if all(set(p.down_set(x)) <= s for x in s):
-            out.append(frozenset(s))
+    for mask in range(1 << p.n):
+        if all(down[i] | mask == mask for i in _members(mask)):
+            out.append(mask)
     return out
 
 
@@ -312,26 +318,35 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
     """All posets on n elements up to isomorphism (labels '0'..'n-1').
 
     Built by adding a new maximal element over every order ideal of each
-    smaller poset, deduplicated by canonical form.
+    smaller poset, deduplicated by canonical form.  A candidate is dropped
+    before it is canonicalised when another of its maximal elements has a
+    strictly larger down-set than the new one: every poset still arises by
+    adding a maximal element of largest down-set to the rest.  Each level
+    is sorted by canonical key.
     """
-    if not 1 <= n <= 7:
-        raise PosetError("enumeration supported for 1 <= n <= 7, got %d" % n)
+    if not 1 <= n <= 8:
+        raise PosetError("enumeration supported for 1 <= n <= 8, got %d" % n)
     level = [poset_from_covers(["0"], [])]
     for size in range(2, n + 1):
         new_label = str(size - 1)
         seen = {}
         for p in level:
+            elems = p.elements + (new_label,)
+            down_size = [sum(m >> j & 1 for m in p.up_masks) for j in range(p.n)]
+            maximal = [i for i, m in enumerate(p.up_masks) if m == 1 << i]
             for ideal in _order_ideals(p):
-                elems = p.elements + (new_label,)
+                new_down = ideal.bit_count() + 1
+                if any(down_size[i] > new_down for i in maximal if not ideal >> i & 1):
+                    continue
                 rel = set(p.relation)
                 rel.add((new_label, new_label))
-                for x in ideal:
-                    rel.add((x, new_label))
+                for i in _members(ideal):
+                    rel.add((p.elements[i], new_label))
                 cand = Poset(elems, frozenset(rel))
                 key = canonical_key(cand)
                 if key not in seen:
                     seen[key] = cand
-        level = [seen[k] for k in sorted(seen, key=repr)]
+        level = [seen[k] for k in sorted(seen)]
     if connected_only:
         level = [p for p in level if p.is_connected()]
     return level

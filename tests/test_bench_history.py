@@ -8,7 +8,8 @@ HISTORY = Path(__file__).resolve().parent.parent / "BENCH_history.json"
 WORKLOADS = {"sweep", "tables", "search"}
 MEDIANS = ("wall_ys", "job_p90_ys", "peak_rss_mb")
 COUNTS = {"homology.minimal_resolution.calls", "derived.proj_replacement.calls",
-          "exactla.rref.calls", "posets.enumerate_posets.calls"}
+          "exactla.rref.calls", "posets.enumerate_posets.calls",
+          "posets.canonical_key.calls"}
 
 
 def test_bench_history_entries_have_every_key():

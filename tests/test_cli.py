@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,20 @@ def test_determinism(capsys):
     first = capsys.readouterr().out
     run(["posets", "enumerate", "--n", "4"])
     assert capsys.readouterr().out == first
+
+
+def test_enumeration_output_ignores_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "dequiv.cli", "posets", "enumerate",
+                               "--n", "6", "--connected"],
+                              env=env, capture_output=True, timeout=120, check=True)
+        outs.append(done.stdout)
+    assert json.loads(outs[0])["count"] == 238
+    assert outs[0] == outs[1]
 
 
 def test_search_no_poset(capsys):

@@ -1,10 +1,13 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dequiv.posets import (CycleError, Poset, antichain, are_isomorphic,
-                           build_Xp, canonical_key, chain, diamond,
-                           enumerate_posets, hasse, order_complex,
+from dequiv import posets
+from dequiv.posets import (CycleError, Poset, PosetError, antichain,
+                           are_isomorphic, build_Xp, canonical_key, chain,
+                           diamond, enumerate_posets, hasse, order_complex,
                            poset_from_covers, poset_product)
 
 
@@ -26,7 +29,29 @@ def naive_count(n):
 
 
 def test_enumeration_counts():
-    assert [len(enumerate_posets(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+    # OEIS A000112
+    assert [len(enumerate_posets(n)) for n in range(1, 8)] == [1, 2, 5, 16, 63, 318, 2045]
+
+
+def test_enumeration_size_is_capped():
+    for n in (0, 9):
+        with pytest.raises(PosetError, match="1 <= n <= 8, got %d" % n):
+            enumerate_posets(n)
+
+
+def test_enumeration_canonicalises_only_unpruned_candidates(monkeypatch):
+    """Work pin: candidates whose new maximal element does not have a
+    largest down-set are dropped before canonical_key (938 calls without
+    the cut)."""
+    calls = []
+
+    def counting_key(p):
+        calls.append(p.n)
+        return canonical_key(p)
+
+    monkeypatch.setattr(posets, "canonical_key", counting_key)
+    assert len(enumerate_posets(6)) == 318
+    assert len(calls) == 582
 
 
 def test_connected_counts():
@@ -37,6 +62,105 @@ def test_connected_counts():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_against_naive_oracle(n):
     assert len(enumerate_posets(n)) == naive_count(n)
+
+
+def labelled_posets(n):
+    """Every partial order on the labels '0'..'n-1', by plain set logic:
+    subsets of the off-diagonal pairs that are antisymmetric and
+    transitive, with the diagonal added."""
+    labels = [str(i) for i in range(n)]
+    pairs = [(x, y) for x in labels for y in labels if x != y]
+    out = []
+    for bits in range(1 << len(pairs)):
+        rel = {pairs[k] for k in range(len(pairs)) if bits >> k & 1}
+        if any((y, x) in rel for x, y in rel):
+            continue
+        if any((x, z) not in rel and x != z for x, y in rel for y2, z in rel if y2 == y):
+            continue
+        out.append(Poset(tuple(labels), frozenset(rel | {(x, x) for x in labels})))
+    return out
+
+
+def relabellings(p):
+    """The relations of p under every bijection of its labels."""
+    out = set()
+    for perm in itertools.permutations(p.elements):
+        f = dict(zip(p.elements, perm))
+        out.add(frozenset((f[x], f[y]) for x, y in p.relation))
+    return out
+
+
+def assert_replays(p, q, wit):
+    assert wit is not None
+    assert sorted(wit) == sorted(p.elements) and sorted(wit.values()) == sorted(q.elements)
+    for x in p.elements:
+        for y in p.elements:
+            assert p.leq(x, y) == q.leq(wit[x], wit[y])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_key_against_brute_force_isomorphism(n):
+    """Keys agree exactly when some bijection of the n! is an order
+    isomorphism; are_isomorphic agrees as well on n <= 3."""
+    ps = labelled_posets(n)
+    assert len(ps) == [1, 3, 19, 219][n - 1]  # labelled posets, OEIS A001035
+    keys = [canonical_key(p) for p in ps]
+    for p, kp in zip(ps, keys):
+        images = relabellings(p)
+        for q, kq in zip(ps, keys):
+            assert (kp == kq) == (q.relation in images)
+            if n <= 3:
+                wit = are_isomorphic(p, q)
+                if q.relation in images:
+                    assert_replays(p, q, wit)
+                else:
+                    assert wit is None
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.permutations(range(6)))
+def test_relabelled_connected_6_posets_keep_their_key(perm):
+    for p in enumerate_posets(6, connected_only=True):
+        name = {x: "v%d" % perm[i] for i, x in enumerate(p.elements)}
+        q = Poset(tuple(sorted(name.values())),
+                  frozenset((name[x], name[y]) for x, y in p.relation))
+        assert canonical_key(q) == canonical_key(p)
+        assert_replays(p, q, are_isomorphic(p, q))
+
+
+def test_validation_accepts_exactly_the_partial_orders():
+    """Every relation on three labels: accepted iff reflexive, antisymmetric
+    and transitive; each rejection names a witness of the axiom it cites."""
+    labels = ("a", "b", "c")
+    pairs = [(x, y) for x in labels for y in labels]
+    accepted = 0
+    for bits in range(1 << len(pairs)):
+        rel = {pairs[k] for k in range(len(pairs)) if bits >> k & 1}
+        reflexive = all((x, x) in rel for x in labels)
+        antisymmetric = not any(x != y and (y, x) in rel for x, y in rel)
+        transitive = all((x, z) in rel for x, y in rel for y2, z in rel if y2 == y)
+        try:
+            Poset(labels, frozenset(rel))
+        except PosetError as err:
+            assert not (reflexive and antisymmetric and transitive)
+            msg = str(err)
+            m = re.fullmatch(r"relation not reflexive at (\w)", msg)
+            if m:
+                assert (m[1], m[1]) not in rel
+                continue
+            m = re.fullmatch(r"relation not antisymmetric on \((\w), (\w)\)", msg)
+            if m:
+                assert m[1] != m[2] and {(m[1], m[2]), (m[2], m[1])} <= rel
+                continue
+            m = re.fullmatch(r"relation not transitive on \((\w), (\w), (\w)\)", msg)
+            assert m, msg
+            assert {(m[1], m[2]), (m[2], m[3])} <= rel and (m[1], m[3]) not in rel
+        else:
+            assert reflexive and antisymmetric and transitive
+            accepted += 1
+    assert accepted == 19
+    with pytest.raises(PosetError, match=r"relation pair \(a, d\) off the element set"):
+        Poset(labels, frozenset({(x, x) for x in labels} | {("a", "d")}))
 
 
 def test_enumeration_is_irredundant():

@@ -253,7 +253,9 @@ def zero_rep(algebra: BoundQuiverAlgebra) -> Representation:
 
 
 def simple_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    return make_rep(algebra, {v: 1}, {})
+    """The simple at v: every arrow acts by zero, so the relations hold by
+    construction and are not checked."""
+    return make_rep(algebra, {v: 1}, {}, check=False)
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,9 @@ def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> Projec
                 col[tgt_index[(j, bp)]] = c
             cols.append(col)
         maps[a.name] = ExactMatrix.from_cols(cols, len(tgt_labels), f)
-    rep = make_rep(algebra, dims, maps)
+    # arrows act by multiplication in the algebra, so the relations hold by
+    # construction and are not checked
+    rep = make_rep(algebra, dims, maps, check=False)
     return ProjectiveRep(rep, blocks, tuple(labels_by_vertex))
 
 

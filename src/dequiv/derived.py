@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import ExactMatrix
 from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
-                     enumerate_posets, remark_free_edges)
+                     enumerate_posets, remark_free_edges, zeta_rows)
 from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
                       a1p_presentation, hasse_quiver, incidence_presentation,
                       is_gentle, t2_poset, unique_path_property)
@@ -806,15 +806,18 @@ def search_matching_posets(target: InvariantCertificate, n: int,
 
 
 def _matching(target: InvariantCertificate, candidates: Sequence[Poset]) -> List[Poset]:
-    return [p for p in candidates if matches_certificate(incidence_algebra(p), target)]
+    """The candidates whose incidence algebra matches the target's
+    invariants, read off their zeta matrices; no algebra is built."""
+    return [p for p in candidates if matches_certificate(zeta_rows(p), target)]
 
 
 def no_poset_search(p: int) -> dict:
     """Exhaustive certificate search for the two-parallel-paths quiver
     algebra among connected posets on p+1 elements, with the gentle/gldim
     analysis of any hits."""
-    if p + 1 > 7:
-        raise DerivedError("poset size %d out of supported range" % (p + 1))
+    if not 2 <= p + 1 <= 8:
+        raise DerivedError("no-poset search over posets on p + 1 = %d elements; "
+                           "supported sizes are 2 to 8" % (p + 1))
     pres = a1p_presentation(p)
     target = certificate(build_algebra(pres))
     candidates = enumerate_posets(p + 1, connected_only=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -461,19 +461,19 @@ def rank_and_kernel(m: ExactMatrix):
     return rank, ExactMatrix.from_cols(cols, m.ncols, f)
 
 
-def char_poly(m: ExactMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - m) of a square integer matrix.
+def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
+    """Characteristic polynomial det(xI - A) of a square integer matrix
+    given as integer rows.
 
     Division-free Berkowitz over Z (Berkowitz, IPL 18, 1984).  Bordering the
     leading k x k block B by column c, row r and corner e gives
 
         p_{k+1}(x) = (x - e) p_k(x) - sum_i x^{k-1-i} sum_{j<=i} q_j r B^{i-j} c
 
-    with q_j the descending coefficients of p_k.  Entries must be integers.
+    with q_j the descending coefficients of p_k.
     """
-    if m.nrows != m.ncols:
+    if any(len(row) != len(a) for row in a):
         raise ValueError("char_poly requires a square matrix")
-    a = m.to_int_rows()
     q = [1]  # descending coefficients of the leading block's char poly
     for k in range(len(a)):
         # s[t] = r B^t c for the k x k block B bordered by row and column k
@@ -495,9 +495,10 @@ def char_poly(m: ExactMatrix) -> IntPolynomial:
     return IntPolynomial.of(reversed(q))
 
 
-def smith_normal_form(m: ExactMatrix):
-    """Invariant factors d1 | d2 | ... of an integer matrix (positive, rank many)."""
-    rows = m.to_int_rows()
+def smith_normal_form(m: Sequence[Sequence[int]]):
+    """Invariant factors d1 | d2 | ... (positive, rank many) of an integer
+    matrix given as integer rows; the rows are not modified."""
+    rows = [list(r) for r in m]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     diag = []
@@ -549,7 +550,6 @@ def smith_normal_form(m: ExactMatrix):
         for i in range(len(diag) - 1):
             a, b = diag[i], diag[i + 1]
             if b % a != 0:
-                from math import gcd
                 g = gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True

@@ -206,36 +206,70 @@ def global_dimension(a: BoundQuiverAlgebra) -> int:
     return max(projective_dimension(simple_module(a, v)) for v in a.vertex_order)
 
 
-def _inverse_unitriangular(c: List[List[int]]) -> List[List[int]]:
-    """C^{-1} of an integer matrix by back-substitution, for C upper
-    unitriangular: a Cartan matrix in the topological vertex order, where
-    every path goes forward and the only path v -> v is trivial.
+# -- the integer invariants of a Cartan matrix --------------------------------
+#
+# A Cartan matrix C arrives as integer rows in a topological vertex order,
+# where every path goes forward and the only path v -> v is trivial: C is
+# upper unitriangular.  For an incidence algebra it is the zeta matrix of the
+# poset in a linear extension (`posets.zeta_rows`).  Every invariant below is
+# unchanged when rows and columns are permuted together, so any topological
+# order gives the same values.
 
-    C @ C^{-1} = I is checked in integers, so a matrix of any other shape
-    raises instead of giving a wrong inverse."""
+def _check_unitriangular(c: Sequence[Sequence[int]]) -> None:
+    n = len(c)
+    if (any(len(row) != n for row in c) or any(c[i][i] != 1 for i in range(n))
+            or any(c[i][j] for i in range(n) for j in range(i))):
+        raise ValueError("Cartan matrix is not unitriangular in the vertex order")
+
+
+def _inverse_unitriangular(c: Sequence[Sequence[int]]) -> List[List[int]]:
+    """C^{-1} of an upper unitriangular integer matrix by back-substitution.
+
+    The shape is checked first, so a matrix of any other shape raises
+    instead of giving a wrong inverse."""
+    _check_unitriangular(c)
     n = len(c)
     inv = [[int(i == j) for j in range(n)] for i in range(n)]
     for j in range(n):
         for i in range(j - 1, -1, -1):
             inv[i][j] = -sum(c[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-    if any(sum(c[i][k] * inv[k][j] for k in range(n)) != int(i == j)
-           for i in range(n) for j in range(n)):
-        raise ValueError("Cartan matrix is not unitriangular in the vertex order")
     return inv
+
+
+def cartan_det(c: Sequence[Sequence[int]]) -> int:
+    """det C: C is checked to be upper unitriangular, so det C is the
+    product of its unit diagonal."""
+    _check_unitriangular(c)
+    return 1
+
+
+def cartan_snf_antisym(c: Sequence[Sequence[int]]) -> tuple:
+    """The Smith form of C - C^T."""
+    n = len(c)
+    return tuple(smith_normal_form([[c[i][j] - c[j][i] for j in range(n)]
+                                    for i in range(n)]))
+
+
+def _coxeter_rows(c: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Phi = -C^{-T} C as integer rows."""
+    inv = _inverse_unitriangular(c)
+    n = len(c)
+    return [[-sum(inv[k][i] * c[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def cartan_coxeter_polynomial(c: Sequence[Sequence[int]]) -> IntPolynomial:
+    """The characteristic polynomial of Phi = -C^{-T} C."""
+    return char_poly(_coxeter_rows(c))
 
 
 def coxeter_matrix(a: BoundQuiverAlgebra) -> ExactMatrix:
     """Phi = -C^{-T} C in the fixed topological vertex order."""
-    c = a.cartan_matrix().to_int_rows()
-    inv = _inverse_unitriangular(c)
-    n = len(c)
-    return ExactMatrix.from_rows(
-        [[-sum(inv[k][i] * c[k][j] for k in range(n)) for j in range(n)]
-         for i in range(n)])
+    return ExactMatrix.from_rows(_coxeter_rows(a.cartan_matrix().to_int_rows()))
 
 
 def coxeter_polynomial(a: BoundQuiverAlgebra) -> IntPolynomial:
-    return char_poly(coxeter_matrix(a))
+    return cartan_coxeter_polynomial(a.cartan_matrix().to_int_rows())
 
 
 def euler_form_check(a: BoundQuiverAlgebra) -> bool:
@@ -296,32 +330,31 @@ class InvariantCertificate:
 
 def certificate(a: BoundQuiverAlgebra) -> InvariantCertificate:
     """The full certificate of a."""
-    c = a.cartan_matrix()
-    anti = c - c.transpose()
+    c = a.cartan_matrix().to_int_rows()
     return InvariantCertificate(
-        simple_count=len(a.vertex_order),
+        simple_count=len(c),
         total_dimension=a.dimension,
-        cartan_det=int(c.det()),
-        coxeter=coxeter_polynomial(a),
-        snf_antisym=tuple(smith_normal_form(anti)),
+        cartan_det=cartan_det(c),
+        coxeter=cartan_coxeter_polynomial(c),
+        snf_antisym=cartan_snf_antisym(c),
         gldim=global_dimension(a),
         vertex_order=tuple(a.vertex_order),
     )
 
 
-def matches_certificate(a: BoundQuiverAlgebra, target: InvariantCertificate) -> bool:
-    """certificate(a).same_invariants(target), computing the compared fields
-    cheapest first and stopping at the first that differs: simple count,
-    det C, Smith form of C - C^T, Coxeter polynomial.  gldim is never
-    computed; it is not part of the comparison."""
-    if len(a.vertex_order) != target.simple_count:
+def matches_certificate(c: Sequence[Sequence[int]], target: InvariantCertificate) -> bool:
+    """certificate(a).same_invariants(target) for an algebra a with Cartan
+    matrix c (integer rows in a topological vertex order), computing the
+    compared fields cheapest first and stopping at the first that differs:
+    simple count, det C, Smith form of C - C^T, Coxeter polynomial.  gldim
+    is never computed; it is not part of the comparison."""
+    if len(c) != target.simple_count:
         return False
-    c = a.cartan_matrix()
-    if int(c.det()) != target.cartan_det:
+    if cartan_det(c) != target.cartan_det:
         return False
-    if tuple(smith_normal_form(c - c.transpose())) != target.snf_antisym:
+    if cartan_snf_antisym(c) != target.snf_antisym:
         return False
-    return coxeter_polynomial(a).coeffs == target.coxeter.coeffs
+    return cartan_coxeter_polynomial(c).coeffs == target.coxeter.coeffs
 
 
 # -- nerve (simplicial) cohomology and interval cohomology -------------------

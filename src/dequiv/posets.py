@@ -224,11 +224,22 @@ def diamond() -> Poset:
     return poset_from_covers(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 
 
+def zeta_rows(p: Poset) -> List[List[int]]:
+    """The zeta matrix of p as integer rows, 1 at (x, y) when x <= y, with
+    the elements in a linear extension (largest up-set first), so that it
+    is upper unitriangular.  It is the Cartan matrix of the incidence
+    algebra of p, up to the order of the vertices."""
+    up = p.up_masks
+    order = sorted(range(p.n), key=lambda i: -up[i].bit_count())
+    return [[up[i] >> j & 1 for j in order] for i in order]
+
+
 # -- isomorphism ------------------------------------------------------------
 
-def _canonical_labelling(p: Poset) -> Tuple[int, List[int]]:
-    """The least strict-relation bitmask of p over the orderings allowed by
-    its refined colouring, and an ordering of element indices reaching it.
+def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
+    """The least strict-relation bitmask of the poset with up-set masks up
+    (as in `Poset.up_masks`) over the orderings allowed by its refined
+    colouring, and an ordering of element indices reaching it.
 
     Colours start equal and are refined by re-ranking the signatures
     (colour, sorted colours below, sorted colours above) until no class
@@ -238,8 +249,8 @@ def _canonical_labelling(p: Poset) -> Tuple[int, List[int]]:
     so x < y sets bit pos(x) * n + pos(y).  Isomorphic posets reach the
     same least bitmask, and equal bitmasks give an isomorphism.
     """
-    n = p.n
-    above = [list(_members(m & ~(1 << i))) for i, m in enumerate(p.up_masks)]
+    n = len(up)
+    above = [list(_members(m & ~(1 << i))) for i, m in enumerate(up)]
     below: List[List[int]] = [[] for _ in range(n)]
     for i, ups in enumerate(above):
         for j in ups:
@@ -281,8 +292,8 @@ def are_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
     """
     if p.n != q.n or p.order_pairs() != q.order_pairs():
         return None
-    bits_p, order_p = _canonical_labelling(p)
-    bits_q, order_q = _canonical_labelling(q)
+    bits_p, order_p = _canonical_labelling(p.up_masks)
+    bits_q, order_q = _canonical_labelling(q.up_masks)
     if bits_p != bits_q:
         return None
     assign = {p.elements[i]: q.elements[j] for i, j in zip(order_p, order_q)}
@@ -295,23 +306,42 @@ def are_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
 
 def canonical_key(p: Poset):
     """A canonical form (n, bits): hashable, equal iff posets are isomorphic."""
-    return (p.n, _canonical_labelling(p)[0])
+    return (p.n, _canonical_labelling(p.up_masks)[0])
 
 
 # -- enumeration ------------------------------------------------------------
 
-def _order_ideals(p: Poset) -> List[int]:
-    """All down-closed subsets, as bitmasks over element indices, in
-    increasing mask order."""
-    down = [0] * p.n
-    for i, m in enumerate(p.up_masks):
+def _down_masks(up: Sequence[int]) -> List[int]:
+    """The down-set masks of the poset with up-set masks up."""
+    down = [0] * len(up)
+    for i, m in enumerate(up):
         for j in _members(m):
             down[j] |= 1 << i
-    out = []
-    for mask in range(1 << p.n):
-        if all(down[i] | mask == mask for i in _members(mask)):
-            out.append(mask)
-    return out
+    return down
+
+
+def _order_ideals(down: Sequence[int]) -> List[int]:
+    """All down-closed subsets of the poset with down-set masks down, as
+    bitmasks over element indices, in increasing mask order.
+
+    The elements are taken in a linear extension (smallest down-set
+    first); each ideal of those taken so far that holds everything strictly
+    below the next element gives one more ideal with that element added."""
+    ideals = [0]
+    for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
+        below = down[i] & ~(1 << i)
+        ideals += [m | 1 << i for m in ideals if m & below == below]
+    ideals.sort()
+    return ideals
+
+
+def _extend(p: Poset, ideal: int, label: str) -> Poset:
+    """p with a new maximal element `label` over the order ideal `ideal`;
+    the new relation shares p's pairs."""
+    rel = set(p.relation)
+    rel.add((label, label))
+    rel.update((p.elements[i], label) for i in _members(ideal))
+    return Poset(p.elements + (label,), frozenset(rel))
 
 
 def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
@@ -321,32 +351,33 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
     smaller poset, deduplicated by canonical form.  A candidate is dropped
     before it is canonicalised when another of its maximal elements has a
     strictly larger down-set than the new one: every poset still arises by
-    adding a maximal element of largest down-set to the rest.  Each level
-    is sorted by canonical key.
+    adding a maximal element of largest down-set to the rest.  Candidates
+    are canonicalised on their up-set masks, and a `Poset` is built only
+    for the first candidate of each class.  Each level is sorted by
+    canonical key.
     """
     if not 1 <= n <= 8:
         raise PosetError("enumeration supported for 1 <= n <= 8, got %d" % n)
     level = [poset_from_covers(["0"], [])]
     for size in range(2, n + 1):
-        new_label = str(size - 1)
+        new_bit = 1 << (size - 1)
         seen = {}
         for p in level:
-            elems = p.elements + (new_label,)
-            down_size = [sum(m >> j & 1 for m in p.up_masks) for j in range(p.n)]
-            maximal = [i for i, m in enumerate(p.up_masks) if m == 1 << i]
-            for ideal in _order_ideals(p):
+            up = p.up_masks
+            down = _down_masks(up)
+            down_size = [d.bit_count() for d in down]
+            maximal = [i for i, m in enumerate(up) if m == 1 << i]
+            for ideal in _order_ideals(down):
                 new_down = ideal.bit_count() + 1
                 if any(down_size[i] > new_down for i in maximal if not ideal >> i & 1):
                     continue
-                rel = set(p.relation)
-                rel.add((new_label, new_label))
-                for i in _members(ideal):
-                    rel.add((p.elements[i], new_label))
-                cand = Poset(elems, frozenset(rel))
-                key = canonical_key(cand)
-                if key not in seen:
-                    seen[key] = cand
-        level = [seen[k] for k in sorted(seen)]
+                masks = tuple(m | new_bit if ideal >> i & 1 else m
+                              for i, m in enumerate(up)) + (new_bit,)
+                bits = _canonical_labelling(masks)[0]
+                if bits not in seen:
+                    seen[bits] = (p, ideal)
+        label = str(size - 1)
+        level = [_extend(p, ideal, label) for _, (p, ideal) in sorted(seen.items())]
     if connected_only:
         level = [p for p in level if p.is_connected()]
     return level

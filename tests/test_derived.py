@@ -257,13 +257,16 @@ def canonical_target(weights):
 def test_search_compares_in_cost_order(monkeypatch):
     target = canonical_target([2, 2, 2, 2])
     gldims = count_calls(monkeypatch, homology, "global_dimension", derived)
-    coxeters = count_calls(monkeypatch, homology, "coxeter_polynomial")
+    coxeters = count_calls(monkeypatch, homology, "cartan_coxeter_polynomial")
+    algebras = count_calls(monkeypatch, derived, "incidence_algebra")
     hits = derived.search_matching_posets(target, 6)
     assert len(hits) == 1  # lambda = 2: the octahedron poset 2+2+2
     # of the 238 connected 6-element posets, 15 agree with the target up to
-    # the Smith form and reach the Coxeter polynomial; none needs its gldim
+    # the Smith form and reach the Coxeter polynomial; none needs its gldim,
+    # and candidates are compared on their zeta matrices, with no algebra
     assert gldims == []
     assert len(coxeters) == 15
+    assert algebras == []
 
 
 def test_2223_search_hits_share_hochschild():
@@ -336,5 +339,5 @@ def test_no_poset_search_small():
     r = no_poset_search(2)
     assert r["verdict"] == "pass"
     assert r["matches"] == []
-    with pytest.raises(DerivedError):
-        no_poset_search(7)
+    with pytest.raises(DerivedError, match="p \\+ 1 = 9 elements; supported sizes are 2 to 8"):
+        no_poset_search(8)

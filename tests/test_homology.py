@@ -5,11 +5,13 @@ from dequiv import algebra, homology
 from dequiv.exactla import QQ, ExactMatrix, PrimeField, char_poly
 from dequiv.posets import (CycleError, antichain, build_Xp, build_remark_poset,
                            chain, diamond, enumerate_posets, poset_from_covers,
-                           remark_free_edges)
+                           remark_free_edges, zeta_rows)
 from dequiv.quivers import (a1p_presentation, canonical_presentation,
                             kronecker_presentation)
 from dequiv.algebra import build_algebra, incidence_algebra, make_rep, simple_module
 from dequiv.homology import (ResourceRefusal, _inverse_unitriangular,
+                             cartan_coxeter_polynomial, cartan_det,
+                             cartan_snf_antisym,
                              certificate, coxeter_matrix, coxeter_polynomial,
                              euler_form_check, ext_dims, global_dimension,
                              hochschild_bar, hochschild_of_poset,
@@ -104,7 +106,7 @@ def test_coxeter_convention_invariance():
               build_algebra(kronecker_presentation())):
         c = a.cartan_matrix()
         alt = (c.inverse() @ c.transpose()).scale(-1)
-        assert char_poly(alt).coeffs == coxeter_polynomial(a).coeffs
+        assert char_poly(alt.to_int_rows()).coeffs == coxeter_polynomial(a).coeffs
 
 
 def test_euler_form_identity():
@@ -182,19 +184,50 @@ def search_targets():
 
 
 def test_matches_certificate_agrees_with_full_comparison():
+    # the search route (zeta rows, no algebra) against the full certificate
+    # of the incidence algebra
     targets = search_targets()
     hits = 0
     for n in range(1, 7):
         for p in enumerate_posets(n, connected_only=True):
-            a = incidence_algebra(p)
-            cert = certificate(a)
+            cert = certificate(incidence_algebra(p))
+            zeta = zeta_rows(p)
             for t in targets:
                 same = cert.same_invariants(t)
-                assert matches_certificate(a, t) == same
+                assert matches_certificate(zeta, t) == same
                 hits += same
     # 8 five-element posets (X_(2,2,2) among them) match the canonical
     # (2,2,2) algebra and one six-element poset matches (2,2,2,2)
     assert hits == 9
+
+
+def test_zeta_invariants_equal_certificate_fields():
+    count = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            zeta = zeta_rows(p)
+            cert = certificate(incidence_algebra(p))
+            assert cartan_det(zeta) == cert.cartan_det
+            assert cartan_snf_antisym(zeta) == cert.snf_antisym
+            assert cartan_coxeter_polynomial(zeta) == cert.coxeter
+            count += 1
+    assert count == 405
+
+
+def test_zeta_rows_are_the_cartan_matrix_in_a_linear_extension():
+    def zeta_in(p, order):
+        return [[int(p.leq(x, y)) for y in order] for x in order]
+
+    for p in [diamond(), build_Xp(2, 3, 3)] + enumerate_posets(5):
+        # the Cartan matrix of the incidence algebra is the zeta matrix in
+        # the algebra's vertex order
+        a = incidence_algebra(p)
+        assert a.cartan_matrix().to_int_rows() == zeta_in(p, a.vertex_order)
+        extension = sorted(p.elements, key=lambda x: -len(p.up_set(x)))
+        assert zeta_rows(p) == zeta_in(p, extension)
+        assert cartan_det(zeta_rows(p)) == 1
+    with pytest.raises(ValueError, match="unitriangular"):
+        cartan_det([[1, 0], [1, 1]])
 
 
 def test_certificate_key_ignores_gldim():
@@ -428,3 +461,23 @@ def test_constructed_maps_commute(monkeypatch):
             differentials += [d for _, d in minimal_resolution(simple_module(a, v)).steps]
     assert len(built) > len(differentials) > 100
     assert all(m.check() for m in built + differentials)
+
+
+def test_constructed_modules_satisfy_relations():
+    # simple_module and projective_rep build their modules without the
+    # relation check; every one of them must pass it
+    algebras = [incidence_algebra(p) for n in range(1, 5)
+                for p in enumerate_posets(n, connected_only=True)]
+    algebras += [build_algebra(canonical_presentation(w))
+                 for w in ([2, 2, 2], [2, 3, 3], [3, 3, 3])]
+    modules = []
+    for a in algebras:
+        modules += [simple_module(a, v) for v in a.vertex_order]
+        modules += [projective_rep(a, [v]).rep for v in a.vertex_order]
+        modules.append(projective_rep(a, a.vertex_order).rep)
+    # the diamond and the three canonical algebras have relations; 72
+    # simples, 72 indecomposable projectives and one sum of all projectives
+    # per algebra
+    assert sum(bool(a.presentation.relations) for a in algebras) == 4
+    assert len(modules) == 2 * 72 + 18
+    assert all(m.check_relations() for m in modules)

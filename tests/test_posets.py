@@ -41,17 +41,39 @@ def test_enumeration_size_is_capped():
 
 def test_enumeration_canonicalises_only_unpruned_candidates(monkeypatch):
     """Work pin: candidates whose new maximal element does not have a
-    largest down-set are dropped before canonical_key (938 calls without
-    the cut)."""
-    calls = []
+    largest down-set are dropped before they are canonicalised (938
+    labellings without the cut), and a Poset is built and validated only
+    for each new class: one per class on levels 1..6 (1 + 2 + 5 + 16 + 63 +
+    318), not one per candidate."""
+    labellings, validations = [], []
+    labelling, post_init = posets._canonical_labelling, Poset.__post_init__
 
-    def counting_key(p):
-        calls.append(p.n)
-        return canonical_key(p)
+    def counting_labelling(up):
+        labellings.append(len(up))
+        return labelling(up)
 
-    monkeypatch.setattr(posets, "canonical_key", counting_key)
+    def counting_post_init(self):
+        validations.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(posets, "_canonical_labelling", counting_labelling)
+    monkeypatch.setattr(Poset, "__post_init__", counting_post_init)
     assert len(enumerate_posets(6)) == 318
-    assert len(calls) == 582
+    assert len(labellings) == 582
+    assert len(validations) == 405
+
+
+def test_order_ideals_against_subset_scan():
+    """Order ideals listed from the down-set masks equal the down-closed
+    subsets found by testing all 2^n subsets, also when the element order
+    is reversed and so is no linear extension."""
+    posets_5 = [p for n in range(1, 6) for p in enumerate_posets(n)]
+    for p in posets_5 + [Poset(p.elements[::-1], p.relation) for p in posets_5]:
+        n = p.n
+        down = [[j for j in range(n) if p.leq(p.elements[j], x)] for x in p.elements]
+        scan = [mask for mask in range(1 << n)
+                if all(mask >> j & 1 for i in range(n) if mask >> i & 1 for j in down[i])]
+        assert posets._order_ideals(posets._down_masks(p.up_masks)) == scan
 
 
 def test_connected_counts():

@@ -87,14 +87,17 @@ class Poset:
         return [y for y in self.elements if self.leq(x, y)]
 
     def covers(self) -> Tuple[Tuple[str, str], ...]:
-        """Cover pairs (x, y) with x covered by y: the transitive reduction."""
+        """Cover pairs (x, y) with x covered by y: the transitive reduction.
+        The upper covers of x are the minimal elements of its strict up-set,
+        those above no other element of it."""
+        up, elems = self.up_masks, self.elements
         out = []
-        for x, y in self.relation:
-            if x == y:
-                continue
-            if any(self.lt(x, z) and self.lt(z, y) for z in self.elements):
-                continue
-            out.append((x, y))
+        for i, m in enumerate(up):
+            strict = m & ~(1 << i)
+            higher = 0
+            for j in _members(strict):
+                higher |= up[j] & ~(1 << j)
+            out.extend((elems[i], elems[j]) for j in _members(strict & ~higher))
         return tuple(sorted(out))
 
     def is_connected(self) -> bool:
@@ -236,18 +239,49 @@ def zeta_rows(p: Poset) -> List[List[int]]:
 
 # -- isomorphism ------------------------------------------------------------
 
+def _arrangements(classes: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The orderings of the union of `classes` up to the order inside each
+    class: one per distinct sequence of class labels, each class's members
+    placed in their given order.  Lists the label sequences from the sorted
+    one upwards by the next-permutation step, so a class of k members costs
+    no k! factor."""
+    if len(classes) == 1:
+        return [list(classes[0])]
+    labels = [k for k, c in enumerate(classes) for _ in c]
+    last = len(labels) - 1
+    out = []
+    while True:
+        taken = [iter(c) for c in classes]
+        out.append([next(taken[k]) for k in labels])
+        a = last - 1
+        while a >= 0 and labels[a] >= labels[a + 1]:
+            a -= 1
+        if a < 0:
+            return out
+        b = last
+        while labels[b] <= labels[a]:
+            b -= 1
+        labels[a], labels[b] = labels[b], labels[a]
+        labels[a + 1:] = labels[:a:-1]
+
+
 def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
     """The least strict-relation bitmask of the poset with up-set masks up
     (as in `Poset.up_masks`) over the orderings allowed by its refined
     colouring, and an ordering of element indices reaching it.
 
-    Colours start equal and are refined by re-ranking the signatures
-    (colour, sorted colours below, sorted colours above) until no class
-    splits; the ranks depend only on the order, so colours are invariant.
-    Orderings list the colour cells in colour order, each cell permuted in
-    every way; an ordering sends the element at position a to the row a,
-    so x < y sets bit pos(x) * n + pos(y).  Isomorphic posets reach the
-    same least bitmask, and equal bitmasks give an isomorphism.
+    Colours start as the ranks of (number of elements below, number above)
+    and are refined by re-ranking the signatures (colour, sorted colours
+    below, sorted colours above) until no class splits or every class is
+    a single element; the ranks depend only on the order, so colours are
+    invariant.  Orderings list the colour cells in colour order, each cell
+    arranged in every way that can change the bitmask: twins (elements
+    with the same strict down-set and the same strict up-set, hence
+    incomparable and of one colour) are swapped by an automorphism, so
+    only the sequence of twin classes in a cell is varied.  An ordering
+    sends the element at position a to the row a, so x < y sets bit
+    pos(x) * n + pos(y).  Isomorphic posets reach the same least bitmask,
+    and equal bitmasks give an isomorphism.
     """
     n = len(up)
     above = [list(_members(m & ~(1 << i))) for i, m in enumerate(up)]
@@ -255,9 +289,11 @@ def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
     for i, ups in enumerate(above):
         for j in ups:
             below[j].append(i)
-    colour = [0] * n
-    count = 1
-    while True:
+    sigs = [(len(below[i]), len(above[i])) for i in range(n)]
+    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    colour = [rank[s] for s in sigs]
+    count = len(rank)
+    while 1 < count < n:
         sigs = [(colour[i], tuple(sorted(colour[j] for j in below[i])),
                  tuple(sorted(colour[j] for j in above[i]))) for i in range(n)]
         rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
@@ -265,12 +301,15 @@ def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
         if len(rank) == count:
             break
         count = len(rank)
-    cells: List[List[int]] = [[] for _ in range(count)]
+    twins: Dict[tuple, List[int]] = {}
     for i in range(n):
-        cells[colour[i]].append(i)
+        twins.setdefault((colour[i], tuple(below[i]), tuple(above[i])), []).append(i)
+    cells: List[List[List[int]]] = [[] for _ in range(count)]
+    for (c, _, _), members in twins.items():
+        cells[c].append(members)
     best, best_order = -1, None
     pos = [0] * n
-    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+    for parts in itertools.product(*(_arrangements(c) for c in cells)):
         order = [i for part in parts for i in part]
         for a, i in enumerate(order):
             pos[i] = a

@@ -279,6 +279,14 @@ def test_2223_search_hits_share_hochschild():
         assert homology.hochschild_of_poset(p, 2) == [1, 0, 1]
 
 
+def test_22222_search_hit_count():
+    # canonical (2,2,2,2,2) with the default lambdas 1, 2, 3 matches exactly
+    # three connected 7-element posets, beside (2,2,2,2) -> 1 and
+    # (2,2,2,3) -> 12
+    hits = derived.search_matching_posets(canonical_target([2, 2, 2, 2, 2]), 7)
+    assert len(hits) == 3
+
+
 def test_reused_stalk_matches_fresh_stalk():
     images = dict(f_images_of_simples((3, 3, 3)))
     pairs = [("0", "w"), ("w", "0"), ("1,2", "2,1"), ("3,1", "3,1")]

@@ -440,6 +440,14 @@ def test_philip_hall_euler_characteristic(p):
             assert sum((-1) ** k * d for k, d in enumerate(exts)) == cinv[i][j]
 
 
+@settings(max_examples=10, deadline=None)
+@given(random_posets())
+def test_nerve_equals_bar_on_random_posets(p):
+    # Gerstenhaber-Schack: HH of the incidence algebra is the cohomology of
+    # the nerve, here up to degree 2 on posets with up to 7 elements
+    assert nerve_cohomology(p, 2) == hochschild_of_poset(p, 2)
+
+
 def test_constructed_maps_commute(monkeypatch):
     # hom_from_generators and kernel_of build their maps without the
     # commutation check; every map they build for a resolution must pass it

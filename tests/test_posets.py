@@ -39,28 +39,133 @@ def test_enumeration_size_is_capped():
             enumerate_posets(n)
 
 
+def oracle_labelling(up):
+    """Reference for `_canonical_labelling`'s bitmask, with no shortcut:
+    colours start equal, and every permutation of every colour cell is
+    tried, twins included."""
+    n = len(up)
+    above = [[j for j in range(n) if j != i and m >> j & 1] for i, m in enumerate(up)]
+    below = [[j for j in range(n) if i in above[j]] for i in range(n)]
+    colour = [0] * n
+    count = 1
+    while True:
+        sigs = [(colour[i], tuple(sorted(colour[j] for j in below[i])),
+                 tuple(sorted(colour[j] for j in above[i]))) for i in range(n)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        colour = [rank[s] for s in sigs]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    cells = [[i for i in range(n) if colour[i] == c] for c in range(count)]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        pos = {i: a for a, i in enumerate(i for part in parts for i in part)}
+        bits = sum(1 << (pos[i] * n + pos[j]) for i in range(n) for j in above[i])
+        if best is None or bits < best:
+            best = bits
+    return best
+
+
+def relation_bits(up, order):
+    """The strict-relation bitmask of up-set masks up under `order`."""
+    n = len(up)
+    pos = {i: a for a, i in enumerate(order)}
+    return sum(1 << (pos[i] * n + pos[j])
+               for i in range(n) for j in range(n) if i != j and up[i] >> j & 1)
+
+
+def count_orderings(monkeypatch):
+    """Wrap the labelling and its cell arrangements; returns a list with
+    the number of orderings each labelling call tries (the product of the
+    arrangement counts of its cells)."""
+    tried = []
+    labelling, arrangements = posets._canonical_labelling, posets._arrangements
+
+    def counting_labelling(up):
+        tried.append(1)
+        return labelling(up)
+
+    def counting_arrangements(classes):
+        out = arrangements(classes)
+        tried[-1] *= len(out)
+        return out
+
+    monkeypatch.setattr(posets, "_canonical_labelling", counting_labelling)
+    monkeypatch.setattr(posets, "_arrangements", counting_arrangements)
+    return tried
+
+
 def test_enumeration_canonicalises_only_unpruned_candidates(monkeypatch):
     """Work pin: candidates whose new maximal element does not have a
     largest down-set are dropped before they are canonicalised (938
     labellings without the cut), and a Poset is built and validated only
     for each new class: one per class on levels 1..6 (1 + 2 + 5 + 16 + 63 +
-    318), not one per candidate."""
-    labellings, validations = [], []
-    labelling, post_init = posets._canonical_labelling, Poset.__post_init__
-
-    def counting_labelling(up):
-        labellings.append(len(up))
-        return labelling(up)
+    318), not one per candidate.  Twins are kept in order, so the 582
+    labellings try 814 orderings (3,460 when each colour cell is permuted
+    in every way)."""
+    validations = []
+    post_init = Poset.__post_init__
 
     def counting_post_init(self):
         validations.append(self.n)
         post_init(self)
 
-    monkeypatch.setattr(posets, "_canonical_labelling", counting_labelling)
+    tried = count_orderings(monkeypatch)
     monkeypatch.setattr(Poset, "__post_init__", counting_post_init)
     assert len(enumerate_posets(6)) == 318
-    assert len(labellings) == 582
+    assert len(tried) == 582
+    assert sum(tried) == 814
     assert len(validations) == 405
+
+
+def test_labelling_equals_oracle_on_enumeration_candidates(monkeypatch):
+    """On every candidate that enumerate_posets(7) canonicalises (all
+    levels n <= 7), the bitmask equals the oracle's, and the returned
+    ordering reproduces it."""
+    candidates = []
+    labelling = posets._canonical_labelling
+
+    def recording_labelling(up):
+        candidates.append(tuple(up))
+        return labelling(up)
+
+    monkeypatch.setattr(posets, "_canonical_labelling", recording_labelling)
+    enumerate_posets(7)
+    assert len(candidates) == 3568
+    for up in candidates:
+        bits, order = labelling(up)
+        assert sorted(order) == list(range(len(up)))
+        assert bits == oracle_labelling(up) == relation_bits(up, order)
+
+
+def bottom_top_around(k):
+    """A bottom and a top around k pairwise incomparable middles."""
+    middles = ["m%d" % i for i in range(k)]
+    return poset_from_covers(["bot"] + middles + ["top"],
+                             [("bot", m) for m in middles] + [(m, "top") for m in middles])
+
+
+@pytest.mark.parametrize("p", [antichain(12), bottom_top_around(10)], ids=["antichain12", "bottom_top_10"])
+def test_wide_posets_try_one_ordering(monkeypatch, p):
+    """Twins are never permuted among themselves: an antichain of 12 (12!
+    orderings without twin collapse) and a bottom and a top around 10
+    middles (10!) each try a single ordering per labelling."""
+    name = {x: "v%d" % i for i, x in enumerate(reversed(p.elements))}
+    q = Poset(tuple(sorted(name.values())), frozenset((name[x], name[y]) for x, y in p.relation))
+    tried = count_orderings(monkeypatch)
+    assert canonical_key(p) == canonical_key(q)
+    assert_replays(p, q, are_isomorphic(p, q))
+    assert tried == [1, 1, 1, 1]
+
+
+def test_covers_against_relation_scan():
+    """Covers read off the up-set masks equal the pairs x < y with no z
+    strictly between, on all posets n <= 6 in both element orders."""
+    posets_6 = [p for n in range(1, 7) for p in enumerate_posets(n)]
+    for p in posets_6 + [Poset(p.elements[::-1], p.relation) for p in posets_6]:
+        scan = sorted((x, y) for x, y in p.relation
+                      if x != y and not any(p.lt(x, z) and p.lt(z, y) for z in p.elements))
+        assert p.covers() == tuple(scan)
 
 
 def test_order_ideals_against_subset_scan():

@@ -31,6 +31,9 @@ class BoundQuiverAlgebra:
         # the poset of an incidence algebra (set by incidence_algebra)
         self.poset: Optional[Poset] = None
         self.vertex_order = pres.quiver.topological_order()
+        # (source, target) of each relation, in presentation order
+        self.relation_endpoints = tuple(rel.endpoints(self.quiver)
+                                        for rel in pres.relations)
         self._vidx = {v: i for i, v in enumerate(self.vertex_order)}
         self._paths: Dict[Tuple[str, str], List[tuple]] = {}
         self._pidx: Dict[Tuple[str, str], Dict[tuple, int]] = {}
@@ -52,12 +55,10 @@ class BoundQuiverAlgebra:
     def _ideal_vectors(self, u, v):
         """Spanning vectors of the relation ideal inside the (u, v) path space."""
         f = self.field
-        q = self.quiver
         npaths = len(self._paths[(u, v)])
         pidx = self._pidx[(u, v)]
         vecs = []
-        for rel in self.presentation.relations:
-            rs, rt = rel.endpoints(q)
+        for rel, (rs, rt) in zip(self.presentation.relations, self.relation_endpoints):
             for left in self._paths.get((u, rs), []):
                 for right in self._paths.get((rt, v), []):
                     vec = [f.zero] * npaths
@@ -208,10 +209,9 @@ class Representation:
         return m
 
     def check_relations(self) -> bool:
-        f = self.algebra.field
-        q = self.algebra.quiver
-        for rel in self.algebra.presentation.relations:
-            src, tgt = rel.endpoints(q)
+        alg = self.algebra
+        f = alg.field
+        for rel, (src, tgt) in zip(alg.presentation.relations, alg.relation_endpoints):
             acc = ExactMatrix.zero(self.dim(tgt), self.dim(src), f)
             for coeff, path in rel.terms:
                 acc = acc + self.act_path(src, path.arrow_names).scale(coeff)

@@ -692,7 +692,7 @@ def beilinson_table_check(weights: Tuple[int, int, int],
     rows = []
     for sx in ax.vertex_order:
         st = images[sx]
-        sign = (-1) ** st.degree
+        sign = 1 if st.degree % 2 == 0 else -1
         rows.append([sign * st.module.dim(v) for v in alg.vertex_order])
     det = int(ExactMatrix.from_rows(rows).det())
     return left, right, equal, det in (1, -1)

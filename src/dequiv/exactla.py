@@ -5,6 +5,10 @@ Hochschild cochains) runs through :class:`ExactMatrix`.  Rank, kernel,
 solve, inverse and det all read their results off one fraction-free
 Gauss-Jordan elimination on integer rows (:func:`_eliminate`); the field
 supplies the few steps where Q and GF(p) differ.
+
+A field element is a plain Python value: over GF(p) an int in [0, p),
+over Q an int when it is integral and a Fraction (denominator > 1)
+otherwise, so matrices of integers never touch Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -15,31 +19,45 @@ from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 
+def _q(x):
+    """A rational in normal form: an int when integral, else the Fraction."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _int(n):
+    """n itself if it is an int: a float or Fraction is refused, not coerced."""
+    if not isinstance(n, int):
+        raise TypeError("from_int takes an int, not %s" % type(n).__name__)
+    return n
+
+
 class RationalField:
-    """The field Q with elements represented as Fraction (always normalized)."""
+    """The field Q.  An integral element is a Python int; any other is a
+    Fraction with denominator > 1.  Every operation returns this form, so
+    integer input stays on int arithmetic."""
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return _int(n)
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return _q(Fraction(1) / a)
 
     def is_zero(self, a):
         return a == 0
@@ -50,7 +68,7 @@ class RationalField:
         return "%d/%d" % (a.numerator, a.denominator)
 
     def from_str(self, s):
-        return Fraction(s)
+        return _q(Fraction(s))
 
     # steps of _eliminate that differ between the fields
 
@@ -72,8 +90,9 @@ class RationalField:
 
     def quotient(self, d):
         """Maps an integer x to the field element x / d."""
-        zero = self.zero
-        return lambda x: Fraction(x, d) if x else zero
+        if d == 1:
+            return lambda x: x
+        return lambda x: Fraction(x, d) if x % d else x // d
 
     def __repr__(self):
         return "QQ"
@@ -91,7 +110,7 @@ class PrimeField:
         self.one = 1 % p
 
     def from_int(self, n):
-        return n % self.p
+        return _int(n) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -327,18 +346,11 @@ class ExactMatrix:
     # -- conversions -------------------------------------------------------
 
     def to_int_rows(self):
-        out = []
         for r in self.entries:
-            row = []
             for x in r:
-                if isinstance(x, Fraction):
-                    if x.denominator != 1:
-                        raise ValueError("non-integer entry %s" % x)
-                    row.append(x.numerator)
-                else:
-                    row.append(int(x))
-            out.append(row)
-        return out
+                if x.denominator != 1:
+                    raise ValueError("non-integer entry %s" % x)
+        return [[x.numerator for x in r] for r in self.entries]
 
     def to_str_rows(self):
         f = self.field

@@ -155,7 +155,7 @@ def hom_cohomology(q: Dict[int, ProjectiveRep], dq: Dict[int, ModuleMap],
             return 0
         col = {c: i for i, (c, _) in enumerate(src)}
         row = {c: i for i, (c, _) in enumerate(tgt)}
-        sign = f.from_int(-(-1) ** n)
+        sign = f.from_int(1 if n % 2 else -1)  # -(-1)^n; n may be negative
         blocks = {}
         for (j, g), i in col.items():
             # d_Y phi: each generator image moves along d_Y at its vertex
@@ -504,60 +504,46 @@ def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int,
             raise ResourceRefusal("bar cochain space in degree %d exceeds budget" % n)
         return basis
 
-    def lmul(r, blk, elem):
-        """Left-multiply {path: coeff} in block blk by radical basis elt r."""
-        if r[1] != blk[0]:
-            return {}, None
-        out = {}
-        for p, c in elem.items():
-            for bp, c2 in a.reduce_path(r[0], blk[1], r[2] + p).items():
-                out[bp] = f.add(out.get(bp, f.zero), f.mul(c, c2))
-        return out, (r[0], blk[1])
-
-    def rmul(blk, elem, r):
-        if blk[1] != r[0]:
-            return {}, None
-        out = {}
-        for p, c in elem.items():
-            for bp, c2 in a.reduce_path(blk[0], r[1], p + r[2]).items():
-                out[bp] = f.add(out.get(bp, f.zero), f.mul(c, c2))
-        return out, (blk[0], r[1])
-
     spaces = [cochain_space(n) for n in range(max_deg + 2)]
     mats = []
     for n in range(max_deg + 1):
         src, tgt = spaces[n], spaces[n + 1]
         tgt_idx = {(tup, bp): i for i, (tup, blk, bp) in enumerate(tgt)}
-        bigs = composable_tuples(n + 1)
-        cols = []
-        for tup, blk, bp in src:
-            col = [f.zero] * len(tgt)
+        # the source cochains by argument tuple: (column, block, value path)
+        by_args: Dict[tuple, list] = {}
+        for k, (tup, blk, bp) in enumerate(src):
+            by_args.setdefault(tup, []).append((k, blk, bp))
+        cols = [[f.zero] * len(tgt) for _ in src]
 
-            def add_at(big, elem, sign):
-                for bp2, c in elem.items():
-                    key = (big, bp2)
-                    if key in tgt_idx and not f.is_zero(c):
-                        col[tgt_idx[key]] = f.add(
-                            col[tgt_idx[key]], f.mul(f.from_int(sign), c))
+        def add_at(k, big, elem, sign):
+            col = cols[k]
+            for bp2, c in elem.items():
+                i = tgt_idx.get((big, bp2))
+                if i is not None and not f.is_zero(c):
+                    col[i] = f.add(col[i], f.mul(sign, c))
 
-            for big in bigs:
-                # term 0: r_1 * f(r_2..r_{n+1})
-                if big[1:] == tup:
-                    elem, _ = lmul(big[0], blk, {bp: f.one})
-                    add_at(big, elem, 1)
-                # middle terms: (-1)^i f(..., r_i r_{i+1}, ...)
-                for i in range(1, n + 1):
-                    r_i, r_j = big[i - 1], big[i]
-                    prod, _ = rmul((r_i[0], r_i[1]), {r_i[2]: f.one}, r_j)
-                    for bp_mid, c_mid in prod.items():
-                        mid = (r_i[0], r_j[1], bp_mid)
-                        if big[: i - 1] + (mid,) + big[i + 1:] == tup:
-                            add_at(big, {bp: c_mid}, (-1) ** i)
-                # last term: (-1)^{n+1} f(r_1..r_n) * r_{n+1}
-                if big[:-1] == tup:
-                    elem, _ = rmul(blk, {bp: f.one}, big[-1])
-                    add_at(big, elem, (-1) ** (n + 1))
-            cols.append(col)
+        # each composable (n+1)-tuple once; each bar term reaches only the
+        # sources on one argument tuple, so no other source is compared
+        last_sign = f.from_int(-1 if n % 2 == 0 else 1)  # (-1)^{n+1}
+        for big in composable_tuples(n + 1):
+            # term 0: r_1 * f(r_2..r_{n+1})
+            r = big[0]
+            for k, blk, bp in by_args.get(big[1:], ()):
+                if r[1] == blk[0]:
+                    add_at(k, big, a.reduce_path(r[0], blk[1], r[2] + bp), f.one)
+            # middle terms: (-1)^i f(..., r_i r_{i+1}, ...), each product once
+            for i in range(1, n + 1):
+                r_i, r_j = big[i - 1], big[i]
+                sign = f.from_int(1 if i % 2 == 0 else -1)
+                for bp_mid, c_mid in a.reduce_path(r_i[0], r_j[1], r_i[2] + r_j[2]).items():
+                    args = big[:i - 1] + ((r_i[0], r_j[1], bp_mid),) + big[i + 1:]
+                    for k, blk, bp in by_args.get(args, ()):
+                        add_at(k, big, {bp: c_mid}, sign)
+            # last term: (-1)^{n+1} f(r_1..r_n) * r_{n+1}
+            r = big[-1]
+            for k, blk, bp in by_args.get(big[:-1], ()):
+                if blk[1] == r[0]:
+                    add_at(k, big, a.reduce_path(blk[0], r[1], bp + r[2]), last_sign)
         mats.append(ExactMatrix.from_cols(cols, len(tgt), f))
 
     out = []

@@ -43,6 +43,27 @@ def test_hh_bar_on_weights(capsys):
     assert out["bar"] == [1, 0, 1]
 
 
+def test_fractional_lambdas_golden_json(capsys):
+    # non-integral lambdas keep Fraction entries in the relations and the
+    # bases; the certificate and HH are the printed JSON, byte for byte
+    golden = [
+        (["invariants", "--weights", "2,2,2,2", "--lambdas", "1,1/2"],
+         {"convention": "phi=-C^{-T}C", "coxeter": [1, 2, -1, -4, -1, 2, 1],
+          "det_cartan": 1, "gldim": 2, "simples": 6, "snf_antisym": [1, 1],
+          "total_dimension": 16,
+          "vertex_order": ["0", "1,1", "2,1", "3,1", "4,1", "w"]}),
+        (["hh", "--weights", "2,2,2,2", "--lambdas", "1,2/3", "--method", "bar",
+          "--max-degree", "2"],
+         {"bar": [1, 0, 1], "max_degree": 2, "method": "bar"}),
+    ]
+    for argv, expected in golden:
+        assert run(argv) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert run(["canonical", "--weights", "2,2,2,2", "--lambdas", "1,1/2"]) == 0
+    rels = json.loads(capsys.readouterr().out)["relations"]
+    assert [[t["coeff"] for t in r["terms"]] for r in rels] == [["1", "-1", "1"], ["1", "-1", "1/2"]]
+
+
 def test_invariants_sources_and_field(diamond_file, capsys):
     assert run(["invariants", "--poset", diamond_file]) == 0
     cert_q = json.loads(capsys.readouterr().out)

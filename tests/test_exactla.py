@@ -168,6 +168,67 @@ def test_prime_field_arithmetic():
         field_from_spec("fp:8")
 
 
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=repr)
+def test_from_int_refuses_non_integers(f):
+    # (-1) ** -1 is the float -1.0: a sign written as a power of -1 with a
+    # negative exponent must not reach a field as a float
+    assert f.from_int(-(-1) ** 2) == f.neg(f.one)
+    for x in (-(-1) ** -1, 1.0, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError, match="from_int takes an int"):
+            f.from_int(x)
+
+
+def test_rationals_hold_integers_as_int():
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.sub(Fraction(3, 2), Fraction(1, 2))) is int
+    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert type(QQ.inv(-1)) is int
+    assert [type(QQ.from_str(s)) for s in ("4", "4/2", "1/2")] == [int, int, Fraction]
+    assert [QQ.quotient(3)(x) for x in (6, -9, 4)] == [2, -3, Fraction(4, 3)]
+    assert QQ.quotient(-2)(3) == Fraction(-3, 2)
+    assert [QQ.to_str(x) for x in (3, Fraction(-1, 2))] == ["3", "-1/2"]
+
+
+def normal_form(entries):
+    """Every integral entry an int, every other a Fraction with
+    denominator > 1."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for r in entries for x in r)
+
+
+def ints(m):
+    return all(type(x) is int for r in m.entries for x in r)
+
+
+def test_integral_input_gives_int_entries():
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        b = ExactMatrix.from_rows([[rng.randint(-4, 4)] for _ in range(n)])
+        assert ints(m @ m) and ints(m.scale(-3)) and ints(m - m.transpose())
+        assert type(m.det()) is int
+        x = m.solve(b)
+        outs = [m.rref()[2], m.kernel()] + ([x] if x is not None else [])
+        outs += [m.inverse()] if m.det() else []
+        assert all(normal_form(out.entries) for out in outs)
+        # unimodular u = lower * upper unitriangular: its inverse, the
+        # solution of u x = u c, the rref of [u | u c] and its kernel
+        # (-c over the identity) are integral, so all ints
+        lo = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+        up = [[rng.randint(-3, 3) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        u = ExactMatrix.from_rows(lo) @ ExactMatrix.from_rows(up)
+        c = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(2)] for _ in range(n)])
+        aug = u.hstack(u @ c)
+        assert u.det() == 1 and type(u.det()) is int
+        assert u.solve(u @ c) == c
+        assert ints(u.inverse()) and ints(u.solve(u @ c))
+        assert ints(aug.rref()[2]) and ints(aug.kernel())
+
+
 def test_rank_and_kernel_consistency():
     m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     rank, kernel = rank_and_kernel(m)
@@ -223,9 +284,13 @@ def test_opposite_sign_pivots_rescale_no_row(monkeypatch, f):
 # -- the one elimination against the oracles, over Q and GF(p) ---------------
 
 def _entries(f):
-    """Mostly-sparse entries; over Q with denominators up to 4."""
-    nonzero = (st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)) if f is QQ
-               else st.integers(0, f.p - 1))
+    """Mostly-sparse entries; over Q a mix of ints and Fractions with
+    denominators 2 to 4, each in the field's normal form."""
+    if f is QQ:
+        nonzero = st.one_of(st.integers(-6, 6), st.builds(
+            lambda n, d: QQ.mul(n, QQ.inv(d)), st.integers(-6, 6), st.integers(2, 4)))
+    else:
+        nonzero = st.integers(0, f.p - 1)
     return st.one_of(st.just(f.zero), nonzero)
 
 
@@ -247,6 +312,7 @@ def test_rref_and_kernel_match_gauss_jordan(f, data):
     k = m.kernel()
     assert (k.nrows, k.ncols) == (m.ncols, m.ncols - o_rank)
     assert (m @ k).is_zero()
+    assert normal_form(rr.entries) and normal_form(k.entries) and normal_form((m @ k).entries)
     assert gauss_jordan(k.transpose().entries, k.nrows, f)[0] == k.ncols
 
 
@@ -266,6 +332,7 @@ def test_solve_matches_gauss_jordan_consistency(f, data):
     if consistent:
         assert (x.nrows, x.ncols) == (m.ncols, nb)
         assert (m @ x - b).is_zero()
+        assert normal_form(x.entries)
     else:
         assert x is None
 
@@ -277,9 +344,10 @@ def test_det_and_inverse_match_cofactor_expansion(f, data):
     n = data.draw(st.integers(1, 5))
     m = _matrix(data, f, n, n)
     d = cofactor_det(m.entries) if f is QQ else cofactor_det(m.entries) % f.p
-    assert m.det() == d
+    assert m.det() == d and normal_form([[m.det()]])
     if f.is_zero(d):
         with pytest.raises(ValueError):
             m.inverse()
     else:
         assert m @ m.inverse() == ExactMatrix.identity(n, f)
+        assert normal_form(m.inverse().entries)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -446,6 +448,159 @@ def test_nerve_equals_bar_on_random_posets(p):
     # Gerstenhaber-Schack: HH of the incidence algebra is the cohomology of
     # the nerve, here up to degree 2 on posets with up to 7 elements
     assert nerve_cohomology(p, 2) == hochschild_of_poset(p, 2)
+
+
+# -- the bar walk against the quadratic assembly it replaced -----------------
+
+def oracle_hochschild_bar(a, max_deg):
+    """Reference for `hochschild_bar`, with no index: every source cochain
+    is compared with every composable (n+1)-tuple, and the product
+    r_i r_{i+1} is recomputed for each source.  Returns the HH dimensions
+    and the coboundary matrices."""
+    f = a.field
+    rad = [(u, v, p) for (u, v), paths in a._basis.items() for p in paths if p]
+
+    def composable_tuples(n):
+        if n == 0:
+            return [()]
+        out = [(r,) for r in rad]
+        for _ in range(n - 1):
+            out = [tup + (r,) for tup in out for r in rad if tup[-1][1] == r[0]]
+        return out
+
+    def cochain_space(n):
+        if n == 0:
+            return [((), (v, v), bp) for v in a.vertex_order for bp in a.basis(v, v)]
+        return [(tup, (tup[0][0], tup[-1][1]), bp) for tup in composable_tuples(n)
+                for bp in a.basis(tup[0][0], tup[-1][1])]
+
+    def lmul(r, blk, elem):
+        if r[1] != blk[0]:
+            return {}
+        out = {}
+        for p, c in elem.items():
+            for bp, c2 in a.reduce_path(r[0], blk[1], r[2] + p).items():
+                out[bp] = f.add(out.get(bp, f.zero), f.mul(c, c2))
+        return out
+
+    def rmul(blk, elem, r):
+        if blk[1] != r[0]:
+            return {}
+        out = {}
+        for p, c in elem.items():
+            for bp, c2 in a.reduce_path(blk[0], r[1], p + r[2]).items():
+                out[bp] = f.add(out.get(bp, f.zero), f.mul(c, c2))
+        return out
+
+    spaces = [cochain_space(n) for n in range(max_deg + 2)]
+    mats = []
+    for n in range(max_deg + 1):
+        src, tgt = spaces[n], spaces[n + 1]
+        tgt_idx = {(tup, bp): i for i, (tup, blk, bp) in enumerate(tgt)}
+        bigs = composable_tuples(n + 1)
+        cols = []
+        for tup, blk, bp in src:
+            col = [f.zero] * len(tgt)
+
+            def add_at(big, elem, sign):
+                for bp2, c in elem.items():
+                    key = (big, bp2)
+                    if key in tgt_idx and not f.is_zero(c):
+                        col[tgt_idx[key]] = f.add(
+                            col[tgt_idx[key]], f.mul(f.from_int(sign), c))
+
+            for big in bigs:
+                if big[1:] == tup:
+                    add_at(big, lmul(big[0], blk, {bp: f.one}), 1)
+                for i in range(1, n + 1):
+                    r_i, r_j = big[i - 1], big[i]
+                    for bp_mid, c_mid in rmul((r_i[0], r_i[1]), {r_i[2]: f.one}, r_j).items():
+                        mid = (r_i[0], r_j[1], bp_mid)
+                        if big[: i - 1] + (mid,) + big[i + 1:] == tup:
+                            add_at(big, {bp: c_mid}, (-1) ** i)
+                if big[:-1] == tup:
+                    add_at(big, rmul(blk, {bp: f.one}, big[-1]), (-1) ** (n + 1))
+            cols.append(col)
+        mats.append(ExactMatrix.from_cols(cols, len(tgt), f))
+    ranks = [m.rank() for m in mats]
+    dims = [len(spaces[n]) - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(max_deg + 1)]
+    return dims, mats
+
+
+def assert_bar_matches_oracle(a, max_deg):
+    """hochschild_bar(a) has the oracle's HH dimensions, and it ranks the
+    oracle's coboundary matrices, entry for entry, to the same ranks."""
+    ranked = {}
+    rank = ExactMatrix.rank
+
+    def recorded(m):
+        ranked[m.nrows, m.ncols, m.entries] = out = rank(m)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactMatrix, "rank", recorded)
+        dims = hochschild_bar(a, max_deg)
+    o_dims, o_mats = oracle_hochschild_bar(a, max_deg)
+    assert dims == o_dims
+    for m in o_mats:
+        assert ranked[m.nrows, m.ncols, m.entries] == m.rank()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(p=random_posets(max_n=6))
+def test_bar_walk_matches_oracle_on_random_posets(field, p):
+    assert_bar_matches_oracle(incidence_algebra(p, field), 2)
+
+
+@pytest.mark.parametrize("weights, lambdas", [([2] * 4, [1, 2]), ([2] * 5, None)])
+def test_bar_walk_matches_oracle_on_canonical(weights, lambdas):
+    assert_bar_matches_oracle(build_algebra(canonical_presentation(weights, lambdas)), 2)
+
+
+def sweep_posets(seed=1):
+    """The 120 random posets of a `sweep` pass: 10 each with 5..8 strict
+    order pairs on 5 elements, 6..9 on 6 and 7..10 on 7, each drawn as
+    random comparable pairs on shuffled labels until its closure has the
+    wanted count."""
+    rng = random.Random(seed)
+    out = []
+    for n, counts in {5: (5, 6, 7, 8), 6: (6, 7, 8, 9), 7: (7, 8, 9, 10)}.items():
+        candidates = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for pairs in counts:
+            for _ in range(10):
+                while True:
+                    edges = sorted(rng.sample(candidates, rng.randint(1, pairs)))
+                    above = [0] * n  # strict up-sets of the closure, as bitmasks
+                    for i, j in reversed(edges):
+                        above[i] |= 1 << j | above[j]
+                    if sum(bin(m).count("1") for m in above) == pairs:
+                        break
+                labels = ["e%d" % i for i in range(n)]
+                rng.shuffle(labels)
+                out.append(poset_from_covers(labels, [(labels[i], labels[j]) for i, j in edges]))
+    return out
+
+
+def test_bar_walk_reduces_each_product_once(monkeypatch):
+    # the walk multiplies r_i r_{i+1} once per tuple, not once per source
+    # cochain: on the posets of a sweep pass it reduces about half as many
+    # paths as the quadratic assembly
+    algebras = [incidence_algebra(p) for p in sweep_posets()]
+    assert len(algebras) == 120
+    calls = []
+    reduce_path = algebra.BoundQuiverAlgebra.reduce_path
+
+    def counted(self, *args):
+        calls.append(args)
+        return reduce_path(self, *args)
+
+    monkeypatch.setattr(algebra.BoundQuiverAlgebra, "reduce_path", counted)
+    walk = [hochschild_bar(a, 2) for a in algebras]
+    walk_calls = len(calls)
+    assert walk == [oracle_hochschild_bar(a, 2)[0] for a in algebras]
+    assert (walk_calls, len(calls) - walk_calls) == (3145, 6198)
 
 
 def test_constructed_maps_commute(monkeypatch):

@@ -5,6 +5,7 @@ module maps and Hom spaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import ExactMatrix, QQ
@@ -431,12 +432,23 @@ def kernel_of(mm: ModuleMap) -> Tuple[Representation, ModuleMap]:
         kbases[v] = mm.block(v).kernel()  # columns span the kernel at v
     dims = {v: kbases[v].ncols for v in alg.vertex_order}
     maps = {}
-    for a in alg.quiver.arrows:
-        img = mm.source.map_of(a.name) @ kbases[a.source]
-        sol = kbases[a.target].solve(img)
+    for v in alg.vertex_order:
+        arrows = alg.quiver.arrows_into(v)
+        if not arrows:
+            continue
+        # one solve per target vertex, the images of its arrows side by side
+        imgs = [mm.source.map_of(a.name) @ kbases[a.source] for a in arrows]
+        sol = kbases[v].solve(reduce(ExactMatrix.hstack, imgs))
         if sol is None:
             raise AlgebraError("kernel not arrow-stable (inconsistent solve)")
-        maps[a.name] = sol
+        if len(arrows) == 1:  # the whole solution is the one arrow's map
+            maps[arrows[0].name] = sol
+            continue
+        lo = 0
+        for a, img in zip(arrows, imgs):
+            maps[a.name] = ExactMatrix(f, sol.nrows, img.ncols,
+                                       tuple(r[lo:lo + img.ncols] for r in sol.entries))
+            lo += img.ncols
     ker = make_rep(alg, dims, maps, check=False)
     incl = module_map(ker, mm.source, {v: kbases[v] for v in alg.vertex_order}, check=False)
     return ker, incl

@@ -12,8 +12,9 @@ from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_for
 from .posets import Poset, order_complex
 from .quivers import unique_path_property
 from .algebra import (BoundQuiverAlgebra, ModuleMap, ProjectiveRep,
-                      Representation, hom_from_generators, incidence_algebra,
-                      kernel_of, projective_rep, simple_module)
+                      Representation, direct_sum_rep, hom_from_generators,
+                      incidence_algebra, kernel_of, projective_rep,
+                      simple_module)
 
 
 class ResolutionError(RuntimeError):
@@ -50,7 +51,11 @@ class ProjectiveResolution:
 def _top_generators(m: Representation):
     """Vertexwise lifts of a basis of M / rad M: (vertex, column) pairs.
 
-    rad M at v is the sum of the images of the incoming arrow maps."""
+    rad M at v is the sum of the images of the incoming arrow maps.  The
+    unit vectors that extend it to M at v are the pivots of
+    [rad columns | I] past the radical columns: one elimination per vertex
+    picks the same units, in the same order, as adding them one at a time
+    while the rank grows."""
     alg = m.algebra
     f = alg.field
     gens = []
@@ -60,19 +65,10 @@ def _top_generators(m: Representation):
             continue
         cols = [c for a in alg.quiver.arrows_into(v)
                 for c in m.map_of(a.name).transpose().entries]
-        cur = ExactMatrix.from_cols(cols, d, f)
-        rank = cur.rank()
-        if rank == d:
-            continue
-        for i in range(d):
-            unit = ExactMatrix(f, d, 1, tuple(
-                (f.one,) if r == i else (f.zero,) for r in range(d)))
-            cand = cur.hstack(unit)
-            if cand.rank() > rank:
-                cur, rank = cand, rank + 1
-                gens.append((v, unit))
-                if rank == d:
-                    break
+        ident = ExactMatrix.identity(d, f)
+        _, pivots, _ = ExactMatrix.from_cols(cols, d, f).hstack(ident).rref()
+        gens += [(v, ExactMatrix.from_cols([ident.col(i - len(cols))], d, f))
+                 for i in pivots if i >= len(cols)]
     return gens
 
 
@@ -193,17 +189,17 @@ def ext_dims(m: Representation, n: Representation, max_i: int) -> List[int]:
     return minimal_resolution(m).ext_dims(n, max_i)
 
 
-def projective_dimension(m: Representation) -> int:
-    return minimal_resolution(m).length
-
-
 def global_dimension(a: BoundQuiverAlgebra) -> int:
-    """The largest projective dimension of a simple.  For an incidence
-    algebra it is read off the interval cohomology of its poset
-    (`poset_global_dimension`); no simple is resolved."""
+    """The projective dimension of the top A/rad A, the direct sum of the
+    simples.  A minimal resolution of a direct sum is the direct sum of
+    minimal resolutions, so its length is the largest projective dimension
+    of a simple, and the top is resolved once.  For an incidence algebra
+    it is read off the interval cohomology of its poset
+    (`poset_global_dimension`); no module is resolved."""
     if a.poset is not None:
         return poset_global_dimension(a.poset, a.field)
-    return max(projective_dimension(simple_module(a, v)) for v in a.vertex_order)
+    top = direct_sum_rep([simple_module(a, v) for v in a.vertex_order])
+    return minimal_resolution(top).length
 
 
 # -- the integer invariants of a Cartan matrix --------------------------------

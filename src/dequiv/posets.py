@@ -80,9 +80,6 @@ class Poset:
     def order_pairs(self) -> int:
         return len(self.relation)
 
-    def down_set(self, x):
-        return [y for y in self.elements if self.leq(y, x)]
-
     def up_set(self, x):
         return [y for y in self.elements if self.leq(x, y)]
 

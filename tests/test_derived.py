@@ -227,13 +227,14 @@ def test_report_resolves_no_poset_simples(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     r = verify_weights(3, 3, 3)
     assert r["verdict"] == "pass"
-    # the 8 canonical simples; the poset gldim comes from its intervals
-    assert len(resolutions) == 8
+    # the top of the canonical algebra, resolved once; the poset gldim comes
+    # from its intervals
+    assert len(resolutions) == 1
     resolutions.clear()
     r = verify_weights(3, 3, 3, True)
     assert r["verdict"] == "pass"
-    # the 8 canonical simples and the 8 cone-functor images of the table check
-    assert len(resolutions) == 16
+    # the canonical top and the 8 cone-functor images of the table check
+    assert len(resolutions) == 9
     assert all(a.poset is None for a in resolved_algebras(resolutions))
     monkeypatch.undo()
     assert r["certificates"]["poset"]["gldim"] == \
@@ -244,10 +245,23 @@ def test_remark_family_resolves_only_the_target(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     r = verify_remark_family(1, 3, 4)
     assert r["verdict"] == "pass"
-    # the 8 simples of the canonical (2,3,4) target; each orientation's
-    # gldim comes from its intervals
-    assert len(resolutions) == 8
+    # the top of the canonical (2,3,4) target, resolved once; each
+    # orientation's gldim comes from its intervals
+    assert len(resolutions) == 1
     assert all(a.poset is None for a in resolved_algebras(resolutions))
+
+
+def test_global_dimension_solves_once_per_kernel_vertex(monkeypatch):
+    # canonical (3,3,3): gldim 2, so its top's resolution takes 3 kernels,
+    # and each solves once at each of the 7 vertices with incoming arrows
+    a = build_algebra(canonical_presentation([3, 3, 3]))
+    kernels = count_calls(monkeypatch, homology, "kernel_of")
+    solves = count_calls(monkeypatch, ExactMatrix, "solve")
+    assert homology.global_dimension(a) == 2
+    into = [v for v in a.vertex_order if a.quiver.arrows_into(v)]
+    assert len(into) == 7
+    assert len(kernels) == 3
+    assert len(solves) == 21
 
 
 def canonical_target(weights):

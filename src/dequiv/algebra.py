@@ -382,14 +382,15 @@ def identity_map(m: Representation) -> ModuleMap:
 def hom_from_generators(p: ProjectiveRep, n: Representation,
                         gen_images: Sequence[ExactMatrix]) -> ModuleMap:
     """The module map P -> N sending the j-th projective generator to the
-    given column vector in N at blocks[j].  It commutes with the arrows by
-    construction (each basis label is a path applied to a generator), so
-    the commutation check is skipped."""
+    given column vector in N at blocks[j]; a basis label (j, path) goes to
+    that vector carried along the path, one arrow map at a time.  It
+    commutes with the arrows by construction, so the check is skipped."""
     alg = p.rep.algebra
     f = alg.field
+    maps = dict(n.maps)
     blocks = {}
     for w in alg.vertex_order:
-        cols = [(n.act_path(p.blocks[j], path) @ gen_images[j]).col(0)
+        cols = [reduce(lambda v, name: maps[name] @ v, path, gen_images[j]).col(0)
                 for j, path in p.labels_at(w)]
         blocks[w] = ExactMatrix.from_cols(cols, n.dim(w), f)
     return module_map(p.rep, n, blocks, check=False)

@@ -9,7 +9,7 @@ import sys
 
 import click
 
-from .exactla import field_from_spec
+from .exactla import QQ, field_from_spec
 from .posets import Poset, PosetError, enumerate_posets
 from .quivers import (Presentation, QuiverError, bgp_reflect, canonical_presentation)
 from .algebra import AlgebraError, build_algebra, incidence_algebra
@@ -83,6 +83,12 @@ def main(ctx, fmt, field_spec):
         raise click.UsageError(str(exc))
 
 
+def _require_q(ctx, command):
+    """Refuse a --field other than q: the command builds its algebras over Q."""
+    if ctx.obj["field"] is not QQ:
+        raise click.UsageError("%s runs over q only" % command)
+
+
 def _algebra_from_source(ctx, weights, lambdas, poset_path, quiver_path):
     sources = [s for s in (weights, poset_path, quiver_path) if s]
     if len(sources) != 1:
@@ -140,6 +146,7 @@ def verify():
               help="Also run the Ext-table and unimodularity check.")
 @click.pass_context
 def verify_xp_cmd(ctx, weights, beilinson):
+    _require_q(ctx, "verify xp")
     ws = _parse_weights(weights)
     if len(ws) != 3 or not ws[0] <= ws[1] <= ws[2]:
         raise click.UsageError("expected three nondecreasing weights")
@@ -152,6 +159,7 @@ def verify_xp_cmd(ctx, weights, beilinson):
 @click.option("--weights", required=True, help="Two weights p1,p2.")
 @click.pass_context
 def verify_t2_cmd(ctx, weights):
+    _require_q(ctx, "verify t2")
     ws = _parse_weights(weights)
     if len(ws) != 2:
         raise click.UsageError("expected two weights")
@@ -168,6 +176,7 @@ def verify_t2_cmd(ctx, weights):
               show_default=True)
 @click.pass_context
 def verify_remark_cmd(ctx, family, p2, p3, orientations):
+    _require_q(ctx, "verify remark")
     report = verify_remark_family(family, p2, p3)
     _emit(ctx, report)
     sys.exit(0 if report["verdict"] == "pass" else 1)
@@ -227,6 +236,7 @@ def search():
 @click.pass_context
 def search_no_poset(ctx, p):
     """Search for posets derived-matching the two-parallel-paths algebra."""
+    _require_q(ctx, "search no-poset")
     report = no_poset_search(p)
     _emit(ctx, report)
     sys.exit(0 if report["verdict"] == "pass" else 1)

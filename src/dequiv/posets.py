@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -30,23 +31,25 @@ def _members(mask: int):
 
 @dataclass(frozen=True)
 class Poset:
-    """Finite poset; the full order relation (reflexive-transitive closure)
-    is stored as a frozenset of (x, y) pairs with x <= y.  Validation also
-    records, per element in `elements` order, the bitmask of its up-set
-    (bit j set when x <= elements[j]), which the isomorphism and
-    enumeration routines read."""
+    """Finite poset, its order stored once as up-set bitmasks: up_masks[i]
+    has bit j set when elements[i] <= elements[j].  The constructor trusts
+    its masks, as every construction in this module may; an order from
+    outside comes in through `from_relation`, `poset_from_covers` or
+    `from_json`, which check the partial-order axioms."""
 
     elements: tuple
-    relation: frozenset
-    up_masks: tuple = field(init=False, repr=False, compare=False)
+    up_masks: tuple
 
-    def __post_init__(self):
-        elems = self.elements
+    @staticmethod
+    def from_relation(elements: Sequence[str], relation: Iterable[Tuple[str, str]]) -> "Poset":
+        """The poset whose order is the set of pairs (x, y), x <= y, once the
+        labels are checked distinct and the relation a partial order."""
+        elems = tuple(elements)
         if len(set(elems)) != len(elems):
             raise PosetError("duplicate element labels")
         index = {x: i for i, x in enumerate(elems)}
         up = [0] * len(elems)
-        for x, y in self.relation:
+        for x, y in relation:
             if x not in index or y not in index:
                 raise PosetError("relation pair (%s, %s) off the element set" % (x, y))
             up[index[x]] |= 1 << index[y]
@@ -63,25 +66,35 @@ class Poset:
                 if missing:
                     z = elems[(missing & -missing).bit_length() - 1]
                     raise PosetError("relation not transitive on (%s, %s, %s)" % (x, elems[j], z))
-        object.__setattr__(self, "up_masks", tuple(up))
+        return Poset(elems, tuple(up))
 
     # -- queries -----------------------------------------------------------
 
+    @cached_property
+    def _index(self) -> Dict[str, int]:
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @property
+    def relation(self) -> frozenset:
+        """The pairs (x, y) with x <= y, built from the masks on each call."""
+        elems = self.elements
+        return frozenset((x, elems[j]) for x, m in zip(elems, self.up_masks)
+                         for j in _members(m))
+
     def leq(self, x, y) -> bool:
-        return (x, y) in self.relation
+        index = self._index
+        return self.up_masks[index[x]] >> index[y] & 1 == 1
 
     def lt(self, x, y) -> bool:
-        return x != y and (x, y) in self.relation
+        index = self._index
+        return x != y and self.up_masks[index[x]] >> index[y] & 1 == 1
 
     @property
     def n(self) -> int:
         return len(self.elements)
 
     def order_pairs(self) -> int:
-        return len(self.relation)
-
-    def up_set(self, x):
-        return [y for y in self.elements if self.leq(x, y)]
+        return sum(m.bit_count() for m in self.up_masks)
 
     def covers(self) -> Tuple[Tuple[str, str], ...]:
         """Cover pairs (x, y) with x covered by y: the transitive reduction.
@@ -98,21 +111,18 @@ class Poset:
         return tuple(sorted(out))
 
     def is_connected(self) -> bool:
-        if not self.elements:
+        up = self.up_masks
+        if not up:
             return True
-        adj: Dict[str, set] = {x: set() for x in self.elements}
-        for x, y in self.relation:
-            if x != y:
-                adj[x].add(y)
-                adj[y].add(x)
-        seen = {self.elements[0]}
-        stack = [self.elements[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.elements)
+        near = [m | d for m, d in zip(up, _down_masks(up))]
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for i in _members(frontier):
+                reach |= near[i]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << len(up)) - 1
 
     # -- io ----------------------------------------------------------------
 
@@ -142,54 +152,40 @@ class Poset:
 def poset_from_covers(elements: Sequence[str], covers: Iterable[Tuple[str, str]]) -> Poset:
     """Build a poset as the reflexive-transitive closure of cover pairs.
 
-    A directed cycle among the covers is rejected with the offending cycle.
+    One depth-first search rejects a directed cycle among the covers with
+    the offending cycle, and sets each element's up-set mask when its
+    visit finishes, from those of its upper covers.
     """
     elements = tuple(elements)
-    es = set(elements)
-    if len(es) != len(elements):
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
         raise PosetError("duplicate element labels")
-    covers = list(covers)
+    succ: Dict[str, List[str]] = {x: [] for x in elements}
     for x, y in covers:
-        if x not in es or y not in es:
+        if x not in index or y not in index:
             raise PosetError("cover (%s, %s) off the element set" % (x, y))
         if x == y:
             raise CycleError([x, x])
-    succ: Dict[str, List[str]] = {x: [] for x in elements}
-    for x, y in covers:
         succ[x].append(y)
-    # cycle detection with explicit cycle extraction
-    color = {x: 0 for x in elements}
+    up: Dict[str, int] = {}  # set when a visit finishes
     stack_path: List[str] = []
 
     def visit(v):
-        color[v] = 1
         stack_path.append(v)
+        mask = 1 << index[v]
         for w in succ[v]:
-            if color[w] == 1:
-                i = stack_path.index(w)
-                raise CycleError(stack_path[i:] + [w])
-            if color[w] == 0:
+            if w in stack_path:
+                raise CycleError(stack_path[stack_path.index(w):] + [w])
+            if w not in up:
                 visit(w)
+            mask |= up[w]
         stack_path.pop()
-        color[v] = 2
+        up[v] = mask
 
     for v in elements:
-        if color[v] == 0:
+        if v not in up:
             visit(v)
-    rel = set((x, x) for x in elements)
-    # closure by DFS reachability
-    for x in elements:
-        seen = set()
-        stack = list(succ[x])
-        while stack:
-            y = stack.pop()
-            if y in seen:
-                continue
-            seen.add(y)
-            stack.extend(succ[y])
-        for y in seen:
-            rel.add((x, y))
-    return Poset(elements, frozenset(rel))
+    return Poset(elements, tuple(up[x] for x in elements))
 
 
 def hasse(p: Poset) -> Tuple[Tuple[str, str], ...]:
@@ -198,16 +194,17 @@ def hasse(p: Poset) -> Tuple[Tuple[str, str], ...]:
 
 
 def poset_product(p: Poset, q: Poset) -> Poset:
-    """Componentwise order on label pairs '(a,b)'."""
+    """Componentwise order on label pairs '(a,b)'; the pair (i, j) of
+    indices has index i * q.n + j."""
     elems = tuple("(%s,%s)" % (a, b) for a in p.elements for b in q.elements)
-    rel = set()
-    for a in p.elements:
-        for b in q.elements:
-            for c in p.elements:
-                for d in q.elements:
-                    if p.leq(a, c) and q.leq(b, d):
-                        rel.add(("(%s,%s)" % (a, b), "(%s,%s)" % (c, d)))
-    return Poset(elems, frozenset(rel))
+    up = []
+    for m in p.up_masks:
+        for mq in q.up_masks:
+            mask = 0
+            for k in _members(m):
+                mask |= mq << k * q.n
+            up.append(mask)
+    return Poset(elems, tuple(up))
 
 
 def chain(n: int, prefix: str = "c") -> Poset:
@@ -371,15 +368,6 @@ def _order_ideals(down: Sequence[int]) -> List[int]:
     return ideals
 
 
-def _extend(p: Poset, ideal: int, label: str) -> Poset:
-    """p with a new maximal element `label` over the order ideal `ideal`;
-    the new relation shares p's pairs."""
-    rel = set(p.relation)
-    rel.add((label, label))
-    rel.update((p.elements[i], label) for i in _members(ideal))
-    return Poset(p.elements + (label,), frozenset(rel))
-
-
 def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
     """All posets on n elements up to isomorphism (labels '0'..'n-1').
 
@@ -387,19 +375,18 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
     smaller poset, deduplicated by canonical form.  A candidate is dropped
     before it is canonicalised when another of its maximal elements has a
     strictly larger down-set than the new one: every poset still arises by
-    adding a maximal element of largest down-set to the rest.  Candidates
-    are canonicalised on their up-set masks, and a `Poset` is built only
-    for the first candidate of each class.  Each level is sorted by
-    canonical key.
+    adding a maximal element of largest down-set to the rest.  Each level
+    is kept as the up-set masks of the first candidate of each class,
+    sorted by canonical key, and a `Poset` is built only for the classes
+    of the last level.
     """
     if not 1 <= n <= 8:
         raise PosetError("enumeration supported for 1 <= n <= 8, got %d" % n)
-    level = [poset_from_covers(["0"], [])]
+    level = [(1,)]
     for size in range(2, n + 1):
         new_bit = 1 << (size - 1)
         seen = {}
-        for p in level:
-            up = p.up_masks
+        for up in level:
             down = _down_masks(up)
             down_size = [d.bit_count() for d in down]
             maximal = [i for i, m in enumerate(up) if m == 1 << i]
@@ -409,14 +396,13 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
                     continue
                 masks = tuple(m | new_bit if ideal >> i & 1 else m
                               for i, m in enumerate(up)) + (new_bit,)
-                bits = _canonical_labelling(masks)[0]
-                if bits not in seen:
-                    seen[bits] = (p, ideal)
-        label = str(size - 1)
-        level = [_extend(p, ideal, label) for _, (p, ideal) in sorted(seen.items())]
+                seen.setdefault(_canonical_labelling(masks)[0], masks)
+        level = [masks for _, masks in sorted(seen.items())]
+    elements = tuple(str(i) for i in range(n))
+    posets = [Poset(elements, up) for up in level]
     if connected_only:
-        level = [p for p in level if p.is_connected()]
-    return level
+        posets = [p for p in posets if p.is_connected()]
+    return posets
 
 
 # -- the weight-triple families ---------------------------------------------

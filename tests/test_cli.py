@@ -184,3 +184,18 @@ def test_hh_nerve_over_the_prime_field(rp2, tmp_path, capsys):
     assert run(args) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["nerve"] == out["bar"] == [1, 0, 0] and out["agree"]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "xp", "--weights", "2,3,3"],
+    ["verify", "t2", "--weights", "2,3"],
+    ["verify", "remark", "--family", "3", "--p2", "2", "--p3", "2"],
+    ["search", "no-poset", "--p", "2"],
+], ids=lambda args: " ".join(args[:2]))
+def test_rational_only_commands_refuse_another_field(capsys, args):
+    # these pipelines build every algebra over Q; a prime field is refused
+    # rather than ignored
+    assert run(["--field", "fp:2"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s runs over q only\n" % " ".join(args[:2])

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dequiv import posets
 from dequiv.posets import (CycleError, Poset, PosetError, antichain,
-                           are_isomorphic, build_Xp, canonical_key, chain,
-                           diamond, enumerate_posets, hasse, order_complex,
-                           poset_from_covers, poset_product)
+                           are_isomorphic, build_Xp, build_remark_poset,
+                           canonical_key, chain, diamond, enumerate_posets,
+                           hasse, order_complex, poset_from_covers,
+                           poset_product, remark_free_edges)
 
 
 def naive_count(n):
@@ -98,24 +99,24 @@ def count_orderings(monkeypatch):
 def test_enumeration_canonicalises_only_unpruned_candidates(monkeypatch):
     """Work pin: candidates whose new maximal element does not have a
     largest down-set are dropped before they are canonicalised (938
-    labellings without the cut), and a Poset is built and validated only
-    for each new class: one per class on levels 1..6 (1 + 2 + 5 + 16 + 63 +
-    318), not one per candidate.  Twins are kept in order, so the 582
-    labellings try 814 orderings (3,460 when each colour cell is permuted
-    in every way)."""
-    validations = []
-    post_init = Poset.__post_init__
+    labellings without the cut), and a Poset is built only for each class
+    of the returned level (318), not for the classes of the smaller levels
+    (405 on levels 1..6) nor per candidate.  Twins are kept in order, so
+    the 582 labellings try 814 orderings (3,460 when each colour cell is
+    permuted in every way)."""
+    built = []
+    init = Poset.__init__
 
-    def counting_post_init(self):
-        validations.append(self.n)
-        post_init(self)
+    def counting_init(self, *args):
+        built.append(len(args[0]))
+        init(self, *args)
 
     tried = count_orderings(monkeypatch)
-    monkeypatch.setattr(Poset, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Poset, "__init__", counting_init)
     assert len(enumerate_posets(6)) == 318
     assert len(tried) == 582
     assert sum(tried) == 814
-    assert len(validations) == 405
+    assert built == [6] * 318
 
 
 def test_labelling_equals_oracle_on_enumeration_candidates(monkeypatch):
@@ -151,7 +152,8 @@ def test_wide_posets_try_one_ordering(monkeypatch, p):
     orderings without twin collapse) and a bottom and a top around 10
     middles (10!) each try a single ordering per labelling."""
     name = {x: "v%d" % i for i, x in enumerate(reversed(p.elements))}
-    q = Poset(tuple(sorted(name.values())), frozenset((name[x], name[y]) for x, y in p.relation))
+    q = Poset.from_relation(tuple(sorted(name.values())),
+                            frozenset((name[x], name[y]) for x, y in p.relation))
     tried = count_orderings(monkeypatch)
     assert canonical_key(p) == canonical_key(q)
     assert_replays(p, q, are_isomorphic(p, q))
@@ -162,7 +164,7 @@ def test_covers_against_relation_scan():
     """Covers read off the up-set masks equal the pairs x < y with no z
     strictly between, on all posets n <= 6 in both element orders."""
     posets_6 = [p for n in range(1, 7) for p in enumerate_posets(n)]
-    for p in posets_6 + [Poset(p.elements[::-1], p.relation) for p in posets_6]:
+    for p in posets_6 + [Poset.from_relation(p.elements[::-1], p.relation) for p in posets_6]:
         scan = sorted((x, y) for x, y in p.relation
                       if x != y and not any(p.lt(x, z) and p.lt(z, y) for z in p.elements))
         assert p.covers() == tuple(scan)
@@ -173,7 +175,7 @@ def test_order_ideals_against_subset_scan():
     subsets found by testing all 2^n subsets, also when the element order
     is reversed and so is no linear extension."""
     posets_5 = [p for n in range(1, 6) for p in enumerate_posets(n)]
-    for p in posets_5 + [Poset(p.elements[::-1], p.relation) for p in posets_5]:
+    for p in posets_5 + [Poset.from_relation(p.elements[::-1], p.relation) for p in posets_5]:
         n = p.n
         down = [[j for j in range(n) if p.leq(p.elements[j], x)] for x in p.elements]
         scan = [mask for mask in range(1 << n)
@@ -204,7 +206,7 @@ def labelled_posets(n):
             continue
         if any((x, z) not in rel and x != z for x, y in rel for y2, z in rel if y2 == y):
             continue
-        out.append(Poset(tuple(labels), frozenset(rel | {(x, x) for x in labels})))
+        out.append(Poset.from_relation(tuple(labels), frozenset(rel | {(x, x) for x in labels})))
     return out
 
 
@@ -249,8 +251,8 @@ def test_canonical_key_against_brute_force_isomorphism(n):
 def test_relabelled_connected_6_posets_keep_their_key(perm):
     for p in enumerate_posets(6, connected_only=True):
         name = {x: "v%d" % perm[i] for i, x in enumerate(p.elements)}
-        q = Poset(tuple(sorted(name.values())),
-                  frozenset((name[x], name[y]) for x, y in p.relation))
+        q = Poset.from_relation(tuple(sorted(name.values())),
+                                frozenset((name[x], name[y]) for x, y in p.relation))
         assert canonical_key(q) == canonical_key(p)
         assert_replays(p, q, are_isomorphic(p, q))
 
@@ -267,7 +269,7 @@ def test_validation_accepts_exactly_the_partial_orders():
         antisymmetric = not any(x != y and (y, x) in rel for x, y in rel)
         transitive = all((x, z) in rel for x, y in rel for y2, z in rel if y2 == y)
         try:
-            Poset(labels, frozenset(rel))
+            Poset.from_relation(labels, frozenset(rel))
         except PosetError as err:
             assert not (reflexive and antisymmetric and transitive)
             msg = str(err)
@@ -287,7 +289,7 @@ def test_validation_accepts_exactly_the_partial_orders():
             accepted += 1
     assert accepted == 19
     with pytest.raises(PosetError, match=r"relation pair \(a, d\) off the element set"):
-        Poset(labels, frozenset({(x, x) for x in labels} | {("a", "d")}))
+        Poset.from_relation(labels, frozenset({(x, x) for x in labels} | {("a", "d")}))
 
 
 def test_enumeration_is_irredundant():
@@ -350,4 +352,111 @@ def test_order_complex_of_diamond():
 
 def test_poset_validation_rejects_partial_relation():
     with pytest.raises(Exception):
-        Poset(("a", "b"), frozenset({("a", "b")}))  # missing reflexivity
+        Poset.from_relation(("a", "b"), frozenset({("a", "b")}))  # missing reflexivity
+
+
+def assert_passes_the_axiom_checks(p):
+    """p, built without the axiom checks, passes them with the same masks."""
+    assert Poset.from_relation(p.elements, p.relation).up_masks == p.up_masks
+
+
+def test_unchecked_constructions_are_partial_orders():
+    """Enumeration, X_p, the remark families and products trust their masks
+    without the checks of `Poset.from_relation`; every poset they build
+    passes those checks, and a product has the componentwise order."""
+    built = [p for n in range(1, 8) for p in enumerate_posets(n)]
+    assert len(built) == 1 + 2 + 5 + 16 + 63 + 318 + 2045
+    sweep = [(p1, p2, p3) for p1 in range(2, 6) for p2 in range(p1, 6) for p3 in range(p2, 6)]
+    assert len(sweep) == 20
+    built += [build_Xp(*w) for w in sweep]
+    orientations = 0
+    for family, p2, p3 in ((1, 3, 3), (1, 3, 4), (2, 3, 3), (2, 3, 4),
+                           (3, 2, 2), (3, 2, 3), (3, 3, 3)):
+        free = remark_free_edges(family, p2, p3)
+        for mask in range(1 << len(free)):
+            try:
+                built.append(build_remark_poset(
+                    family, p2, p3, [mask >> k & 1 for k in range(len(free))]))
+                orientations += 1
+            except CycleError:
+                pass
+    assert orientations == 29
+    factors = [(chain(2), chain(2)),
+               (poset_product(chain(2, "a"), chain(2, "b")), chain(2, "c")),
+               (diamond(), antichain(2)), (build_Xp(2, 2, 3), chain(3)),
+               (antichain(0), chain(2))]
+    for p, q in factors:
+        prod = poset_product(p, q)
+        assert prod.relation == {("(%s,%s)" % (a, b), "(%s,%s)" % (c, d))
+                                 for a in p.elements for b in q.elements
+                                 for c in p.elements for d in q.elements
+                                 if p.leq(a, c) and q.leq(b, d)}
+        built.append(prod)
+    for p in built:
+        assert_passes_the_axiom_checks(p)
+
+
+@st.composite
+def random_covers(draw, max_n=7):
+    """Shuffled labels and random cover pairs on them: forward pairs in
+    label order (acyclic) or any pairs (often cyclic)."""
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.permutations(["v%d" % i for i in range(n)]))
+    forward = draw(st.booleans())
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(n)
+             if (i < j if forward else i != j)]
+    covers = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    return labels, covers
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_covers())
+def test_covers_give_their_closure_or_a_cycle(data):
+    """The depth-first search of `poset_from_covers` gives the
+    reflexive-transitive closure of the covers, which passes the axiom
+    checks, or names a cycle of covers when there is one."""
+    labels, covers = data
+    closure = {(x, x) for x in labels} | set(covers)
+    while True:
+        longer = {(x, z) for x, y in closure for y2, z in closure if y == y2}
+        if longer <= closure:
+            break
+        closure |= longer
+    if any((y, x) in closure for x, y in covers):
+        with pytest.raises(CycleError) as err:
+            poset_from_covers(labels, covers)
+        cycle = err.value.cycle
+        assert cycle[0] == cycle[-1] and set(zip(cycle, cycle[1:])) <= set(covers)
+    else:
+        p = poset_from_covers(labels, covers)
+        assert p.relation == closure
+        assert_passes_the_axiom_checks(p)
+
+
+def test_orders_from_outside_are_refused_with_the_same_texts():
+    """Every way an order comes in (pairs, covers, JSON) refuses a bad one
+    with a message naming the problem."""
+    def refusal(build, *args):
+        with pytest.raises(PosetError) as err:
+            build(*args)
+        return str(err.value)
+
+    loop = {(x, x) for x in "ab"}
+    assert refusal(Poset.from_relation, ("a", "a"), loop) == "duplicate element labels"
+    assert refusal(poset_from_covers, ["a", "a"], []) == "duplicate element labels"
+    assert refusal(Poset.from_json, {"elements": ["a", "a"], "covers": []}) \
+        == "duplicate element labels"
+    assert refusal(Poset.from_relation, ("a", "b"), loop | {("a", "c")}) \
+        == "relation pair (a, c) off the element set"
+    assert refusal(poset_from_covers, ["a", "b"], [("a", "c")]) == "cover (a, c) off the element set"
+    assert refusal(Poset.from_relation, ("a", "b"), {("a", "a")}) == "relation not reflexive at b"
+    assert refusal(Poset.from_relation, ("a", "b"), loop | {("a", "b"), ("b", "a")}) \
+        == "relation not antisymmetric on (a, b)"
+    assert refusal(Poset.from_relation, ("a", "b", "c"),
+                   {(x, x) for x in "abc"} | {("a", "b"), ("b", "c")}) \
+        == "relation not transitive on (a, b, c)"
+    assert refusal(poset_from_covers, ["a", "b"], [("b", "b")]) \
+        == "cover relation contains a cycle: b < b"
+    assert refusal(Poset.from_json, {"elements": ["a", "b", "c"],
+                                     "covers": [["a", "b"], ["b", "c"], ["c", "b"]]}) \
+        == "cover relation contains a cycle: b < c < b"

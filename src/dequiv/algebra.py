@@ -115,10 +115,6 @@ class BoundQuiverAlgebra:
                 out[p] = c
         return out
 
-    def multiply_basis(self, u, v, p, w, q_path) -> Dict[tuple, object]:
-        """Product [p]*[q] of basis classes, p: u->v and q: v->w, in basis."""
-        return self.reduce_path(u, w, p + q_path)
-
     # -- invariants --------------------------------------------------------
 
     def cartan_matrix(self) -> ExactMatrix:
@@ -148,11 +144,11 @@ class BoundQuiverAlgebra:
             triples = triples[::max(1, len(triples) // sample)][:sample]
         for u, v, w, z, p, q, r in triples:
             left = {}
-            for s, c in self.multiply_basis(u, v, p, w, q).items():
+            for s, c in self.reduce_path(u, w, p + q).items():
                 for t2, c2 in self.reduce_path(u, z, s + r).items():
                     left[t2] = f.add(left.get(t2, f.zero), f.mul(c, c2))
             right = {}
-            for s, c in self.multiply_basis(v, w, q, z, r).items():
+            for s, c in self.reduce_path(v, z, q + r).items():
                 for t2, c2 in self.reduce_path(u, z, p + s).items():
                     right[t2] = f.add(right.get(t2, f.zero), f.mul(c, c2))
             keys = set(left) | set(right)

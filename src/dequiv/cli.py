@@ -120,7 +120,7 @@ def canonical(ctx, weights, lambdas):
 def incidence(ctx, poset_path):
     """Presentation of the incidence algebra of a poset file."""
     from .quivers import incidence_presentation
-    _emit(ctx, incidence_presentation(Poset.load(poset_path)).to_json())
+    _emit(ctx, incidence_presentation(Poset.load(poset_path), ctx.obj["field"]).to_json())
 
 
 @main.command()

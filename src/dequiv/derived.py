@@ -1,5 +1,6 @@
 """Bounded complexes of representations, shift and cone, the cone functor
-from diagrams over the weight-triple posets to the canonical algebra,
+from complexes of modules over the incidence algebras of the weight-triple
+posets to complexes over the canonical algebras,
 derived Hom tables, the Beilinson-style table check, verification
 pipelines and the exhaustive no-poset search."""
 
@@ -13,11 +14,11 @@ from .exactla import ExactMatrix
 from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
                      enumerate_posets, remark_free_edges, zeta_rows)
 from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
-                      a1p_presentation, hasse_quiver, incidence_presentation,
+                      a1p_presentation, incidence_presentation,
                       is_gentle, t2_poset, unique_path_property)
 from .algebra import (BoundQuiverAlgebra, ModuleMap, Representation,
                       build_algebra, direct_sum_rep, incidence_algebra, kernel_of,
-                      make_rep, module_map, zero_rep)
+                      make_rep, module_map, simple_module, zero_rep)
 from .homology import (InvariantCertificate, ProjectiveResolution, certificate,
                        global_dimension, hom_cohomology, matches_certificate,
                        minimal_resolution, poset_ext_dims, projective_cover)
@@ -25,169 +26,6 @@ from .homology import (InvariantCertificate, ProjectiveResolution, certificate,
 
 class DerivedError(ValueError):
     pass
-
-
-# ===========================================================================
-# complexes of vector spaces (for poset diagrams)
-# ===========================================================================
-
-@dataclass(frozen=True)
-class VectComplex:
-    """Bounded complex of finite-dimensional vector spaces over Q."""
-
-    dims: tuple  # ((degree, dim), ...) nonzero only
-    diffs: tuple  # ((degree, ExactMatrix), ...)
-
-    @staticmethod
-    def make(dims: Dict[int, int], diffs: Optional[Dict[int, ExactMatrix]] = None) -> "VectComplex":
-        dims = {d: n for d, n in dims.items() if n}
-        diffs = {d: m for d, m in (diffs or {}).items() if not m.is_zero()}
-        vc = VectComplex(tuple(sorted(dims.items())), tuple(sorted(diffs.items())))
-        vc.check()
-        return vc
-
-    def dim(self, d: int) -> int:
-        return dict(self.dims).get(d, 0)
-
-    def diff(self, d: int) -> ExactMatrix:
-        for deg, m in self.diffs:
-            if deg == d:
-                return m
-        return ExactMatrix.zero(self.dim(d + 1), self.dim(d))
-
-    @property
-    def support(self):
-        return [d for d, _ in self.dims]
-
-    def is_zero(self) -> bool:
-        return not self.dims
-
-    def check(self):
-        for d, m in self.diffs:
-            if (m.nrows, m.ncols) != (self.dim(d + 1), self.dim(d)):
-                raise DerivedError("differential at degree %d has wrong shape" % d)
-        for d, _ in self.diffs:
-            if not (self.diff(d + 1) @ self.diff(d)).is_zero():
-                raise DerivedError("d o d != 0 at degree %d" % d)
-
-    def cohomology(self) -> Dict[int, int]:
-        out = {}
-        degs = set(self.support)
-        for d in degs:
-            r_out = self.diff(d).rank()
-            r_in = self.diff(d - 1).rank()
-            h = self.dim(d) - r_out - r_in
-            if h:
-                out[d] = h
-        return out
-
-
-def stalk_vect(degree: int, dim: int = 1) -> VectComplex:
-    return VectComplex.make({degree: dim})
-
-
-ZERO_VECT = VectComplex.make({})
-
-
-@dataclass(frozen=True)
-class VectChainMap:
-    source: VectComplex
-    target: VectComplex
-    comps: tuple  # ((degree, ExactMatrix), ...)
-
-    @staticmethod
-    def make(source, target, comps: Dict[int, ExactMatrix]) -> "VectChainMap":
-        comps = {d: m for d, m in comps.items() if not m.is_zero()}
-        f = VectChainMap(source, target, tuple(sorted(comps.items())))
-        f.check()
-        return f
-
-    def comp(self, d: int) -> ExactMatrix:
-        for deg, m in self.comps:
-            if deg == d:
-                return m
-        return ExactMatrix.zero(self.target.dim(d), self.source.dim(d))
-
-    def check(self):
-        for d, m in self.comps:
-            if (m.nrows, m.ncols) != (self.target.dim(d), self.source.dim(d)):
-                raise DerivedError("chain map component at %d has wrong shape" % d)
-        degs = set(self.source.support) | set(self.target.support)
-        for d in degs:
-            lhs = self.target.diff(d) @ self.comp(d)
-            rhs = self.comp(d + 1) @ self.source.diff(d)
-            if not (lhs - rhs).is_zero():
-                raise DerivedError("not a chain map at degree %d" % d)
-
-    def compose(self, other: "VectChainMap") -> "VectChainMap":
-        degs = set(other.source.support)
-        return VectChainMap.make(other.source, self.target,
-                                 {d: self.comp(d) @ other.comp(d) for d in degs})
-
-
-def zero_vect_map(source: VectComplex, target: VectComplex) -> VectChainMap:
-    return VectChainMap.make(source, target, {})
-
-
-@dataclass(frozen=True)
-class DiagramOfComplexes:
-    """A complex of vector spaces per poset element, a chain map per cover."""
-
-    poset: Poset
-    complexes: tuple  # ((element, VectComplex), ...)
-    cover_maps: tuple  # (((x, y), VectChainMap), ...)
-
-    @staticmethod
-    def make(poset: Poset, complexes: Dict[str, VectComplex],
-             cover_maps: Dict[Tuple[str, str], VectChainMap]) -> "DiagramOfComplexes":
-        covers = poset.covers()
-        cxs = {x: complexes.get(x, ZERO_VECT) for x in poset.elements}
-        cms = {}
-        for cov in covers:
-            m = cover_maps.get(cov)
-            if m is None:
-                m = zero_vect_map(cxs[cov[0]], cxs[cov[1]])
-            cms[cov] = m
-        return DiagramOfComplexes(poset, tuple(sorted(cxs.items())),
-                                  tuple(sorted(cms.items())))
-
-    def complex_at(self, x) -> VectComplex:
-        return dict(self.complexes)[x]
-
-    def cover_map(self, x, y) -> VectChainMap:
-        return dict(self.cover_maps)[(x, y)]
-
-    def path_composite(self, q: Quiver, path) -> VectChainMap:
-        """Composite of the cover maps along a path of the Hasse quiver q."""
-        m = None
-        for name in path:
-            a = q.arrow(name)
-            step = self.cover_map(a.source, a.target)
-            m = step if m is None else step.compose(m)
-        return m
-
-    def is_commutative(self) -> bool:
-        q = hasse_quiver(self.poset)
-        for u in self.poset.elements:
-            for v in self.poset.elements:
-                if not self.poset.lt(u, v):
-                    continue
-                paths = q.paths(u, v)
-                if len(paths) < 2:
-                    continue
-                base = self.path_composite(q, paths[0])
-                for other in paths[1:]:
-                    m = self.path_composite(q, other)
-                    degs = set(base.source.support)
-                    for d in degs:
-                        if not (base.comp(d) - m.comp(d)).is_zero():
-                            return False
-        return True
-
-
-def simple_diagram(poset: Poset, x: str) -> DiagramOfComplexes:
-    """The simple object at x: a one-dimensional degree-0 stalk at x."""
-    return DiagramOfComplexes.make(poset, {x: stalk_vect(0)}, {})
 
 
 # ===========================================================================
@@ -373,31 +211,40 @@ def _family1_edges(p1, p2, p3):
     return end, pre, cross
 
 
-def functor_F(diagram: DiagramOfComplexes, weights: Tuple[int, int, int],
-              check_relation: bool = True) -> ComplexOfReps:
-    """The cone construction sending a commutative diagram of complexes
-    over the weight-triple poset (all weights >= 3) to a complex over the
-    canonical algebra of the same weights.
+def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
+    """The cone construction sending a complex of modules over the
+    incidence algebra of the weight-triple poset (all weights >= 3) to a
+    complex over the canonical algebra of the same weights.
 
-    End-of-arm objects become shifted cones over the top object; the two
-    printed sign patterns appear in the maps out of the next-to-last arm
-    objects; the maps into the total cone are the canonical embeddings."""
+    The complex at a poset element x has the space c.term(d).dim(x) in
+    degree d and the differential c.diff(d).block(x); a cover x -> y acts
+    by the Hasse arrow "x->y". End-of-arm objects become shifted cones over
+    the top object; the two printed sign patterns appear in the maps out of
+    the next-to-last arm objects; the maps into the total cone are the
+    canonical embeddings."""
     p1, p2, p3 = weights
     if not 3 <= p1 <= p2 <= p3:
         raise DerivedError("the cone functor is implemented for weights with p1 >= 3")
     xp = build_Xp(p1, p2, p3)
-    if set(diagram.poset.elements) != set(xp.elements) or diagram.poset.relation != xp.relation:
-        raise DerivedError("diagram poset does not match the weight-triple poset")
-    if not diagram.is_commutative():
-        raise DerivedError("input diagram is not commutative")
+    poset = c.algebra.poset
+    if poset is None or poset.elements != xp.elements or poset.up_masks != xp.up_masks:
+        raise DerivedError("complex is not over the incidence algebra of the weight-triple poset")
+    c.check()
+    for d in c.support:
+        if not c.term(d).check_relations():
+            raise DerivedError("term in degree %d breaks the commutativity relations" % d)
     end, pre, cross = _family1_edges(p1, p2, p3)
-    K = {x: diagram.complex_at(x) for x in xp.elements}
-    y = {i: diagram.cover_map(end[i], "w") for i in (1, 2, 3)}
-    arm_map = {i: diagram.cover_map(pre[i], end[i]) for i in (1, 2, 3)}
-    cross_map = {i: diagram.cover_map(*cross[i]) for i in (1, 2, 3)}
+    f = c.algebra.field
+    zero = zero_rep(c.algebra)
 
-    pres = canonical_presentation([p1, p2, p3])
-    alg = build_algebra(pres)
+    def term(d):
+        return c.terms.get(d, zero)
+
+    def cover(x, y, d):
+        """The cover map x -> y on the degree-d spaces."""
+        return term(d).map_of("%s->%s" % (x, y))
+
+    alg = build_algebra(canonical_presentation([p1, p2, p3], field=f))
 
     # block layout per canonical vertex: list of (poset element, offset)
     # offset 1 marks the shifted top component (degree i draws K^{i-1})
@@ -410,24 +257,10 @@ def functor_F(diagram: DiagramOfComplexes, weights: Tuple[int, int, int],
         layout[end[i]] = [(end[i], 0), (end[partner[i]], 0), ("w", 1)]
     layout["w"] = [(end[1], 0), (end[2], 0), (end[3], 0), ("w", 1)]
 
-    # cross components of the shifted-cone differentials: block -> -y map
-    cone_in: Dict[str, Dict[int, VectChainMap]] = {}
-    for v, parts in layout.items():
-        if len(parts) == 1:
-            continue
-        cone_in[v] = {idx: y[i] for idx, (lab, off) in enumerate(parts)
-                      if off == 0 for i in (1, 2, 3) if end[i] == lab}
-
-    degs = set()
-    for x, vc in K.items():
-        degs.update(vc.support)
-        degs.update(d + 1 for d in vc.support)
+    degs = set(c.support) | {d + 1 for d in c.support}
 
     def part_dim(lab, off, d):
-        return K[lab].dim(d - off)
-
-    def vdim(v, d):
-        return sum(part_dim(lab, off, d) for lab, off in layout[v])
+        return term(d - off).dim(lab)
 
     def vdiff(v, d):
         """Differential of the vertex complex at degree d."""
@@ -436,100 +269,60 @@ def functor_F(diagram: DiagramOfComplexes, weights: Tuple[int, int, int],
         cols = [part_dim(lab, off, d) for lab, off in parts]
         blocks = {}
         for idx, (lab, off) in enumerate(parts):
-            m = K[lab].diff(d - off)
-            if off == 1:
-                m = -m
-            if not m.is_zero():
-                blocks[(idx, idx)] = m
-        # cross terms -f : source block (off 0) at degree d -> shifted block
-        if v in cone_in:
-            widx = len(parts) - 1
-            for idx, fmap in cone_in[v].items():
-                m = fmap.comp(d)
+            if d - off in c.diffs:
+                m = c.diffs[d - off].block(lab)
                 if not m.is_zero():
-                    blocks[(widx, idx)] = -m
-        return ExactMatrix.from_blocks(blocks, rows, cols)
+                    blocks[(idx, idx)] = -m if off else m
+        # cross terms -y: an end-of-arm block at degree d -> the shifted top
+        if len(parts) > 1:
+            for idx, (lab, _) in enumerate(parts[:-1]):
+                m = cover(lab, "w", d)
+                if not m.is_zero():
+                    blocks[(len(parts) - 1, idx)] = -m
+        return ExactMatrix.from_blocks(blocks, rows, cols, f)
 
-    # arrow chain maps in block coordinates
-    def arrow_blocks(arrow: Arrow) -> Dict[Tuple[int, int], Dict[int, ExactMatrix]]:
+    def arrow_blocks(arrow: Arrow, d: int) -> Dict[Tuple[int, int], ExactMatrix]:
+        """The arrow's matrix at degree d, as blocks of the two layouts."""
         src_parts, tgt_parts = layout[arrow.source], layout[arrow.target]
         i = int(arrow.name[1])
         j = int(arrow.name.split("_")[1])
         p_i = (p1, p2, p3)[i - 1]
-        out: Dict[Tuple[int, int], VectChainMap] = {}
         if j <= p_i - 2:
-            # plain arm covers, identity block into the single component
-            out[(0, 0)] = diagram.cover_map(arrow.source, arrow.target)
-        elif j == p_i - 1:
-            # the printed column vector into the shifted cone
-            sign_arm = {1: 1, 2: -1, 3: 1}[i]
-            sign_cross = {1: -1, 2: 1, 3: -1}[i]
-            out[(0, 0)] = _scale_chain(arm_map[i], sign_arm)
-            out[(1, 0)] = _scale_chain(cross_map[i], sign_cross)
-        else:
-            # canonical embedding of the arm cone into the total cone
-            for sidx, (lab, off) in enumerate(src_parts):
-                tidx = tgt_parts.index((lab, off))
-                out[(tidx, sidx)] = "id"
-        return out
-
-    def _scale_chain(fmap: VectChainMap, sign: int):
-        return fmap if sign == 1 else VectChainMap.make(
-            fmap.source, fmap.target, {d: m.scale(-1) for d, m in fmap.comps})
+            # plain arm covers, into the single component
+            return {(0, 0): cover(arrow.source, arrow.target, d)}
+        if j == p_i - 1:
+            # the printed column vector into the shifted cone: the arm map
+            # with signs +, -, + and the cross map with signs -, +, -
+            arm = cover(pre[i], end[i], d)
+            cr = cover(*cross[i], d)
+            return {(0, 0): arm if i != 2 else -arm,
+                    (1, 0): cr if i == 2 else -cr}
+        # canonical embedding of the arm cone into the total cone
+        return {(tgt_parts.index(part), sidx): ExactMatrix.identity(part_dim(*part, d), f)
+                for sidx, part in enumerate(src_parts)}
 
     # assemble representations per degree
     terms: Dict[int, Representation] = {}
     for d in sorted(degs):
-        dims = {v: vdim(v, d) for v in alg.vertex_order}
+        dims = {v: sum(part_dim(lab, off, d) for lab, off in layout[v])
+                for v in alg.vertex_order}
         maps = {}
         for a in alg.quiver.arrows:
-            src_parts, tgt_parts = layout[a.source], layout[a.target]
-            rows = [part_dim(lab, off, d) for lab, off in tgt_parts]
-            cols = [part_dim(lab, off, d) for lab, off in src_parts]
-            blocks = {}
-            for (ti, si), chain_map in arrow_blocks(a).items():
-                if chain_map == "id":
-                    lab, off = src_parts[si]
-                    n = part_dim(lab, off, d)
-                    m = ExactMatrix.identity(n)
-                else:
-                    off = src_parts[si][1]
-                    m = chain_map.comp(d - off)
-                if not m.is_zero():
-                    blocks[(ti, si)] = m
-            maps[a.name] = ExactMatrix.from_blocks(blocks, rows, cols)
+            rows = [part_dim(lab, off, d) for lab, off in layout[a.target]]
+            cols = [part_dim(lab, off, d) for lab, off in layout[a.source]]
+            blocks = {k: m for k, m in arrow_blocks(a, d).items() if not m.is_zero()}
+            maps[a.name] = ExactMatrix.from_blocks(blocks, rows, cols, f)
         terms[d] = make_rep(alg, dims, maps, check=True)
 
     diffs: Dict[int, ModuleMap] = {}
     for d in sorted(degs):
-        if d + 1 not in degs and all(vdiff(v, d).is_zero() for v in alg.vertex_order):
-            continue
         blocks = {v: vdiff(v, d) for v in alg.vertex_order}
         if all(b.is_zero() for b in blocks.values()):
             continue
         tgt = terms.get(d + 1) or zero_rep(alg)
         diffs[d] = module_map(terms[d], tgt, blocks, check=True)
 
-    out = ComplexOfReps.make(alg, terms, diffs)
-    if check_relation:
-        _check_canonical_relation(out, alg, (p1, p2, p3))
-    return out
-
-
-def _check_canonical_relation(c: ComplexOfReps, alg: BoundQuiverAlgebra, weights):
-    """arm3 - arm2 + arm1 composite must vanish in every degree (lambda = 1)."""
-    for d in c.support:
-        t = c.term(d)
-        acc = None
-        for i, sign in ((3, 1), (2, -1), (1, 1)):
-            p_i = weights[i - 1]
-            m = ExactMatrix.identity(t.dim("0"))
-            for j in range(1, p_i + 1):
-                m = t.map_of("x%d_%d" % (i, j)) @ m
-            m = m.scale(sign)
-            acc = m if acc is None else acc + m
-        if not acc.is_zero():
-            raise DerivedError("canonical relation violated in degree %d" % d)
+    return ComplexOfReps.make(alg, terms, diffs)
 
 
 def f_images_of_simples(weights: Tuple[int, int, int]):
@@ -540,12 +333,9 @@ def f_images_of_simples(weights: Tuple[int, int, int]):
     p1, p2, p3 = weights
     if not 3 <= p1 <= p2 <= p3:
         raise DerivedError("closed-form images only available for p1 >= 3")
-    xp = build_Xp(p1, p2, p3)
-    out = []
-    for x in xp.elements:
-        img = functor_F(simple_diagram(xp, x), weights)
-        out.append((x, as_stalk(img)))
-    return out
+    ax = incidence_algebra(build_Xp(p1, p2, p3))
+    return [(x, as_stalk(functor_F(stalk_complex_of(simple_module(ax, x)), weights)))
+            for x in ax.poset.elements]
 
 
 # ===========================================================================
@@ -698,8 +488,7 @@ def beilinson_table_check(weights: Tuple[int, int, int],
     return left, right, equal, det in (1, -1)
 
 
-def canonical_vs_poset_report(p1: int, p2: int, p3: int,
-                              with_beilinson: bool = False) -> dict:
+def verify_weights(p1: int, p2: int, p3: int, with_beilinson: bool = False) -> dict:
     """Certificate comparison (optionally plus the table check) between the
     canonical algebra and the incidence algebra of its poset."""
     ac = build_algebra(canonical_presentation([p1, p2, p3]))
@@ -726,10 +515,6 @@ def canonical_vs_poset_report(p1: int, p2: int, p3: int,
                                    "k0_unimodular": None,
                                    "note": "cone-functor images unavailable for p1 = 2"}
     return report
-
-
-def verify_weights(p1: int, p2: int, p3: int, with_beilinson: bool = False) -> dict:
-    return canonical_vs_poset_report(p1, p2, p3, with_beilinson)
 
 
 def d_tilde_presentation(p: int) -> Presentation:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_form
-from .posets import Poset, order_complex
+from .posets import Poset, _down_masks, _members, order_complex
 from .quivers import unique_path_property
 from .algebra import (BoundQuiverAlgebra, ModuleMap, ProjectiveRep,
                       Representation, direct_sum_rep, hom_from_generators,
@@ -405,37 +405,40 @@ def poset_ext_dims(p: Poset, x: str, y: str, max_i: int, field=QQ) -> List[int]:
         return [1] + [0] * max_i
     if not p.lt(x, y):
         return [0] * (max_i + 1)
-    inner = _core(p, [z for z in p.elements if p.lt(x, z) and p.lt(z, y)])
-    return [0] + _reduced_cohomology(order_complex(p, inner).faces, max_i - 2, field)
+    index = p.elements.index
+    return _interval_ext_dims(p, _down_masks(p.up_masks), index(x), index(y), max_i, field)
 
 
-def _core(p: Poset, elements: Sequence[str]) -> List[str]:
-    """The subposet of p on elements with beat points removed one at a
+def _interval_ext_dims(p: Poset, down: Sequence[int], i: int, j: int,
+                       max_i: int, field) -> List[int]:
+    """poset_ext_dims for the elements i < j of p, given by index, with
+    down the down-set masks of p."""
+    up = p.up_masks
+    inner = _core(up, down, up[i] & down[j] & ~(1 << i | 1 << j))
+    elements = [p.elements[k] for k in _members(inner)]
+    return [0] + _reduced_cohomology(order_complex(p, elements).faces, max_i - 2, field)
+
+
+def _core(up: Sequence[int], down: Sequence[int], q: int) -> int:
+    """The subset q (a mask over element indices) of the poset with up-set
+    masks up and down-set masks down, with beat points removed one at a
     time until none is left.  A beat point is an element such that the
     elements above it, or those below it, in what remains have a least
     (greatest) one.  Removing one keeps the homotopy type of the order
     complex (Stong, Trans. AMS 123, 1966), so its cohomology over every
     field is unchanged; a chain shrinks to a point, so the 2^m - 1 chains
     of an interval of length m are never built."""
-
-    def has_extreme(s, least):
-        """Whether s has a least (or greatest) element."""
-        if not s:
-            return False
-        m = s[0]
-        for w in s:
-            if (p.lt(w, m) if least else p.lt(m, w)):
-                m = w
-        return all(p.leq(m, w) if least else p.leq(w, m) for w in s)
-
-    q = list(elements)
     removed = True
     while removed:
         removed = False
-        for z in list(q):
-            if (has_extreme([w for w in q if p.lt(z, w)], True)
-                    or has_extreme([w for w in q if p.lt(w, z)], False)):
-                q.remove(z)
+        for z in _members(q):
+            bit = 1 << z
+            above, below = up[z] & q & ~bit, down[z] & q & ~bit
+            # a least element of above is one whose up-set holds all of
+            # above; a greatest of below, one whose down-set holds all of below
+            if (any(above & ~up[m] == 0 for m in _members(above))
+                    or any(below & ~down[m] == 0 for m in _members(below))):
+                q &= ~bit
                 removed = True
     return q
 
@@ -444,12 +447,12 @@ def poset_global_dimension(p: Poset, field=QQ) -> int:
     """Global dimension of the incidence algebra of p: the largest n with
     Ext^n(S_x, S_y) != 0.  The order complex of an open interval has
     dimension below its size, which bounds the degrees to compute."""
+    down = _down_masks(p.up_masks)
     g = 0
-    for x in p.elements:
-        for y in p.elements:
-            if p.lt(x, y):
-                exts = poset_ext_dims(p, x, y, p.n, field)
-                g = max(g, max((n for n, d in enumerate(exts) if d), default=0))
+    for i, m in enumerate(p.up_masks):
+        for j in _members(m & ~(1 << i)):
+            exts = _interval_ext_dims(p, down, i, j, p.n, field)
+            g = max(g, max((n for n, d in enumerate(exts) if d), default=0))
     return g
 
 

@@ -72,6 +72,17 @@ def test_invariants_sources_and_field(diamond_file, capsys):
     assert cert_q["coxeter"] == cert_p["coxeter"]
 
 
+def test_incidence_over_the_field(diamond_file, capsys):
+    # the commutativity relation of the diamond is a - b; over GF(2) -1 = 1
+    def coeffs(args):
+        assert run(args + ["incidence", "--poset", diamond_file]) == 0
+        rels = json.loads(capsys.readouterr().out)["relations"]
+        return [[t["coeff"] for t in r["terms"]] for r in rels]
+    assert coeffs([]) == [["1", "-1"]]
+    assert coeffs(["--field", "fp:2"]) == [["1", "1"]]
+    assert coeffs(["--field", "fp:3"]) == [["1", "2"]]
+
+
 def test_determinism(capsys):
     run(["posets", "enumerate", "--n", "4"])
     first = capsys.readouterr().out

@@ -2,46 +2,59 @@ import random
 
 import pytest
 
-from dequiv.exactla import ExactMatrix
-from dequiv.posets import build_Xp, diamond
+from dequiv.exactla import ExactMatrix, PrimeField
+from dequiv.posets import antichain, build_Xp, diamond
 from dequiv.quivers import canonical_presentation, hasse_quiver
-from dequiv.algebra import (build_algebra, identity_map, incidence_algebra,
-                            make_rep, simple_module)
+from dequiv.algebra import (AlgebraError, build_algebra, identity_map,
+                            incidence_algebra, make_rep, module_map,
+                            projective_module, simple_module)
 from dequiv import derived, homology
-from dequiv.homology import ext_dims, minimal_resolution
-from dequiv.derived import (DerivedError, DiagramOfComplexes, RepChainMap,
-                            StalkComplex, VectChainMap, VectComplex, as_stalk,
-                            beilinson_table_check, cone, derived_hom_dims,
-                            f_images_of_simples, functor_F, no_poset_search,
-                            shift, stalk_complex_of,
-                            stalk_vect, verify_22p, verify_remark_family,
-                            verify_t2, verify_weights)
+from dequiv.homology import ext_dims, hom_cohomology, minimal_resolution
+from dequiv.derived import (ComplexOfReps, DerivedError, RepChainMap,
+                            StalkComplex, as_stalk, beilinson_table_check,
+                            cone, derived_hom_dims, f_images_of_simples,
+                            functor_F, no_poset_search, proj_replacement,
+                            shift, stalk_complex_of, verify_22p,
+                            verify_remark_family, verify_t2, verify_weights)
+
+# the one-vertex algebra k: its modules are vector spaces
+POINT = incidence_algebra(antichain(1))
+
+
+def space(n):
+    return make_rep(POINT, {"a0": n}, {})
+
+
+def linear_map(m):
+    return module_map(space(m.ncols), space(m.nrows), {"a0": m})
 
 
 def two_term(mat_rows, lo=0):
     """Complex [V -> W] in degrees lo, lo+1 with the given differential."""
     m = ExactMatrix.from_rows(mat_rows)
-    return VectComplex.make({lo: m.ncols, lo + 1: m.nrows}, {lo: m})
+    return ComplexOfReps.make(POINT, {lo: space(m.ncols), lo + 1: space(m.nrows)},
+                              {lo: linear_map(m)})
 
 
 def test_vect_complex_validates_d_squared():
-    d0 = ExactMatrix.from_rows([[1]])
+    d0 = linear_map(ExactMatrix.from_rows([[1]]))
     with pytest.raises(DerivedError):
-        VectComplex.make({0: 1, 1: 1, 2: 1}, {0: d0, 1: d0})
+        ComplexOfReps.make(POINT, {0: space(1), 1: space(1), 2: space(1)}, {0: d0, 1: d0})
 
 
 def test_vect_cohomology():
     c = two_term([[1]])
-    assert c.cohomology() == {}
+    assert c.cohomology_dims() == {}
     c2 = two_term([[0]])
-    assert c2.cohomology() == {0: 1, 1: 1}
+    assert c2.cohomology_dims() == {0: 1, 1: 1}
 
 
 def test_chain_map_validation():
     c = two_term([[1]])
     with pytest.raises(DerivedError):
         # d_target o f != f o d_source = 0
-        VectChainMap.make(stalk_vect(0), c, {0: ExactMatrix.from_rows([[1]])})
+        RepChainMap(stalk_complex_of(space(1)), c,
+                    {0: linear_map(ExactMatrix.from_rows([[1]]))}).check()
 
 
 def test_shift_convention():
@@ -70,37 +83,77 @@ def test_cone_of_zero_map_splits():
 
 
 def test_noncommutative_diagram_rejected():
-    xp = build_Xp(3, 3, 3)
-    k = stalk_vect(0)
-    complexes = {x: k for x in xp.elements}
-    maps = {}
-    for cov in xp.covers():
-        maps[cov] = VectChainMap.make(k, k, {0: ExactMatrix.from_rows([[1]])})
+    ax = incidence_algebra(build_Xp(3, 3, 3))
+    one = {x: 1 for x in ax.vertex_order}
+    maps = {a.name: ExactMatrix.from_rows([[1]]) for a in ax.quiver.arrows}
     # break one square
-    cov0 = xp.covers()[0]
-    maps[cov0] = VectChainMap.make(k, k, {0: ExactMatrix.from_rows([[2]])})
-    diag = DiagramOfComplexes.make(xp, complexes, maps)
-    assert not diag.is_commutative()
+    maps["%s->%s" % ax.poset.covers()[0]] = ExactMatrix.from_rows([[2]])
+    with pytest.raises(AlgebraError):
+        make_rep(ax, one, maps, check=True)
+    term = make_rep(ax, one, maps, check=False)
+    assert not term.check_relations()
     with pytest.raises(DerivedError):
-        functor_F(diag, (3, 3, 3))
+        functor_F(stalk_complex_of(term), (3, 3, 3))
+
+
+def test_functor_f_refuses_another_algebra():
+    with pytest.raises(DerivedError, match="weight-triple poset"):
+        functor_F(stalk_complex_of(simple_module(incidence_algebra(build_Xp(3, 3, 4)), "0")),
+                  (3, 3, 3))
+    with pytest.raises(DerivedError, match="weight-triple poset"):
+        functor_F(stalk_complex_of(space(1)), (3, 3, 3))
+
+
+def test_functor_f_refuses_a_complex_with_nonzero_square():
+    ax = incidence_algebra(build_Xp(3, 3, 3))
+    s = simple_module(ax, "0")
+    ident = identity_map(s)
+    c = ComplexOfReps.make(ax, {0: s, 1: s, 2: s}, {0: ident, 1: ident}, check=False)
+    with pytest.raises(DerivedError, match="d o d"):
+        functor_F(c, (3, 3, 3))
 
 
 @pytest.mark.parametrize("weights", [(3, 3, 3), (3, 3, 4), (3, 4, 4)])
 def test_functor_f_on_constant_diagrams(weights):
-    """Constant commutative diagrams with identity maps: the output must
-    exist, validate, and satisfy the canonical relation (checked inside)."""
+    """Constant complexes with identity cover maps: the output must exist,
+    validate, and satisfy the canonical relation (checked inside)."""
     rng = random.Random(sum(weights))
-    xp = build_Xp(*weights)
+    ax = incidence_algebra(build_Xp(*weights))
     d = ExactMatrix.from_rows([[0, rng.randint(-2, 2)], [0, 0]])
-    k = VectComplex.make({0: 2, 1: 2}, {0: d})
     ident = ExactMatrix.identity(2)
-    complexes = {x: k for x in xp.elements}
-    maps = {cov: VectChainMap.make(k, k, {0: ident, 1: ident})
-            for cov in xp.covers()}
-    diag = DiagramOfComplexes.make(xp, complexes, maps)
-    assert diag.is_commutative()
-    out = functor_F(diag, weights)
+    k = make_rep(ax, {x: 2 for x in ax.vertex_order},
+                 {a.name: ident for a in ax.quiver.arrows})
+    c = ComplexOfReps.make(ax, {0: k, 1: k},
+                           {0: module_map(k, k, {x: d for x in ax.vertex_order})})
+    assert all(c.term(i).check_relations() for i in c.support)
+    out = functor_F(c, weights)
     assert not out.is_zero()
+
+
+def test_functor_f_over_a_prime_field():
+    # the construction works over the field of its input: over GF(3) each
+    # simple maps to a stalk of the same degree and dimensions as over Q
+    w = (3, 3, 3)
+    ax = incidence_algebra(build_Xp(*w), PrimeField(3))
+    for x, st in f_images_of_simples(w):
+        img = as_stalk(functor_F(stalk_complex_of(simple_module(ax, x)), w))
+        assert img.module.algebra.field is ax.field
+        assert (img.degree, img.module.dims) == (st.degree, st.module.dims)
+
+
+def test_functor_f_is_fully_faithful_on_projectives():
+    # Hom(F P_x, F P_y[i]) = Hom(P_x, P_y[i]): k when i = 0 and y <= x, else 0
+    w = (3, 3, 3)
+    ax = incidence_algebra(build_Xp(*w))
+    images = {x: functor_F(stalk_complex_of(projective_module(ax, x)), w)
+              for x in ax.vertex_order}
+    shifts = range(-3, 4)
+    for x in ax.vertex_order:
+        q, dq, _ = proj_replacement(images[x])
+        for y in ax.vertex_order:
+            dims = hom_cohomology(q, dq, images[y].terms, images[y].diffs, shifts)
+            expected = [int(i == 0 and ax.poset.leq(y, x)) for i in shifts]
+            assert dims == expected, (x, y)
 
 
 def test_f_images_of_simples_shapes():
@@ -322,7 +375,8 @@ def test_beilinson_gldim_is_global_dimension():
 
 
 def test_hasse_paths_match_recursive_walk():
-    # is_commutative reads its cover chains off the Hasse quiver's paths
+    # incidence_presentation reads its commutativity relations off the
+    # Hasse quiver's paths
     xp = build_Xp(3, 3, 4)
     q = hasse_quiver(xp)
     succ = {}

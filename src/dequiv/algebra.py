@@ -1,11 +1,11 @@
 """Concrete finite-dimensional algebras from presentations: path-class
 bases, structure constants, Cartan matrices, simples and projectives,
-module maps and Hom spaces."""
+module maps, Hom spaces and bounded complexes of representations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import ExactMatrix, QQ
@@ -14,6 +14,10 @@ from .quivers import Presentation, QPath, Quiver, incidence_presentation
 
 
 class AlgebraError(ValueError):
+    pass
+
+
+class DerivedError(ValueError):
     pass
 
 
@@ -256,20 +260,19 @@ def simple_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
 
 
 @dataclass(frozen=True)
-class ProjectiveRep:
+class ProjectiveRep(Representation):
     """A finite direct sum of indecomposable projectives, with bookkeeping.
 
-    blocks[j] is the vertex of the j-th summand; the basis of the underlying
-    representation at vertex w is indexed by (j, basis path v_j -> w) in
-    block-major order.  The generator of summand j is the trivial-path
-    label (j, ()) among labels_at(blocks[j])."""
+    blocks[j] is the vertex of the j-th summand; the basis at vertex w is
+    indexed by (j, basis path v_j -> w) in block-major order.  The
+    generator of summand j is the trivial-path label (j, ()) among
+    labels_at(blocks[j])."""
 
-    rep: Representation
     blocks: tuple
     basis_labels: tuple  # per vertex (in vertex_order): tuple of (j, path)
 
     def labels_at(self, v) -> tuple:
-        return self.basis_labels[self.rep.algebra._vidx[v]]
+        return self.basis_labels[self.algebra._vidx[v]]
 
 
 def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> ProjectiveRep:
@@ -283,8 +286,7 @@ def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> Projec
             for p in algebra.basis(v, w):
                 labels.append((j, p))
         labels_by_vertex.append(tuple(labels))
-    dims = {w: len(labels_by_vertex[i]) for i, w in enumerate(algebra.vertex_order)}
-    maps = {}
+    maps = []
     for a in algebra.quiver.arrows:
         src_labels = labels_by_vertex[algebra._vidx[a.source]]
         tgt_labels = labels_by_vertex[algebra._vidx[a.target]]
@@ -297,15 +299,15 @@ def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> Projec
             for bp, c in red.items():
                 col[tgt_index[(j, bp)]] = c
             cols.append(col)
-        maps[a.name] = ExactMatrix.from_cols(cols, len(tgt_labels), f)
+        maps.append((a.name, ExactMatrix.from_cols(cols, len(tgt_labels), f)))
     # arrows act by multiplication in the algebra, so the relations hold by
     # construction and are not checked
-    rep = make_rep(algebra, dims, maps, check=False)
-    return ProjectiveRep(rep, blocks, tuple(labels_by_vertex))
+    return ProjectiveRep(algebra, tuple(len(labels) for labels in labels_by_vertex),
+                         tuple(maps), blocks, tuple(labels_by_vertex))
 
 
-def projective_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
-    return projective_rep(algebra, [v]).rep
+def projective_module(algebra: BoundQuiverAlgebra, v: str) -> ProjectiveRep:
+    return projective_rep(algebra, [v])
 
 
 # -- module maps -------------------------------------------------------------
@@ -381,7 +383,7 @@ def hom_from_generators(p: ProjectiveRep, n: Representation,
     given column vector in N at blocks[j]; a basis label (j, path) goes to
     that vector carried along the path, one arrow map at a time.  It
     commutes with the arrows by construction, so the check is skipped."""
-    alg = p.rep.algebra
+    alg = p.algebra
     f = alg.field
     maps = dict(n.maps)
     blocks = {}
@@ -389,7 +391,7 @@ def hom_from_generators(p: ProjectiveRep, n: Representation,
         cols = [reduce(lambda v, name: maps[name] @ v, path, gen_images[j]).col(0)
                 for j, path in p.labels_at(w)]
         blocks[w] = ExactMatrix.from_cols(cols, n.dim(w), f)
-    return module_map(p.rep, n, blocks, check=False)
+    return module_map(p, n, blocks, check=False)
 
 
 def direct_sum_rep(reps: Sequence[Representation]) -> Representation:
@@ -480,3 +482,71 @@ def hom_dim(m: Representation, n: Representation) -> int:
         return total
     mat = ExactMatrix.from_rows(rows, f)
     return total - mat.rank()
+
+
+# -- bounded complexes -------------------------------------------------------
+
+@dataclass
+class ComplexOfReps:
+    """Bounded complex of representations of one algebra: terms[d] in
+    degree d and diffs[d] : terms[d] -> terms[d + 1].
+
+    `make` drops zero terms and differentials, then checks that each
+    differential is a module map between the terms of its degrees and that
+    d o d = 0.  The plain constructor trusts its input, as a complex built
+    by construction may (a resolution, or the terms of a certified cone)."""
+
+    algebra: BoundQuiverAlgebra
+    terms: Dict[int, Representation]
+    diffs: Dict[int, ModuleMap]
+
+    @staticmethod
+    def make(algebra, terms: Dict[int, Representation],
+             diffs: Dict[int, ModuleMap]) -> "ComplexOfReps":
+        c = ComplexOfReps(algebra, {d: t for d, t in terms.items() if not t.is_zero()},
+                          {d: m for d, m in diffs.items() if not m.is_zero()})
+        c.check()
+        return c
+
+    @cached_property
+    def _zero(self) -> Representation:
+        """The zero term of every degree outside the support, built once."""
+        return zero_rep(self.algebra)
+
+    def term(self, d: int) -> Representation:
+        return self.terms.get(d) or self._zero
+
+    def diff(self, d: int) -> ModuleMap:
+        m = self.diffs.get(d)
+        return zero_map(self.term(d), self.term(d + 1)) if m is None else m
+
+    @property
+    def support(self):
+        return sorted(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def check(self):
+        for d, m in self.diffs.items():
+            if m.source.dims != self.term(d).dims or m.target.dims != self.term(d + 1).dims:
+                raise DerivedError("differential at %d has wrong endpoints" % d)
+            if not m.check():
+                raise DerivedError("differential at %d is not a module map" % d)
+        for d, m in self.diffs.items():
+            if d + 1 in self.diffs and not self.diffs[d + 1].compose(m).is_zero():
+                raise DerivedError("d o d != 0 at degree %d" % d)
+
+    def cohomology_dims(self) -> Dict[int, int]:
+        """{d: dim H^d} over the degrees where it is nonzero."""
+        ranks = {d: sum(b.rank() for b in m.blocks) for d, m in self.diffs.items()}
+        out = {}
+        for d in self.support:
+            h = self.terms[d].total_dim - ranks.get(d, 0) - ranks.get(d - 1, 0)
+            if h:
+                out[d] = h
+        return out
+
+
+def stalk_complex_of(m: Representation, degree: int = 0) -> ComplexOfReps:
+    return ComplexOfReps.make(m.algebra, {degree: m}, {})

@@ -1,8 +1,9 @@
-"""Bounded complexes of representations, shift and cone, the cone functor
-from complexes of modules over the incidence algebras of the weight-triple
-posets to complexes over the canonical algebras,
-derived Hom tables, the Beilinson-style table check, verification
-pipelines and the exhaustive no-poset search."""
+"""Chain maps, shift and cone of the bounded complexes of `algebra`, the
+certified projective replacement, the cone functor from complexes of
+modules over the incidence algebras of the weight-triple posets to
+complexes over the canonical algebras, derived Hom tables, the
+Beilinson-style table check, verification pipelines and the exhaustive
+no-poset search."""
 
 from __future__ import annotations
 
@@ -16,78 +17,17 @@ from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
 from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
                       a1p_presentation, incidence_presentation,
                       is_gentle, t2_poset, unique_path_property)
-from .algebra import (BoundQuiverAlgebra, ModuleMap, Representation,
+from .algebra import (ComplexOfReps, DerivedError, ModuleMap, Representation,
                       build_algebra, direct_sum_rep, incidence_algebra, kernel_of,
-                      make_rep, module_map, simple_module, zero_rep)
-from .homology import (InvariantCertificate, ProjectiveResolution, certificate,
-                       global_dimension, hom_cohomology, matches_certificate,
-                       minimal_resolution, poset_ext_dims, projective_cover)
-
-
-class DerivedError(ValueError):
-    pass
+                      make_rep, module_map, simple_module, stalk_complex_of, zero_map)
+from .homology import (InvariantCertificate, certificate, global_dimension,
+                       hom_cohomology, matches_certificate, minimal_resolution,
+                       poset_ext_dims, projective_cover)
 
 
 # ===========================================================================
-# complexes of representations
+# complexes of representations (the type itself lives in `algebra`)
 # ===========================================================================
-
-@dataclass
-class ComplexOfReps:
-    """Bounded complex of representations of one algebra."""
-
-    algebra: BoundQuiverAlgebra
-    terms: Dict[int, Representation]
-    diffs: Dict[int, ModuleMap]
-
-    @staticmethod
-    def make(algebra, terms: Dict[int, Representation],
-             diffs: Dict[int, ModuleMap], check: bool = True) -> "ComplexOfReps":
-        terms = {d: t for d, t in terms.items() if not t.is_zero()}
-        diffs = {d: m for d, m in diffs.items() if not m.is_zero()}
-        c = ComplexOfReps(algebra, terms, diffs)
-        if check:
-            c.check()
-        return c
-
-    def term(self, d: int) -> Representation:
-        return self.terms.get(d) or zero_rep(self.algebra)
-
-    def diff(self, d: int) -> ModuleMap:
-        m = self.diffs.get(d)
-        if m is None:
-            from .algebra import zero_map
-            m = zero_map(self.term(d), self.term(d + 1))
-        return m
-
-    @property
-    def support(self):
-        return sorted(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def check(self):
-        for d, m in self.diffs.items():
-            if m.source.dims != self.term(d).dims or m.target.dims != self.term(d + 1).dims:
-                raise DerivedError("differential at %d has wrong endpoints" % d)
-            if not m.check():
-                raise DerivedError("differential at %d is not a module map" % d)
-        for d in list(self.diffs):
-            comp = self.diff(d + 1).compose(self.diff(d))
-            if not comp.is_zero():
-                raise DerivedError("d o d != 0 at degree %d" % d)
-
-    def cohomology_dims(self) -> Dict[int, int]:
-        out = {}
-        for d in set(self.support) | {d + 1 for d in self.diffs}:
-            r_out = sum(b.rank() for b in self.diff(d).blocks)
-            r_in = sum(b.rank() for b in self.diff(d - 1).blocks)
-            h = self.term(d).total_dim - r_out - r_in
-            if h:
-                out[d] = h
-        return out
-
 
 @dataclass
 class RepChainMap:
@@ -97,10 +37,7 @@ class RepChainMap:
 
     def comp(self, d: int) -> ModuleMap:
         m = self.comps.get(d)
-        if m is None:
-            from .algebra import zero_map
-            m = zero_map(self.source.term(d), self.target.term(d))
-        return m
+        return zero_map(self.source.term(d), self.target.term(d)) if m is None else m
 
     def check(self):
         for d in set(self.source.support) | set(self.target.support):
@@ -111,32 +48,31 @@ class RepChainMap:
                     raise DerivedError("not a chain map of complexes at degree %d" % d)
 
 
-def stalk_complex_of(m: Representation, degree: int = 0) -> ComplexOfReps:
-    return ComplexOfReps.make(m.algebra, {degree: m}, {})
-
-
 @dataclass(frozen=True)
 class StalkComplex:
     """A complex concentrated in a single degree.
 
-    The minimal resolution and the projective replacement are built the
-    first time derived Hom needs them and kept on this object, so a table
-    of Hom entries out of one stalk resolves its module once."""
+    The complex, the minimal resolution of the module (as a complex of
+    projectives ending in the stalk's degree) and the projective
+    replacement are built the first time derived Hom needs them and kept
+    on this object, so a table of Hom entries out of one stalk resolves its
+    module once."""
 
     module: Representation
     degree: int
 
-    def to_complex(self) -> ComplexOfReps:
+    @cached_property
+    def complex(self) -> ComplexOfReps:
         return stalk_complex_of(self.module, self.degree)
 
     @cached_property
-    def resolution(self) -> ProjectiveResolution:
-        return minimal_resolution(self.module)
+    def resolution(self) -> ComplexOfReps:
+        return minimal_resolution(self.module).as_complex(self.degree)
 
     @cached_property
-    def replacement(self):
-        """(Q, dQ, eps) as returned by proj_replacement."""
-        return proj_replacement(self.to_complex())
+    def replacement(self) -> Tuple[ComplexOfReps, Dict[int, ModuleMap]]:
+        """(Q, eps) as returned by proj_replacement."""
+        return proj_replacement(self.complex)
 
 
 def shift(k: ComplexOfReps, n: int) -> ComplexOfReps:
@@ -148,9 +84,9 @@ def shift(k: ComplexOfReps, n: int) -> ComplexOfReps:
     return ComplexOfReps.make(k.algebra, terms, diffs)
 
 
-def _sum_map(algebra, sources, targets, blocks: Dict[Tuple[int, int], ModuleMap],
-             check: bool = True) -> ModuleMap:
-    """Module map between direct sums given by a sparse block dict."""
+def _sum_map(algebra, sources, targets, blocks: Dict[Tuple[int, int], ModuleMap]) -> ModuleMap:
+    """Module map between direct sums given by a sparse block dict.  It is
+    not checked; the complex it becomes a differential of checks it."""
     src = direct_sum_rep(sources)
     tgt = direct_sum_rep(targets)
     vb = {}
@@ -158,7 +94,7 @@ def _sum_map(algebra, sources, targets, blocks: Dict[Tuple[int, int], ModuleMap]
         vb[v] = ExactMatrix.from_blocks(
             {(i, j): mm.block(v) for (i, j), mm in blocks.items()},
             [t.dim(v) for t in targets], [s.dim(v) for s in sources], algebra.field)
-    return module_map(src, tgt, vb, check=check)
+    return module_map(src, tgt, vb, check=False)
 
 
 def cone(fmap: RepChainMap) -> ComplexOfReps:
@@ -186,7 +122,7 @@ def cone(fmap: RepChainMap) -> ComplexOfReps:
         if not dl.is_zero():
             blocks[(1, 1)] = dl
         diffs[d] = _sum_map(alg, [k.term(d + 1), l.term(d)],
-                            [k.term(d + 2), l.term(d + 1)], blocks, check=False)
+                            [k.term(d + 2), l.term(d + 1)], blocks)
     return ComplexOfReps.make(alg, terms, diffs)
 
 
@@ -235,14 +171,10 @@ def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
             raise DerivedError("term in degree %d breaks the commutativity relations" % d)
     end, pre, cross = _family1_edges(p1, p2, p3)
     f = c.algebra.field
-    zero = zero_rep(c.algebra)
-
-    def term(d):
-        return c.terms.get(d, zero)
 
     def cover(x, y, d):
         """The cover map x -> y on the degree-d spaces."""
-        return term(d).map_of("%s->%s" % (x, y))
+        return c.term(d).map_of("%s->%s" % (x, y))
 
     alg = build_algebra(canonical_presentation([p1, p2, p3], field=f))
 
@@ -260,7 +192,7 @@ def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
     degs = set(c.support) | {d + 1 for d in c.support}
 
     def part_dim(lab, off, d):
-        return term(d - off).dim(lab)
+        return c.term(d - off).dim(lab)
 
     def vdiff(v, d):
         """Differential of the vertex complex at degree d."""
@@ -314,13 +246,13 @@ def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
             maps[a.name] = ExactMatrix.from_blocks(blocks, rows, cols, f)
         terms[d] = make_rep(alg, dims, maps, check=True)
 
+    # a degree whose blocks are all zero (the top one among them) gets no
+    # differential; ComplexOfReps.make checks the others
     diffs: Dict[int, ModuleMap] = {}
     for d in sorted(degs):
         blocks = {v: vdiff(v, d) for v in alg.vertex_order}
-        if all(b.is_zero() for b in blocks.values()):
-            continue
-        tgt = terms.get(d + 1) or zero_rep(alg)
-        diffs[d] = module_map(terms[d], tgt, blocks, check=True)
+        if not all(b.is_zero() for b in blocks.values()):
+            diffs[d] = module_map(terms[d], terms[d + 1], blocks, check=False)
 
     return ComplexOfReps.make(alg, terms, diffs)
 
@@ -349,70 +281,63 @@ def derived_hom_dims(x: StalkComplex, y: StalkComplex, i: int,
     X's degree ("shift") or the certified projective replacement of X
     ("resolution")."""
     if method == "shift":
-        q, dq = x.resolution.as_complex(x.degree)
+        q = x.resolution
     elif method == "resolution":
-        q, dq, _ = x.replacement
+        q = x.replacement[0]
     else:
         raise DerivedError("unknown method %r" % method)
-    return hom_cohomology(q, dq, {y.degree: y.module}, {}, [i])[0]
+    return hom_cohomology(q, y.complex, [i])[0]
 
 
 def proj_replacement(x: ComplexOfReps, cap: Optional[int] = None):
-    """A surjective quasi-isomorphism from a bounded complex of projectives.
+    """A quasi-isomorphism eps : Q -> X from a bounded complex of projectives.
 
-    Built degree by degree from the top via pullbacks; the quasi-iso is
-    certified by checking that its cone is acyclic.  Returns (Q, dQ, eps)
-    keyed by degree with dQ[j] : Q^j -> Q^{j+1} and eps[j] : Q^j -> X^j."""
+    Built from X's top degree b down: Q^b is the projective cover of X^b,
+    and below it Q^j is the projective cover of the kernel of the mapping
+    cone's differential C^j -> C^{j+1}, where C^j = Q^{j+1} (+) X^j and the
+    differential is [[-d_Q, 0], [eps, d_X]]; the two components of the
+    cover give d_Q and eps in degree j.  The build stops at the first
+    vanishing kernel at or below X's lowest degree.  A map is a quasi-isomorphism
+    exactly when its cone is acyclic, so the cone built on the way is the
+    certificate: it is checked once as a complex of module maps, and for
+    zero cohomology.  Returns (Q, eps) with eps[j] : Q^j -> X^j."""
     alg = x.algebra
-    from .algebra import zero_map
     if x.is_zero():
-        return {}, {}, {}
-    sup = x.support
-    b = sup[-1]
+        return ComplexOfReps(alg, {}, {}), {}
+    lo, b = x.support[0], x.support[-1]
     if cap is None:
-        cap = (b - sup[0]) + alg.dimension + 3
-    q: Dict[int, object] = {}
-    dq: Dict[int, ModuleMap] = {}
-    eps: Dict[int, ModuleMap] = {}
+        cap = (b - lo) + alg.dimension + 3
+    zero = x.term(b + 1)  # Q, like X, is zero above b
     p_b, cover = projective_cover(x.term(b))
-    q[b] = p_b
-    eps[b] = cover
-    j = b
-    for _ in range(cap):
-        j -= 1
-        q_next = q[j + 1].rep
-        q_after = q[j + 2].rep if (j + 2) in q else zero_rep(alg)
-        xt, xt1 = x.term(j), x.term(j + 1)
-        blocks = {}
-        dxj = x.diff(j)
-        if not dxj.is_zero():
-            blocks[(0, 0)] = dxj
-        e1 = eps[j + 1]
-        if not e1.is_zero():
-            blocks[(0, 1)] = -e1
-        if (j + 1) in dq and not dq[j + 1].is_zero():
-            blocks[(1, 1)] = dq[j + 1]
-        big = _sum_map(alg, [xt, q_next], [xt1, q_after], blocks, check=False)
-        v, incl = kernel_of(big)
-        if v.is_zero() and xt.is_zero():
+    q = {b: p_b}
+    dq: Dict[int, ModuleMap] = {}
+    eps = {b: cover}
+    cone_terms = {b: x.term(b)}
+    cone_diffs: Dict[int, ModuleMap] = {}
+    for j in range(b - 1, b - 1 - cap, -1):
+        src = [q[j + 1], x.term(j)]
+        blocks = {(1, 0): eps[j + 1]}
+        if j + 1 in dq:
+            blocks[(0, 0)] = -dq[j + 1]
+        if j in x.diffs:
+            blocks[(1, 1)] = x.diffs[j]
+        d = _sum_map(alg, src, [q.get(j + 2, zero), x.term(j + 1)], blocks)
+        cone_terms[j], cone_diffs[j] = d.source, d
+        v, incl = kernel_of(d)
+        if v.is_zero() and j <= lo:
             break
-        p_j, cover = projective_cover(v)
-        tot = incl.compose(cover)  # Q^j -> X^j (+) Q^{j+1}
-        # split off the two components of the inclusion into the direct sum
-        eps[j] = _component_map(tot, [xt, q_next], 0)
-        dq[j] = _component_map(tot, [xt, q_next], 1)
-        q[j] = p_j
-        if v.is_zero():
-            break
+        q[j], cover = projective_cover(v)
+        tot = incl.compose(cover)  # Q^j -> C^j
+        dq[j] = _component_map(tot, src, 0)
+        eps[j] = -_component_map(tot, src, 1)
     else:
         raise DerivedError("projective replacement cap exceeded")
-    # quasi-isomorphism certificate: the cone of eps must be acyclic
-    qc = ComplexOfReps.make(alg, {d: p.rep for d, p in q.items()},
-                            {d: m for d, m in dq.items()}, check=True)
-    emap = RepChainMap(qc, x, dict(eps))
-    if cone(emap).cohomology_dims():
+    cone_complex = ComplexOfReps.make(alg, cone_terms, cone_diffs)
+    if cone_complex.cohomology_dims():
         raise DerivedError("projective replacement is not a quasi-isomorphism")
-    return q, dq, eps
+    # Q's maps are blocks of the checked cone
+    return ComplexOfReps(alg, {d: p for d, p in q.items() if not p.is_zero()},
+                         {d: m for d, m in dq.items() if not m.is_zero()}), eps
 
 
 def _component_map(mm: ModuleMap, targets: Sequence[Representation], idx: int) -> ModuleMap:
@@ -471,9 +396,8 @@ def beilinson_table_check(weights: Tuple[int, int, int],
     images = dict(f_images_of_simples(weights))
     alg = images[next(iter(images))].module.algebra
     for x in labels:
-        q, dq = images[x].resolution.as_complex(images[x].degree)
         for y in labels:
-            dims = hom_cohomology(q, dq, {images[y].degree: images[y].module}, {}, shifts)
+            dims = hom_cohomology(images[x].resolution, images[y].complex, shifts)
             right.entries.update(((x, y, i), d) for i, d in zip(shifts, dims))
 
     equal = all(left.entries[k] == right.entries[k] for k in left.entries)

@@ -11,10 +11,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_form
 from .posets import Poset, _down_masks, _members, order_complex
 from .quivers import unique_path_property
-from .algebra import (BoundQuiverAlgebra, ModuleMap, ProjectiveRep,
+from .algebra import (BoundQuiverAlgebra, ComplexOfReps, ModuleMap, ProjectiveRep,
                       Representation, direct_sum_rep, hom_from_generators,
                       incidence_algebra, kernel_of, projective_rep,
-                      simple_module)
+                      simple_module, stalk_complex_of)
 
 
 class ResolutionError(RuntimeError):
@@ -35,17 +35,17 @@ class ProjectiveResolution:
     def length(self) -> int:
         return len(self.steps) - 1
 
-    def as_complex(self, degree: int = 0):
-        """(terms, differentials) of the complex of projectives with P_i in
-        degree `degree` - i, keyed by degree; d[j] : Q^j -> Q^{j+1}."""
-        q = {degree - i: p for i, (p, _) in enumerate(self.steps)}
-        dq = {degree - i: d for i, (_, d) in enumerate(self.steps) if i}
-        return q, dq
+    def as_complex(self, degree: int = 0) -> ComplexOfReps:
+        """The complex of projectives with P_i in degree `degree` - i.  The
+        differentials commute with the arrows and compose to zero by
+        construction, so the complex is not checked."""
+        return ComplexOfReps(self.module.algebra,
+                             {degree - i: p for i, (p, _) in enumerate(self.steps)},
+                             {degree - i: d for i, (_, d) in enumerate(self.steps) if i})
 
     def ext_dims(self, n: Representation, max_i: int) -> List[int]:
         """dim Ext^i(M, N) for i = 0..max_i, read off this resolution of M."""
-        q, dq = self.as_complex()
-        return hom_cohomology(q, dq, {0: n}, {}, range(max_i + 1))
+        return hom_cohomology(self.as_complex(), stalk_complex_of(n), range(max_i + 1))
 
 
 def _top_generators(m: Representation):
@@ -110,7 +110,7 @@ def _assert_minimal(steps):
     for i in range(1, len(steps)):
         p_i, d_i = steps[i]
         p_prev = steps[i - 1][0]
-        f = p_i.rep.algebra.field
+        f = p_i.algebra.field
         for j, v in enumerate(p_i.blocks):
             img = d_i.block(v).col(p_i.labels_at(v).index((j, ())))
             for x, lab in zip(img, p_prev.labels_at(v)):
@@ -118,31 +118,31 @@ def _assert_minimal(steps):
                     raise ResolutionError("non-minimal differential at step %d" % i)
 
 
-def hom_cohomology(q: Dict[int, ProjectiveRep], dq: Dict[int, ModuleMap],
-                   y: Dict[int, Representation], dy: Dict[int, ModuleMap],
+def hom_cohomology(q: ComplexOfReps, y: ComplexOfReps,
                    degrees: Sequence[int]) -> List[int]:
     """dim H^n Hom(Q, Y) for each n in degrees, in that order.
 
-    Q is a bounded complex of projectives and Y a bounded complex of
-    representations, each given as terms and differentials keyed by degree
-    (d[j] : T^j -> T^{j+1}).  In generator coordinates a map out of a sum of
-    projectives is its generator images, Hom(P, N) = (+)_g N(blocks[g]), and
-    Hom^n = (+)_j Hom(Q^j, Y^{j+n}) with D(phi) = d_Y phi - (-1)^n phi d_Q."""
-    if not q or not y:
+    Q is a bounded complex of projectives (`ProjectiveRep` terms) and Y a
+    bounded complex of representations of the same algebra.  In generator
+    coordinates a map out of a sum of projectives is its generator images,
+    Hom(P, N) = (+)_g N(blocks[g]), and Hom^n = (+)_j Hom(Q^j, Y^{j+n})
+    with D(phi) = d_Y phi - (-1)^n phi d_Q."""
+    f = q.algebra.field
+    qt, dq, yt, dy = q.terms, q.diffs, y.terms, y.diffs
+    if not qt or not yt:
         return [0] * len(degrees)
-    f = next(iter(q.values())).rep.algebra.field
     acts: Dict[tuple, ExactMatrix] = {}
 
     def act(k, v, path):
         """Y^k(path) for a path out of v, computed once per call."""
         if (k, v, path) not in acts:
-            acts[k, v, path] = y[k].act_path(v, path)
+            acts[k, v, path] = yt[k].act_path(v, path)
         return acts[k, v, path]
 
     def coords(n):
         """Blocks (j, g) of Hom^n with their dimensions; empty ones skipped."""
-        return [((j, g), y[j + n].dim(v)) for j in sorted(q) if j + n in y
-                for g, v in enumerate(q[j].blocks) if y[j + n].dim(v)]
+        return [((j, g), yt[j + n].dim(v)) for j in sorted(qt) if j + n in yt
+                for g, v in enumerate(qt[j].blocks) if yt[j + n].dim(v)]
 
     def rank(n):
         """Rank of D : Hom^n -> Hom^{n+1}."""
@@ -156,11 +156,11 @@ def hom_cohomology(q: Dict[int, ProjectiveRep], dq: Dict[int, ModuleMap],
         for (j, g), i in col.items():
             # d_Y phi: each generator image moves along d_Y at its vertex
             if j + n in dy and (j, g) in row:
-                blocks[row[j, g], i] = dy[j + n].block(q[j].blocks[g])
-        for j in q:
-            if j - 1 not in dq or j + n not in y:
+                blocks[row[j, g], i] = dy[j + n].block(qt[j].blocks[g])
+        for j in qt:
+            if j - 1 not in dq or j + n not in yt:
                 continue
-            p, p_lo, d = q[j], q[j - 1], dq[j - 1]
+            p, p_lo, d = qt[j], qt[j - 1], dq[j - 1]
             # phi d_Q: generator h of Q^{j-1} maps to d(e_h) = sum c . path e_g,
             # whose image under phi is sum c Y(path) phi(e_g)
             for h, w in enumerate(p_lo.blocks):

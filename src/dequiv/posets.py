@@ -523,15 +523,18 @@ class OrderComplex:
 
 def order_complex(p: Poset, elements: Optional[Iterable[str]] = None) -> OrderComplex:
     """Strict chains of the poset, or of its subposet on `elements`, closed
-    under subchains by construction."""
+    under subchains by construction.  Chains list their elements upward,
+    and each dimension lists its chains in name order: the successors of
+    each element are read once off its up-set mask, sorted by name."""
     elems = sorted(p.elements if elements is None else elements)
+    index = p._index
+    within = {index[x]: x for x in elems}
+    succ = {x: sorted(within[j] for j in _members(p.up_masks[index[x]] & ~(1 << index[x]))
+                      if j in within)
+            for x in elems}
     by_dim: List[List[tuple]] = [[(x,) for x in elems]]
-    while by_dim[-1]:
-        nxt = []
-        for ch in by_dim[-1]:
-            for x in elems:
-                if p.lt(ch[-1], x):
-                    nxt.append(ch + (x,))
+    while True:
+        nxt = [ch + (x,) for ch in by_dim[-1] for x in succ[ch[-1]]]
         if not nxt:
             break
         by_dim.append(nxt)

@@ -77,7 +77,7 @@ def test_kernel_of_projective_cover():
     s = simple_module(a, "0")
     cover = hom_from_generators(p, s, [ExactMatrix.from_rows([[1]])])
     ker, incl = kernel_of(cover)
-    assert ker.total_dim == p.rep.total_dim - 1
+    assert ker.total_dim == p.total_dim - 1
     assert incl.check()
     assert cover.compose(incl).is_zero()
 

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from dequiv.exactla import ExactMatrix, PrimeField
-from dequiv.posets import antichain, build_Xp, diamond
+from dequiv.posets import antichain, build_Xp, chain, diamond
 from dequiv.quivers import canonical_presentation, hasse_quiver
-from dequiv.algebra import (AlgebraError, build_algebra, identity_map,
-                            incidence_algebra, make_rep, module_map,
-                            projective_module, simple_module)
-from dequiv import derived, homology
+from dequiv.algebra import (AlgebraError, build_algebra, hom_from_generators,
+                            identity_map, incidence_algebra, make_rep, module_map,
+                            projective_module, projective_rep, simple_module)
+from dequiv import algebra, derived, homology
 from dequiv.homology import ext_dims, hom_cohomology, minimal_resolution
 from dequiv.derived import (ComplexOfReps, DerivedError, RepChainMap,
                             StalkComplex, as_stalk, beilinson_table_check,
@@ -108,7 +108,8 @@ def test_functor_f_refuses_a_complex_with_nonzero_square():
     ax = incidence_algebra(build_Xp(3, 3, 3))
     s = simple_module(ax, "0")
     ident = identity_map(s)
-    c = ComplexOfReps.make(ax, {0: s, 1: s, 2: s}, {0: ident, 1: ident}, check=False)
+    # the plain constructor skips the checks of ComplexOfReps.make
+    c = ComplexOfReps(ax, {0: s, 1: s, 2: s}, {0: ident, 1: ident})
     with pytest.raises(DerivedError, match="d o d"):
         functor_F(c, (3, 3, 3))
 
@@ -149,11 +150,98 @@ def test_functor_f_is_fully_faithful_on_projectives():
               for x in ax.vertex_order}
     shifts = range(-3, 4)
     for x in ax.vertex_order:
-        q, dq, _ = proj_replacement(images[x])
+        q, _ = proj_replacement(images[x])
         for y in ax.vertex_order:
-            dims = hom_cohomology(q, dq, images[y].terms, images[y].diffs, shifts)
+            dims = hom_cohomology(q, images[y], shifts)
             expected = [int(i == 0 and ax.poset.leq(y, x)) for i in shifts]
             assert dims == expected, (x, y)
+
+
+# -- the projective replacement and the cone it certifies --------------------
+
+def f_images(weights):
+    """F of the stalks of the simples and of the indecomposable projectives
+    of the weight-triple poset's incidence algebra."""
+    ax = incidence_algebra(build_Xp(*weights))
+    return [functor_F(stalk_complex_of(make(ax, x)), weights)
+            for make in (simple_module, projective_module) for x in ax.vertex_order]
+
+
+def test_replacement_passes_the_cone_of_its_chain_map():
+    # the old certificate as the oracle: eps is a chain map Q -> X whose
+    # cone, built apart from the replacement, is acyclic
+    images = [x for w in ((3, 3, 3), (3, 3, 4), (3, 4, 4), (4, 4, 4)) for x in f_images(w)]
+    assert len(images) == 76
+    for x in images:
+        q, eps = proj_replacement(x)
+        assert all(isinstance(t, algebra.ProjectiveRep) for t in q.terms.values())
+        assert cone(RepChainMap(q, x, eps)).cohomology_dims() == {}
+
+
+@pytest.mark.parametrize("poset", [chain(2), diamond()], ids=["chain2", "diamond"])
+def test_replacement_spans_a_gap(poset):
+    # M in degree 0 and N in degree 2, nothing in degree 1: the replacement
+    # must reach below the gap, so Hom(Q, S_y[i]) = Ext^i(M, S_y) (+) Ext^{i+2}(N, S_y)
+    a = incidence_algebra(poset)
+    simples = [simple_module(a, v) for v in a.vertex_order]
+    shifts = range(-3, 4)
+    checks = 0
+    for make in (simple_module, projective_module):
+        mods = [make(a, v) for v in a.vertex_order]
+        for m in mods:
+            for n in mods:
+                q, _ = proj_replacement(ComplexOfReps.make(a, {0: m, 2: n}, {}))
+                for s in simples:
+                    em, en = ext_dims(m, s, 5), ext_dims(n, s, 5)
+                    expected = [(em[i] if i >= 0 else 0) + (en[i + 2] if i >= -2 else 0)
+                                for i in shifts]
+                    assert hom_cohomology(q, stalk_complex_of(s), shifts) == expected
+                    checks += 1
+    assert checks == 2 * len(simples) ** 3
+
+
+def test_certificate_catches_a_cover_short_of_a_generator(monkeypatch):
+    def short_cover(m):
+        gens = homology._top_generators(m)[:-1]
+        p = projective_rep(m.algebra, [v for v, _ in gens])
+        return p, hom_from_generators(p, m, [vec for _, vec in gens])
+
+    x = stalk_complex_of(simple_module(incidence_algebra(diamond()), "0"))
+    monkeypatch.setattr(derived, "projective_cover", short_cover)
+    with pytest.raises(DerivedError, match="not a quasi-isomorphism"):
+        proj_replacement(x)
+
+
+def test_certificate_catches_a_sign_flip_in_eps(monkeypatch):
+    # F(P_0) is P -> P' in degrees 0, 1; negating eps in degree 0 leaves a
+    # map that no longer commutes with the differentials
+    w = (3, 3, 3)
+    x = functor_F(stalk_complex_of(projective_module(incidence_algebra(build_Xp(*w)), "0")), w)
+    assert x.support == [0, 1] and list(x.diffs) == [0]
+    component = derived._component_map
+    flipped = []
+
+    def flip_first_eps(mm, targets, idx):
+        out = component(mm, targets, idx)
+        if idx == 1 and not flipped:
+            flipped.append(out)
+            return -out
+        return out
+
+    monkeypatch.setattr(derived, "_component_map", flip_first_eps)
+    with pytest.raises(DerivedError, match="d o d"):
+        proj_replacement(x)
+    assert len(flipped) == 1
+
+
+def test_replacement_builds_one_zero_term(monkeypatch):
+    # the zero term outside X's support is built once per complex, not once
+    # per lookup
+    w = (3, 3, 3)
+    x = functor_F(stalk_complex_of(simple_module(incidence_algebra(build_Xp(*w)), "w")), w)
+    zeros = count_calls(monkeypatch, algebra, "zero_rep")
+    proj_replacement(x)
+    assert len(zeros) == 1
 
 
 def test_f_images_of_simples_shapes():
@@ -262,6 +350,7 @@ def test_beilinson_resolves_each_module_once(monkeypatch):
 def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     replacements = count_calls(monkeypatch, derived, "proj_replacement")
+    cones = count_calls(monkeypatch, derived, "cone")
     a = incidence_algebra(diamond())
     x = StalkComplex(simple_module(a, "0"), 0)
     y = StalkComplex(simple_module(a, "1"), 1)
@@ -270,6 +359,8 @@ def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
         derived_hom_dims(x, y, i, method="resolution")
     assert len(resolutions) == 1
     assert len(replacements) == 1
+    # the replacement is certified on the cone it builds, not a second one
+    assert cones == []
 
 
 def resolution_gldim(a):

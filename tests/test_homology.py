@@ -59,7 +59,7 @@ def test_resolution_ext_dims_matches_ext_dims():
     for a in (incidence_algebra(diamond()),
               build_algebra(canonical_presentation([2, 3, 3]))):
         mods = [simple_module(a, v) for v in a.vertex_order]
-        mods += [projective_rep(a, [v]).rep for v in a.vertex_order]
+        mods += [projective_rep(a, [v]) for v in a.vertex_order]
         mods.append(zero_rep(a))
         for m in mods:
             res = minimal_resolution(m)
@@ -266,7 +266,7 @@ def hom_complex(res_steps, n, max_i):
                 comp = hom_from_generators(p_lo, n, gen_images).compose(d)
                 col = []
                 for j2, v2 in enumerate(p_hi.blocks):
-                    gen = unit(p_hi.rep.dim(v2), p_hi.labels_at(v2).index((j2, ())))
+                    gen = unit(p_hi.dim(v2), p_hi.labels_at(v2).index((j2, ())))
                     col.extend((comp.block(v2) @ gen).col(0))
                 cols.append(col)
         mats.append(ExactMatrix.from_cols(cols, dims[i], f))
@@ -290,7 +290,7 @@ def top_quotient(a):
     """P(0) of a canonical algebra divided by the sum of the basis paths
     0 -> w.  Its syzygy is generated by that sum, so the second step of its
     resolution sends a generator to two paths out of one summand."""
-    p0 = projective_rep(a, ["0"]).rep
+    p0 = projective_rep(a, ["0"])
     assert len(a.basis("0", "w")) == 2
     quot = ExactMatrix.from_rows([[1, -1]], a.field)
     maps = {name: quot @ m if a.quiver.arrow(name).target == "w" else m
@@ -309,7 +309,7 @@ def test_hom_cohomology_matches_per_coordinate_oracle(field):
     pairs = 0
     for a in posets + canonical:
         mods = [simple_module(a, v) for v in a.vertex_order]
-        mods += [projective_rep(a, [v]).rep for v in a.vertex_order]
+        mods += [projective_rep(a, [v]) for v in a.vertex_order]
         if a in canonical:
             mods.append(top_quotient(a))
         for m in mods:
@@ -327,11 +327,9 @@ def test_hom_cohomology_into_a_complex():
               build_algebra(canonical_presentation([2, 3, 3]))):
         res = {v: minimal_resolution(simple_module(a, v)) for v in a.vertex_order}
         for x in a.vertex_order:
-            q, dq = res[x].as_complex()
+            q = res[x].as_complex()
             for y in a.vertex_order:
-                py, dpy = res[y].as_complex()
-                terms = {d: p.rep for d, p in py.items()}
-                assert hom_cohomology(q, dq, terms, dpy, range(-1, 4)) == \
+                assert hom_cohomology(q, res[y].as_complex(), range(-1, 4)) == \
                     [0] + res[x].ext_dims(res[y].module, 3)
 
 
@@ -636,8 +634,8 @@ def test_constructed_modules_satisfy_relations():
     modules = []
     for a in algebras:
         modules += [simple_module(a, v) for v in a.vertex_order]
-        modules += [projective_rep(a, [v]).rep for v in a.vertex_order]
-        modules.append(projective_rep(a, a.vertex_order).rep)
+        modules += [projective_rep(a, [v]) for v in a.vertex_order]
+        modules.append(projective_rep(a, a.vertex_order))
     # the diamond and the three canonical algebras have relations; 72
     # simples, 72 indecomposable projectives and one sum of all projectives
     # per algebra

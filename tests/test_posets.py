@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dequiv import posets
+from dequiv import homology, posets
 from dequiv.posets import (CycleError, Poset, PosetError, antichain,
                            are_isomorphic, build_Xp, build_remark_poset,
                            canonical_key, chain, diamond, enumerate_posets,
@@ -460,3 +460,50 @@ def test_orders_from_outside_are_refused_with_the_same_texts():
     assert refusal(Poset.from_json, {"elements": ["a", "b", "c"],
                                      "covers": [["a", "b"], ["b", "c"], ["c", "b"]]}) \
         == "cover relation contains a cycle: b < c < b"
+
+
+def pairwise_order_complex(p, elements=None):
+    """Reference for `order_complex`: each chain is extended by testing
+    `lt` against every element, in name order."""
+    elems = sorted(p.elements if elements is None else elements)
+    by_dim = [[(x,) for x in elems]]
+    while by_dim[-1]:
+        nxt = [ch + (x,) for ch in by_dim[-1] for x in elems if p.lt(ch[-1], x)]
+        if not nxt:
+            break
+        by_dim.append(nxt)
+    return tuple(tuple(fs) for fs in by_dim)
+
+
+def test_order_complex_matches_the_pairwise_walk(monkeypatch):
+    cases = [(p, None) for n in range(1, 7) for p in enumerate_posets(n, connected_only=False)]
+    assert len(cases) == 1 + 2 + 5 + 16 + 63 + 318
+    # two posets whose element order is not their name order
+    cases += [(diamond(), None), (poset_from_covers(["c", "b", "a"], [("c", "b"), ("b", "a")]), None)]
+    # the interval cores whose order complexes give the gldim of X_p for the
+    # weight triples 2 <= p1 <= p2 <= p3 <= 5
+    original = homology.order_complex
+
+    def recording(p, elements=None):
+        cases.append((p, elements))
+        return original(p, elements)
+
+    monkeypatch.setattr(homology, "order_complex", recording)
+    triples = [(p1, p2, p3) for p1 in range(2, 6) for p2 in range(p1, 6) for p3 in range(p2, 6)]
+    assert len(triples) == 20
+    for w in triples:
+        homology.poset_global_dimension(build_Xp(*w))
+    monkeypatch.undo()
+    assert len(cases) > 407
+    lts = []
+    original_lt = Poset.lt
+
+    def counting_lt(self, x, y):
+        lts.append((x, y))
+        return original_lt(self, x, y)
+
+    monkeypatch.setattr(Poset, "lt", counting_lt)
+    complexes = [order_complex(p, elements).faces for p, elements in cases]
+    assert lts == []
+    monkeypatch.undo()
+    assert complexes == [pairwise_order_complex(p, elements) for p, elements in cases]

@@ -210,9 +210,13 @@ class Representation:
         return m
 
     def check_relations(self) -> bool:
+        """Each relation acts by zero.  A relation out of or into a zero
+        space holds trivially and is not evaluated."""
         alg = self.algebra
         f = alg.field
         for rel, (src, tgt) in zip(alg.presentation.relations, alg.relation_endpoints):
+            if not self.dim(src) or not self.dim(tgt):
+                continue
             acc = ExactMatrix.zero(self.dim(tgt), self.dim(src), f)
             for coeff, path in rel.terms:
                 acc = acc + self.act_path(src, path.arrow_names).scale(coeff)
@@ -308,6 +312,25 @@ def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> Projec
 
 def projective_module(algebra: BoundQuiverAlgebra, v: str) -> ProjectiveRep:
     return projective_rep(algebra, [v])
+
+
+def radical_rep(algebra: BoundQuiverAlgebra) -> Representation:
+    """rad A inside the regular module A = projective_rep(A, vertex_order):
+    the span of the basis labels (j, path) with path nontrivial, the kernel
+    of the canonical projection A -> A/rad A.  The quiver is acyclic, so no
+    arrow carries a path onto a trivial-path label; the span is a
+    subrepresentation whose arrow matrices are those of A restricted to its
+    rows and columns, and nothing is eliminated or checked."""
+    f = algebra.field
+    reg = projective_rep(algebra, algebra.vertex_order)
+    keep = [[i for i, (_, path) in enumerate(labels) if path] for labels in reg.basis_labels]
+    maps = []
+    for a, (name, m) in zip(algebra.quiver.arrows, reg.maps):
+        rows, cols = keep[algebra._vidx[a.target]], keep[algebra._vidx[a.source]]
+        maps.append((name, ExactMatrix(f, len(rows), len(cols),
+                                       tuple(tuple(m.entries[r][c] for c in cols)
+                                             for r in rows))))
+    return Representation(algebra, tuple(map(len, keep)), tuple(maps))
 
 
 # -- module maps -------------------------------------------------------------

@@ -17,9 +17,10 @@ from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
 from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
                       a1p_presentation, incidence_presentation,
                       is_gentle, t2_poset, unique_path_property)
-from .algebra import (ComplexOfReps, DerivedError, ModuleMap, Representation,
-                      build_algebra, direct_sum_rep, incidence_algebra, kernel_of,
-                      make_rep, module_map, simple_module, stalk_complex_of, zero_map)
+from .algebra import (BoundQuiverAlgebra, ComplexOfReps, DerivedError, ModuleMap,
+                      Representation, build_algebra, direct_sum_rep, incidence_algebra,
+                      kernel_of, make_rep, module_map, simple_module, stalk_complex_of,
+                      zero_map)
 from .homology import (InvariantCertificate, certificate, global_dimension,
                        hom_cohomology, matches_certificate, minimal_resolution,
                        poset_ext_dims, projective_cover)
@@ -161,6 +162,15 @@ def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
     p1, p2, p3 = weights
     if not 3 <= p1 <= p2 <= p3:
         raise DerivedError("the cone functor is implemented for weights with p1 >= 3")
+    alg = build_algebra(canonical_presentation([p1, p2, p3], field=c.algebra.field))
+    return _cone_functor(c, weights, alg)
+
+
+def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int],
+                  alg: BoundQuiverAlgebra) -> ComplexOfReps:
+    """functor_F(c, weights) for checked weights, landing in `alg`, the
+    canonical algebra of the weights over c's field."""
+    p1, p2, p3 = weights
     xp = build_Xp(p1, p2, p3)
     poset = c.algebra.poset
     if poset is None or poset.elements != xp.elements or poset.up_masks != xp.up_masks:
@@ -175,8 +185,6 @@ def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
     def cover(x, y, d):
         """The cover map x -> y on the degree-d spaces."""
         return c.term(d).map_of("%s->%s" % (x, y))
-
-    alg = build_algebra(canonical_presentation([p1, p2, p3], field=f))
 
     # block layout per canonical vertex: list of (poset element, offset)
     # offset 1 marks the shifted top component (degree i draws K^{i-1})
@@ -266,7 +274,8 @@ def f_images_of_simples(weights: Tuple[int, int, int]):
     if not 3 <= p1 <= p2 <= p3:
         raise DerivedError("closed-form images only available for p1 >= 3")
     ax = incidence_algebra(build_Xp(p1, p2, p3))
-    return [(x, as_stalk(functor_F(stalk_complex_of(simple_module(ax, x)), weights)))
+    alg = build_algebra(canonical_presentation([p1, p2, p3], field=ax.field))
+    return [(x, as_stalk(_cone_functor(stalk_complex_of(simple_module(ax, x)), weights, alg)))
             for x in ax.poset.elements]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def _q(x):
@@ -303,9 +303,13 @@ class ExactMatrix:
         out += ((f.zero,) * self.ncols,) * (self.nrows - rank)
         return rank, pivots, ExactMatrix(f, self.nrows, self.ncols, out)
 
+    def pivot_cols(self) -> List[int]:
+        """The pivot columns of the elimination; no rref is built."""
+        return _eliminate(self.field, self.entries, self.ncols)[0]
+
     def rank(self) -> int:
         """The number of pivots of the elimination; no rref is built."""
-        return len(_eliminate(self.field, self.entries, self.ncols)[0])
+        return len(self.pivot_cols())
 
     def kernel(self) -> "ExactMatrix":
         """Matrix whose columns form a basis of the right kernel."""

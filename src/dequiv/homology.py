@@ -12,9 +12,9 @@ from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_for
 from .posets import Poset, _down_masks, _members, order_complex
 from .quivers import unique_path_property
 from .algebra import (BoundQuiverAlgebra, ComplexOfReps, ModuleMap, ProjectiveRep,
-                      Representation, direct_sum_rep, hom_from_generators,
-                      incidence_algebra, kernel_of, projective_rep,
-                      simple_module, stalk_complex_of)
+                      Representation, hom_from_generators, incidence_algebra,
+                      kernel_of, projective_rep, radical_rep, simple_module,
+                      stalk_complex_of)
 
 
 class ResolutionError(RuntimeError):
@@ -66,7 +66,7 @@ def _top_generators(m: Representation):
         cols = [c for a in alg.quiver.arrows_into(v)
                 for c in m.map_of(a.name).transpose().entries]
         ident = ExactMatrix.identity(d, f)
-        _, pivots, _ = ExactMatrix.from_cols(cols, d, f).hstack(ident).rref()
+        pivots = ExactMatrix.from_cols(cols, d, f).hstack(ident).pivot_cols()
         gens += [(v, ExactMatrix.from_cols([ident.col(i - len(cols))], d, f))
                  for i in pivots if i >= len(cols)]
     return gens
@@ -191,15 +191,18 @@ def ext_dims(m: Representation, n: Representation, max_i: int) -> List[int]:
 
 def global_dimension(a: BoundQuiverAlgebra) -> int:
     """The projective dimension of the top A/rad A, the direct sum of the
-    simples.  A minimal resolution of a direct sum is the direct sum of
-    minimal resolutions, so its length is the largest projective dimension
-    of a simple, and the top is resolved once.  For an incidence algebra
-    it is read off the interval cohomology of its poset
+    simples, which is the largest projective dimension of a simple.
+
+    A -> A/rad A is a projective cover, so the first syzygy of the top is
+    rad A, and gldim A = 1 + pd rad A when rad A != 0 and 0 otherwise
+    (Auslander-Reiten-Smalo 1995, I and III).  rad A is read off the
+    regular module (`radical_rep`) and resolved once.  For an incidence
+    algebra the dimension is read off the interval cohomology of its poset
     (`poset_global_dimension`); no module is resolved."""
     if a.poset is not None:
         return poset_global_dimension(a.poset, a.field)
-    top = direct_sum_rep([simple_module(a, v) for v in a.vertex_order])
-    return minimal_resolution(top).length
+    rad = radical_rep(a)
+    return 0 if rad.is_zero() else 1 + minimal_resolution(rad).length
 
 
 # -- the integer invariants of a Cartan matrix --------------------------------

@@ -272,6 +272,62 @@ def test_f_images_of_simples_shapes():
             assert st.module.dim(x) == 1
 
 
+def test_f_images_of_simples_share_one_algebra(monkeypatch):
+    w = (3, 3, 3)
+    builds = count_calls(monkeypatch, derived, "build_algebra")
+    images = f_images_of_simples(w)
+    # the canonical algebra, once per call; the poset's incidence algebra is
+    # built through incidence_algebra
+    assert len(builds) == 1
+    assert len({id(st.module.algebra) for _, st in images}) == 1
+    monkeypatch.undo()
+    # each image is F of its simple's stalk, built on its own
+    ax = incidence_algebra(build_Xp(*w))
+    for x, st in images:
+        own = as_stalk(functor_F(stalk_complex_of(simple_module(ax, x)), w))
+        assert (st.degree, st.module.dims) == (own.degree, own.module.dims)
+        assert [(name, m.entries) for name, m in st.module.maps] == \
+            [(name, m.entries) for name, m in own.module.maps]
+
+
+def oracle_check_relations(m):
+    """Reference for `Representation.check_relations`: every relation is
+    evaluated, also where its source or target space is 0."""
+    alg = m.algebra
+    for rel, (src, tgt) in zip(alg.presentation.relations, alg.relation_endpoints):
+        acc = ExactMatrix.zero(m.dim(tgt), m.dim(src), alg.field)
+        for coeff, path in rel.terms:
+            acc = acc + m.act_path(src, path.arrow_names).scale(coeff)
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def test_relation_check_matches_the_unskipped_check(monkeypatch):
+    # every module functor_F checks for (3,3,3): the input terms (stalks of
+    # simples and indecomposable projectives) and the terms it builds
+    checked = []
+    original = algebra.Representation.check_relations
+
+    def recorded(self):
+        checked.append(self)
+        return original(self)
+
+    monkeypatch.setattr(algebra.Representation, "check_relations", recorded)
+    f_images((3, 3, 3))
+    monkeypatch.undo()
+    # the same modules with every arrow map doubled on one arm: the
+    # relations that pass through it break wherever both ends are nonzero
+    broken = [make_rep(m.algebra, {v: m.dim(v) for v in m.algebra.vertex_order},
+                       {name: mat.scale(2) if name[:2] in ("x1", "1,") else mat
+                        for name, mat in m.maps}, check=False) for m in checked]
+    verdicts = [(m.check_relations(), oracle_check_relations(m)) for m in checked + broken]
+    assert all(fast == slow for fast, slow in verdicts)
+    # 16 stalk inputs and the 2 terms each image has
+    assert len(checked) == 16 + 32
+    assert sum(not fast for fast, _ in verdicts) > 0
+
+
 def test_f_images_unsupported_family():
     with pytest.raises(DerivedError):
         f_images_of_simples((2, 3, 3))
@@ -371,13 +427,13 @@ def test_report_resolves_no_poset_simples(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     r = verify_weights(3, 3, 3)
     assert r["verdict"] == "pass"
-    # the top of the canonical algebra, resolved once; the poset gldim comes
+    # rad A of the canonical algebra, resolved once; the poset gldim comes
     # from its intervals
     assert len(resolutions) == 1
     resolutions.clear()
     r = verify_weights(3, 3, 3, True)
     assert r["verdict"] == "pass"
-    # the canonical top and the 8 cone-functor images of the table check
+    # the canonical rad A and the 8 cone-functor images of the table check
     assert len(resolutions) == 9
     assert all(a.poset is None for a in resolved_algebras(resolutions))
     monkeypatch.undo()
@@ -389,23 +445,36 @@ def test_remark_family_resolves_only_the_target(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     r = verify_remark_family(1, 3, 4)
     assert r["verdict"] == "pass"
-    # the top of the canonical (2,3,4) target, resolved once; each
+    # rad A of the canonical (2,3,4) target, resolved once; each
     # orientation's gldim comes from its intervals
     assert len(resolutions) == 1
     assert all(a.poset is None for a in resolved_algebras(resolutions))
 
 
 def test_global_dimension_solves_once_per_kernel_vertex(monkeypatch):
-    # canonical (3,3,3): gldim 2, so its top's resolution takes 3 kernels,
-    # and each solves once at each of the 7 vertices with incoming arrows
+    # canonical (3,3,3): gldim 2, so rad A, the first syzygy of the top, has
+    # projective dimension 1; its resolution takes 2 kernels, and each
+    # solves once at each of the 7 vertices with incoming arrows
     a = build_algebra(canonical_presentation([3, 3, 3]))
     kernels = count_calls(monkeypatch, homology, "kernel_of")
     solves = count_calls(monkeypatch, ExactMatrix, "solve")
     assert homology.global_dimension(a) == 2
     into = [v for v in a.vertex_order if a.quiver.arrows_into(v)]
     assert len(into) == 7
-    assert len(kernels) == 3
-    assert len(solves) == 21
+    assert len(kernels) == 2
+    assert len(solves) == 14
+
+
+def test_global_dimension_resolves_rad_a_once(monkeypatch):
+    # no simple is built: rad A is read off the regular module, one basis
+    # label less per vertex, and resolved once
+    a = build_algebra(canonical_presentation([3, 3, 3]))
+    simples = count_calls(monkeypatch, homology, "simple_module", algebra)
+    resolutions = count_calls(monkeypatch, homology, "minimal_resolution")
+    assert homology.global_dimension(a) == 2
+    assert simples == []
+    assert len(resolutions) == 1
+    assert resolutions[0][0].total_dim == a.dimension - len(a.vertex_order)
 
 
 def canonical_target(weights):

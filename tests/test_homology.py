@@ -735,6 +735,53 @@ def test_top_resolution_on_a1p(field):
         assert_top_matches_simples(a)
 
 
+def radical_by_kernel(a):
+    """rad A as the kernel of the projective cover of the top."""
+    top = algebra.direct_sum_rep([simple_module(a, v) for v in a.vertex_order])
+    return algebra.kernel_of(homology.projective_cover(top)[1])[0]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_radical_is_the_kernel_onto_the_top(field):
+    # rad A read off the regular module is a subrepresentation of it, of
+    # the dimensions of the kernel of the top's projective cover, and a
+    # quotient A / rad A of dimension 1 at each vertex
+    algebras = [build_algebra(canonical_presentation(w, field=field)) for w in SWEEP_TRIPLES]
+    algebras += [build_algebra(a1p_presentation(p, field)) for p in range(1, 6)]
+    algebras.append(build_algebra(canonical_presentation([2] * 4, [1, 2], field)))
+    for a in algebras:
+        rad, reg = algebra.radical_rep(a), projective_rep(a, a.vertex_order)
+        assert rad.check_relations()
+        assert rad.dims == radical_by_kernel(a).dims
+        assert [r - d for r, d in zip(reg.dims, rad.dims)] == [1] * len(a.vertex_order)
+        incl = {v: ExactMatrix.from_cols(
+            [[a.field.one if k == i else a.field.zero for k in range(reg.dim(v))]
+             for i, (_, path) in enumerate(reg.labels_at(v)) if path], reg.dim(v), a.field)
+            for v in a.vertex_order}
+        algebra.module_map(rad, reg, incl)  # raises unless it commutes with the arrows
+
+
+@pytest.mark.parametrize("pres, gldim", [
+    # semisimple k x k x k: rad A = 0, and nothing is resolved
+    (Presentation(Quiver(("a", "b", "c"), ()), (), QQ), 0),
+    # the path algebra of 1 -> 2: rad A is the projective P_2
+    (Presentation(Quiver(("1", "2"), (Arrow("x", "1", "2"),)), (), QQ), 1),
+    (a1p_presentation(3), 1)], ids=["no-arrows", "A2", "A1-3"])
+def test_global_dimension_resolves_rad_a(pres, gldim, monkeypatch):
+    a = build_algebra(pres)
+    resolved = []
+
+    def recorded(m, cap=None, _original=homology.minimal_resolution):
+        resolved.append(m)
+        return _original(m, cap)
+
+    monkeypatch.setattr(homology, "minimal_resolution", recorded)
+    assert global_dimension(a) == gldim
+    # rad A has one basis label less per vertex than A
+    assert [m.total_dim for m in resolved] == \
+        ([a.dimension - len(a.vertex_order)] if gldim else [])
+
+
 @st.composite
 def reflected_quivers(draw):
     """The path algebra of a random acyclic quiver (parallel arrows allowed)

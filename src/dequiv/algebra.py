@@ -1,16 +1,16 @@
 """Concrete finite-dimensional algebras from presentations: path-class
 bases, structure constants, Cartan matrices, simples and projectives,
-module maps, Hom spaces and bounded complexes of representations."""
+module maps and bounded complexes of representations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import ExactMatrix, QQ
 from .posets import Poset
-from .quivers import Presentation, QPath, Quiver, incidence_presentation
+from .quivers import Presentation, incidence_presentation
 
 
 class AlgebraError(ValueError):
@@ -90,9 +90,6 @@ class BoundQuiverAlgebra:
                 pivset = set()
             self._basis[(u, v)] = [p for i, p in enumerate(paths) if i not in pivset]
 
-    def paths(self, u, v):
-        return self._paths.get((u, v), [])
-
     def basis(self, u, v):
         """Basis path representatives of the (u, v) block."""
         return self._basis.get((u, v), [])
@@ -128,38 +125,6 @@ class BoundQuiverAlgebra:
         rows = [[self.block_dim(self.vertex_order[i], self.vertex_order[j])
                  for j in range(n)] for i in range(n)]
         return ExactMatrix.from_rows(rows)
-
-    def check_associativity(self, sample: Optional[int] = None) -> bool:
-        """Associativity of the structure constants on composable triples."""
-        f = self.field
-        triples = []
-        for (u, v), bs1 in self._basis.items():
-            for (v2, w), bs2 in self._basis.items():
-                if v2 != v:
-                    continue
-                for (w2, z), bs3 in self._basis.items():
-                    if w2 != w:
-                        continue
-                    for p in bs1:
-                        for q in bs2:
-                            for r in bs3:
-                                triples.append((u, v, w, z, p, q, r))
-        if sample is not None and len(triples) > sample:
-            triples = triples[::max(1, len(triples) // sample)][:sample]
-        for u, v, w, z, p, q, r in triples:
-            left = {}
-            for s, c in self.reduce_path(u, w, p + q).items():
-                for t2, c2 in self.reduce_path(u, z, s + r).items():
-                    left[t2] = f.add(left.get(t2, f.zero), f.mul(c, c2))
-            right = {}
-            for s, c in self.reduce_path(v, z, q + r).items():
-                for t2, c2 in self.reduce_path(u, z, p + s).items():
-                    right[t2] = f.add(right.get(t2, f.zero), f.mul(c, c2))
-            keys = set(left) | set(right)
-            for k in keys:
-                if not f.is_zero(f.sub(left.get(k, f.zero), right.get(k, f.zero))):
-                    return False
-        return True
 
 
 def build_algebra(pres: Presentation) -> BoundQuiverAlgebra:
@@ -226,13 +191,6 @@ class Representation:
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)
-
-    def to_json(self) -> dict:
-        f = self.algebra.field
-        return {
-            "dims": {v: self.dim(v) for v in self.algebra.vertex_order},
-            "maps": {name: m.to_str_rows() for name, m in self.maps},
-        }
 
 
 def make_rep(algebra: BoundQuiverAlgebra, dims: Dict[str, int],
@@ -358,7 +316,6 @@ class ModuleMap:
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other (other first)."""
-        assert other.target is self.source or other.target.dims == self.source.dims
         return ModuleMap(other.source, self.target,
                          tuple(b1 @ b2 for b1, b2 in zip(self.blocks, other.blocks)))
 
@@ -395,11 +352,6 @@ def zero_map(source: Representation, target: Representation) -> ModuleMap:
     return module_map(source, target, {}, check=False)
 
 
-def identity_map(m: Representation) -> ModuleMap:
-    f = m.algebra.field
-    return ModuleMap(m, m, tuple(ExactMatrix.identity(d, f) for d in m.dims))
-
-
 def hom_from_generators(p: ProjectiveRep, n: Representation,
                         gen_images: Sequence[ExactMatrix]) -> ModuleMap:
     """The module map P -> N sending the j-th projective generator to the
@@ -427,20 +379,6 @@ def direct_sum_rep(reps: Sequence[Representation]) -> Representation:
             {(i, i): r.map_of(a.name) for i, r in enumerate(reps)},
             [r.dim(a.target) for r in reps], [r.dim(a.source) for r in reps], alg.field)
     return make_rep(alg, dims, maps, check=False)
-
-
-def direct_sum(reps: Sequence[Representation]) -> Tuple[Representation, List[ModuleMap]]:
-    """Direct sum with the inclusion maps of the summands."""
-    assert reps
-    alg = reps[0].algebra
-    total = direct_sum_rep(reps)
-    incls = []
-    for k, r in enumerate(reps):
-        blocks = {v: ExactMatrix.from_blocks(
-            {(k, 0): ExactMatrix.identity(r.dim(v), alg.field)},
-            [s.dim(v) for s in reps], [r.dim(v)], alg.field) for v in alg.vertex_order}
-        incls.append(module_map(r, total, blocks, check=False))
-    return total, incls
 
 
 def kernel_of(mm: ModuleMap) -> Tuple[Representation, ModuleMap]:
@@ -474,37 +412,6 @@ def kernel_of(mm: ModuleMap) -> Tuple[Representation, ModuleMap]:
     ker = make_rep(alg, dims, maps, check=False)
     incl = module_map(ker, mm.source, {v: kbases[v] for v in alg.vertex_order}, check=False)
     return ker, incl
-
-
-def hom_dim(m: Representation, n: Representation) -> int:
-    """dim Hom_A(M, N) by solving the commuting equations."""
-    alg = m.algebra
-    f = alg.field
-    # unknowns: per vertex a dim(N_v) x dim(M_v) matrix, flattened
-    offsets = {}
-    total = 0
-    for v in alg.vertex_order:
-        offsets[v] = total
-        total += n.dim(v) * m.dim(v)
-    rows = []
-    for a in alg.quiver.arrows:
-        s, t = a.source, a.target
-        ms, mt = m.map_of(a.name), n.map_of(a.name)
-        # equation: N_a X_s - X_t M_a = 0, entry (i, j): i < dim N_t, j < dim M_s
-        for i in range(n.dim(t)):
-            for j in range(m.dim(s)):
-                row = [f.zero] * total
-                for k in range(n.dim(s)):
-                    row[offsets[s] + k * m.dim(s) + j] = f.add(
-                        row[offsets[s] + k * m.dim(s) + j], mt.entries[i][k])
-                for k in range(m.dim(t)):
-                    row[offsets[t] + i * m.dim(t) + k] = f.sub(
-                        row[offsets[t] + i * m.dim(t) + k], ms.entries[k][j])
-                rows.append(row)
-    if not rows:
-        return total
-    mat = ExactMatrix.from_rows(rows, f)
-    return total - mat.rank()
 
 
 # -- bounded complexes -------------------------------------------------------

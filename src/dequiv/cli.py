@@ -186,7 +186,7 @@ def verify_remark_cmd(ctx, family, p2, p3, orientations):
 @click.option("--poset", "poset_path", default=None, type=click.Path(exists=True))
 @click.option("--weights", default=None)
 @click.option("--lambdas", default=None)
-@click.option("--max-degree", type=int, default=2, show_default=True)
+@click.option("--max-degree", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--method", type=click.Choice(["nerve", "bar", "both"]), default="both",
               show_default=True)
 @click.pass_context

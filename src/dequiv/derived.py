@@ -1,5 +1,5 @@
-"""Chain maps, shift and cone of the bounded complexes of `algebra`, the
-certified projective replacement, the cone functor from complexes of
+"""Chain maps and the mapping cone of the bounded complexes of `algebra`,
+the certified projective replacement, the cone functor from complexes of
 modules over the incidence algebras of the weight-triple posets to
 complexes over the canonical algebras, derived Hom tables, the
 Beilinson-style table check, verification pipelines and the exhaustive
@@ -76,20 +76,13 @@ class StalkComplex:
         return proj_replacement(self.complex)
 
 
-def shift(k: ComplexOfReps, n: int) -> ComplexOfReps:
-    """K[n]^i = K^{i+n}, differential scaled by (-1)^n."""
-    terms = {d - n: t for d, t in k.terms.items()}
-    diffs = {}
-    for d, m in k.diffs.items():
-        diffs[d - n] = m if n % 2 == 0 else -m
-    return ComplexOfReps.make(k.algebra, terms, diffs)
-
-
-def _sum_map(algebra, sources, targets, blocks: Dict[Tuple[int, int], ModuleMap]) -> ModuleMap:
-    """Module map between direct sums given by a sparse block dict.  It is
+def _sum_map(src: Representation, tgt: Representation,
+             sources: Sequence[Representation], targets: Sequence[Representation],
+             blocks: Dict[Tuple[int, int], ModuleMap]) -> ModuleMap:
+    """Module map src -> tgt given by a sparse block dict, src and tgt being
+    the direct sums of sources and of targets, built by the caller.  It is
     not checked; the complex it becomes a differential of checks it."""
-    src = direct_sum_rep(sources)
-    tgt = direct_sum_rep(targets)
+    algebra = src.algebra
     vb = {}
     for v in algebra.vertex_order:
         vb[v] = ExactMatrix.from_blocks(
@@ -122,7 +115,7 @@ def cone(fmap: RepChainMap) -> ComplexOfReps:
         dl = l.diff(d)
         if not dl.is_zero():
             blocks[(1, 1)] = dl
-        diffs[d] = _sum_map(alg, [k.term(d + 1), l.term(d)],
+        diffs[d] = _sum_map(terms[d], terms[d + 1], [k.term(d + 1), l.term(d)],
                             [k.term(d + 2), l.term(d + 1)], blocks)
     return ComplexOfReps.make(alg, terms, diffs)
 
@@ -325,13 +318,16 @@ def proj_replacement(x: ComplexOfReps, cap: Optional[int] = None):
     cone_diffs: Dict[int, ModuleMap] = {}
     for j in range(b - 1, b - 1 - cap, -1):
         src = [q[j + 1], x.term(j)]
+        cone_terms[j] = direct_sum_rep(src)
         blocks = {(1, 0): eps[j + 1]}
         if j + 1 in dq:
             blocks[(0, 0)] = -dq[j + 1]
         if j in x.diffs:
             blocks[(1, 1)] = x.diffs[j]
-        d = _sum_map(alg, src, [q.get(j + 2, zero), x.term(j + 1)], blocks)
-        cone_terms[j], cone_diffs[j] = d.source, d
+        # the target is the sum built one step before (X^b itself at j = b - 1)
+        d = _sum_map(cone_terms[j], cone_terms[j + 1], src,
+                     [q.get(j + 2, zero), x.term(j + 1)], blocks)
+        cone_diffs[j] = d
         v, incl = kernel_of(d)
         if v.is_zero() and j <= lo:
             break
@@ -373,13 +369,6 @@ class ExtTable:
     labels: tuple
     window: Tuple[int, int]
     entries: Dict[Tuple[str, str, int], int]
-
-    def to_json(self):
-        return {
-            "labels": list(self.labels),
-            "window": list(self.window),
-            "entries": {"%s|%s|%d" % k: v for k, v in sorted(self.entries.items()) if v},
-        }
 
 
 def beilinson_table_check(weights: Tuple[int, int, int],

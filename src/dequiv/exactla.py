@@ -228,19 +228,14 @@ class ExactMatrix:
 
     # -- basic ops ---------------------------------------------------------
 
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r][c]
-
-    def row(self, r):
-        return self.entries[r]
-
     def col(self, c):
         return tuple(self.entries[r][c] for r in range(self.nrows))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         f = self.field
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch %dx%d + %dx%d"
+                             % (self.nrows, self.ncols, other.nrows, other.ncols))
         return ExactMatrix(f, self.nrows, self.ncols, tuple(
             tuple(f.add(a, b) for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)))
@@ -287,7 +282,9 @@ class ExactMatrix:
         return all(f.is_zero(a) for r in self.entries for a in r)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.nrows == other.nrows
+        if self.nrows != other.nrows:
+            raise ValueError("shape mismatch: hstack of %dx%d and %dx%d"
+                             % (self.nrows, self.ncols, other.nrows, other.ncols))
         return ExactMatrix(self.field, self.nrows, self.ncols + other.ncols,
                            tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
 
@@ -312,13 +309,25 @@ class ExactMatrix:
         return len(self.pivot_cols())
 
     def kernel(self) -> "ExactMatrix":
-        """Matrix whose columns form a basis of the right kernel."""
-        return rank_and_kernel(self)[1]
+        """Matrix whose columns form a basis of the right kernel, from one
+        rref."""
+        f = self.field
+        _, pivots, rr = self.rref()
+        pivset = set(pivots)
+        cols = []
+        for fc in range(self.ncols):
+            if fc in pivset:
+                continue
+            v = [f.zero] * self.ncols
+            v[fc] = f.one
+            for i, pc in enumerate(pivots):
+                v[pc] = f.neg(rr.entries[i][fc])
+            cols.append(v)
+        return ExactMatrix.from_cols(cols, self.ncols, f)
 
     def solve(self, b: "ExactMatrix") -> Optional["ExactMatrix"]:
         """A particular solution X of self @ X = b, or None if inconsistent."""
         f = self.field
-        assert b.nrows == self.nrows
         rank, pivots, rr = self.hstack(b).rref()
         if pivots and pivots[-1] >= self.ncols:
             return None
@@ -355,13 +364,6 @@ class ExactMatrix:
                 if x.denominator != 1:
                     raise ValueError("non-integer entry %s" % x)
         return [[x.numerator for x in r] for r in self.entries]
-
-    def to_str_rows(self):
-        f = self.field
-        return [[f.to_str(x) for x in r] for r in self.entries]
-
-    def __str__(self):
-        return "\n".join("[" + " ".join(self.field.to_str(x) for x in r) + "]" for r in self.entries)
 
 
 def _eliminate(field, entries, ncols):
@@ -424,57 +426,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         return IntPolynomial(tuple(int(c) for c in cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial.of(out)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("%sx" % ("" if c == 1 else "-" if c == -1 else c))
-            else:
-                terms.append("%sx^%d" % ("" if c == 1 else "-" if c == -1 else c, i))
-        return " + ".join(reversed(terms)).replace("+ -", "- ")
-
-
-def rank_and_kernel(m: ExactMatrix):
-    """Rank and a basis of the right kernel (as columns), from one rref."""
-    f = m.field
-    rank, pivots, rr = m.rref()
-    pivset = set(pivots)
-    cols = []
-    for fc in range(m.ncols):
-        if fc in pivset:
-            continue
-        v = [f.zero] * m.ncols
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(rr.entries[i][fc])
-        cols.append(v)
-    return rank, ExactMatrix.from_cols(cols, m.ncols, f)
 
 
 def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:

@@ -182,13 +182,6 @@ def hom_cohomology(q: ComplexOfReps, y: ComplexOfReps,
     return [sum(k for _, k in coords(n)) - ranks[n] - ranks[n - 1] for n in degrees]
 
 
-def ext_dims(m: Representation, n: Representation, max_i: int) -> List[int]:
-    """dim Ext^i(M, N) for i = 0..max_i."""
-    if m.is_zero() or n.is_zero():
-        return [0] * (max_i + 1)
-    return minimal_resolution(m).ext_dims(n, max_i)
-
-
 def global_dimension(a: BoundQuiverAlgebra) -> int:
     """The projective dimension of the top A/rad A, the direct sum of the
     simples, which is the largest projective dimension of a simple.
@@ -260,11 +253,6 @@ def _coxeter_rows(c: Sequence[Sequence[int]]) -> List[List[int]]:
 def cartan_coxeter_polynomial(c: Sequence[Sequence[int]]) -> IntPolynomial:
     """The characteristic polynomial of Phi = -C^{-T} C."""
     return char_poly(_coxeter_rows(c))
-
-
-def coxeter_matrix(a: BoundQuiverAlgebra) -> ExactMatrix:
-    """Phi = -C^{-T} C in the fixed topological vertex order."""
-    return ExactMatrix.from_rows(_coxeter_rows(a.cartan_matrix().to_int_rows()))
 
 
 def coxeter_polynomial(a: BoundQuiverAlgebra) -> IntPolynomial:
@@ -392,7 +380,7 @@ def _reduced_cohomology(faces: Sequence[Sequence[tuple]], top: int, field) -> Li
 def nerve_cohomology(p: Poset, max_deg: int, field=QQ) -> List[int]:
     """Simplicial cohomology dims of the order complex over field, degrees
     0..max_deg: the reduced cohomology plus k in degree 0 (p nonempty)."""
-    reduced = _reduced_cohomology(order_complex(p).faces, max_deg, field)[1:]
+    reduced = _reduced_cohomology(order_complex(p), max_deg, field)[1:]
     return [h + (1 if d == 0 and p.n else 0) for d, h in enumerate(reduced)]
 
 
@@ -419,7 +407,7 @@ def _interval_ext_dims(p: Poset, down: Sequence[int], i: int, j: int,
     up = p.up_masks
     inner = _core(up, down, up[i] & down[j] & ~(1 << i | 1 << j))
     elements = [p.elements[k] for k in _members(inner)]
-    return [0] + _reduced_cohomology(order_complex(p, elements).faces, max_i - 2, field)
+    return [0] + _reduced_cohomology(order_complex(p, elements), max_i - 2, field)
 
 
 def _core(up: Sequence[int], down: Sequence[int], q: int) -> int:

@@ -1,6 +1,6 @@
-"""Finite posets: construction, Hasse diagrams, products, isomorphism,
-enumeration up to isomorphism, the weight-triple poset families, and
-order complexes."""
+"""Finite posets: construction, Hasse diagrams, isomorphism, enumeration
+up to isomorphism, the weight-triple poset families, and order
+complexes."""
 
 from __future__ import annotations
 
@@ -188,25 +188,6 @@ def poset_from_covers(elements: Sequence[str], covers: Iterable[Tuple[str, str]]
     return Poset(elements, tuple(up[x] for x in elements))
 
 
-def hasse(p: Poset) -> Tuple[Tuple[str, str], ...]:
-    """Transitive reduction of the order, as sorted cover pairs."""
-    return p.covers()
-
-
-def poset_product(p: Poset, q: Poset) -> Poset:
-    """Componentwise order on label pairs '(a,b)'; the pair (i, j) of
-    indices has index i * q.n + j."""
-    elems = tuple("(%s,%s)" % (a, b) for a in p.elements for b in q.elements)
-    up = []
-    for m in p.up_masks:
-        for mq in q.up_masks:
-            mask = 0
-            for k in _members(m):
-                mask |= mq << k * q.n
-            up.append(mask)
-    return Poset(elems, tuple(up))
-
-
 def chain(n: int, prefix: str = "c") -> Poset:
     elems = ["%s%d" % (prefix, i) for i in range(n)]
     return poset_from_covers(elems, [(elems[i], elems[i + 1]) for i in range(n - 1)])
@@ -333,7 +314,8 @@ def are_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
     # replay check
     for x in p.elements:
         for y in p.elements:
-            assert p.leq(x, y) == q.leq(assign[x], assign[y])
+            if p.leq(x, y) != q.leq(assign[x], assign[y]):
+                raise RuntimeError("isomorphism witness fails on the pair (%s, %s)" % (x, y))
     return assign
 
 
@@ -510,22 +492,12 @@ def build_remark_poset(family: int, p2: int, p3: int, orientation: Sequence[int]
 
 # -- order complex ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderComplex:
-    """Faces of the order complex: faces[d] lists the strict (d+1)-chains."""
-
-    faces: tuple  # tuple over dimensions of tuples of chains
-
-    @property
-    def dims(self):
-        return tuple(len(fs) for fs in self.faces)
-
-
-def order_complex(p: Poset, elements: Optional[Iterable[str]] = None) -> OrderComplex:
-    """Strict chains of the poset, or of its subposet on `elements`, closed
-    under subchains by construction.  Chains list their elements upward,
-    and each dimension lists its chains in name order: the successors of
-    each element are read once off its up-set mask, sorted by name."""
+def order_complex(p: Poset, elements: Optional[Iterable[str]] = None) -> tuple:
+    """Faces of the order complex of the poset, or of its subposet on
+    `elements`: entry d lists the strict (d+1)-chains, closed under
+    subchains by construction.  Chains list their elements upward, and each
+    dimension lists its chains in name order: the successors of each
+    element are read once off its up-set mask, sorted by name."""
     elems = sorted(p.elements if elements is None else elements)
     index = p._index
     within = {index[x]: x for x in elems}
@@ -538,4 +510,4 @@ def order_complex(p: Poset, elements: Optional[Iterable[str]] = None) -> OrderCo
         if not nxt:
             break
         by_dim.append(nxt)
-    return OrderComplex(tuple(tuple(fs) for fs in by_dim))
+    return tuple(tuple(fs) for fs in by_dim)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import QQ
@@ -410,5 +409,4 @@ def t2_poset(p1: int, p2: int) -> Poset:
     if p1 < 2 or p2 < 2:
         raise QuiverError("t2_poset requires p1, p2 >= 2")
     pres = canonical_presentation([p1, p2])
-    assert not pres.relations
     return quiver_as_poset(bgp_reflect(pres.quiver, "w"))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dequiv.posets import poset_from_covers
@@ -19,3 +24,20 @@ def rp2():
     covers = [(name(f[:j] + f[j + 1:]), name(f))
               for f in faces if len(f) > 1 for j in range(len(f))]
     return poset_from_covers(sorted(name(f) for f in faces), covers)
+
+
+@pytest.fixture
+def run_optimized():
+    """Runs Python source under `python -O`, which strips every assert,
+    with this checkout's src first on the path; returns the finished
+    process, which must have failed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(code):
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0, done.stdout
+        return done
+    return run

@@ -7,7 +7,7 @@ import time
 
 from dequiv.exactla import ExactMatrix, char_poly
 from dequiv.posets import (Poset, build_Xp, chain, diamond, enumerate_posets,
-                           are_isomorphic, hasse)
+                           are_isomorphic)
 from dequiv.quivers import (Arrow, Quiver, a1p_presentation, bgp_reflect,
                             canonical_presentation, incidence_presentation,
                             kronecker_presentation, t2_poset,

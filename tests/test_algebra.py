@@ -3,24 +3,61 @@ import pytest
 from dequiv.exactla import QQ, ExactMatrix
 from dequiv.posets import antichain, chain, diamond
 from dequiv.quivers import canonical_presentation, kronecker_presentation
-from dequiv.algebra import (AlgebraError, build_algebra, direct_sum, hom_dim,
-                            incidence_algebra, kernel_of, make_rep, module_map,
-                            projective_module, projective_rep, simple_module,
-                            zero_rep)
+from dequiv.algebra import (AlgebraError, build_algebra, incidence_algebra,
+                            kernel_of, make_rep, module_map, projective_module,
+                            projective_rep, simple_module, zero_rep)
 from dequiv.algebra import hom_from_generators
+from dequiv.homology import minimal_resolution
+
+
+def check_associativity(a):
+    """Associativity of the structure constants of a on composable triples
+    of basis paths: the oracle for the path-class basis and reduce_path."""
+    f = a.field
+    triples = []
+    for (u, v), bs1 in a._basis.items():
+        for (v2, w), bs2 in a._basis.items():
+            if v2 != v:
+                continue
+            for (w2, z), bs3 in a._basis.items():
+                if w2 != w:
+                    continue
+                for p in bs1:
+                    for q in bs2:
+                        for r in bs3:
+                            triples.append((u, v, w, z, p, q, r))
+    for u, v, w, z, p, q, r in triples:
+        left = {}
+        for s, c in a.reduce_path(u, w, p + q).items():
+            for t2, c2 in a.reduce_path(u, z, s + r).items():
+                left[t2] = f.add(left.get(t2, f.zero), f.mul(c, c2))
+        right = {}
+        for s, c in a.reduce_path(v, z, q + r).items():
+            for t2, c2 in a.reduce_path(u, z, p + s).items():
+                right[t2] = f.add(right.get(t2, f.zero), f.mul(c, c2))
+        keys = set(left) | set(right)
+        for k in keys:
+            if not f.is_zero(f.sub(left.get(k, f.zero), right.get(k, f.zero))):
+                return False
+    return True
+
+
+def hom_dim(m, n):
+    """dim Hom_A(M, N), read as Ext^0 off the minimal resolution of M."""
+    return minimal_resolution(m).ext_dims(n, 0)[0]
 
 
 def test_canonical_algebra_dimension_and_associativity():
     a = build_algebra(canonical_presentation([2, 2, 2]))
     assert a.dimension == 13
-    assert a.check_associativity()
+    assert check_associativity(a)
 
 
 def test_incidence_algebra_dimension_is_order_pair_count():
     p = diamond()
     a = incidence_algebra(p)
     assert a.dimension == len(p.relation)  # 9 order pairs
-    assert a.check_associativity()
+    assert check_associativity(a)
 
 
 def test_diamond_cartan_matrix():
@@ -80,14 +117,6 @@ def test_kernel_of_projective_cover():
     assert ker.total_dim == p.total_dim - 1
     assert incl.check()
     assert cover.compose(incl).is_zero()
-
-
-def test_direct_sum_inclusions():
-    a = incidence_algebra(chain(3))
-    s0, s1 = simple_module(a, "c0"), simple_module(a, "c1")
-    total, incls = direct_sum([s0, s1])
-    assert total.total_dim == 2
-    assert all(i.check() for i in incls)
 
 
 def test_module_map_shape_validation():

@@ -36,6 +36,15 @@ def test_hh_both_agrees(diamond_file, capsys):
     assert out["nerve"] == [1, 0, 0] and out["bar"] == [1, 0, 0] and out["agree"]
 
 
+@pytest.mark.parametrize("method", ["nerve", "bar", "both"])
+def test_hh_refuses_a_negative_degree_bound(diamond_file, method, capsys):
+    assert run(["hh", "--poset", diamond_file, "--method", method,
+                "--max-degree", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--max-degree" in out.err
+
+
 def test_hh_bar_on_weights(capsys):
     assert run(["hh", "--weights", "2,2,2,2", "--lambdas", "1,2",
                 "--method", "bar", "--max-degree", "2"]) == 0

@@ -6,16 +6,22 @@ from dequiv.exactla import ExactMatrix, PrimeField
 from dequiv.posets import antichain, build_Xp, chain, diamond
 from dequiv.quivers import canonical_presentation, hasse_quiver
 from dequiv.algebra import (AlgebraError, build_algebra, hom_from_generators,
-                            identity_map, incidence_algebra, make_rep, module_map,
+                            incidence_algebra, make_rep, module_map,
                             projective_module, projective_rep, simple_module)
 from dequiv import algebra, derived, homology
-from dequiv.homology import ext_dims, hom_cohomology, minimal_resolution
+from dequiv.homology import hom_cohomology, minimal_resolution
 from dequiv.derived import (ComplexOfReps, DerivedError, RepChainMap,
                             StalkComplex, as_stalk, beilinson_table_check,
                             cone, derived_hom_dims, f_images_of_simples,
                             functor_F, no_poset_search, proj_replacement,
-                            shift, stalk_complex_of, verify_22p,
+                            stalk_complex_of, verify_22p,
                             verify_remark_family, verify_t2, verify_weights)
+
+def identity_map(m):
+    """The identity module map of m."""
+    return module_map(m, m, {v: ExactMatrix.identity(m.dim(v), m.algebra.field)
+                             for v in m.algebra.vertex_order})
+
 
 # the one-vertex algebra k: its modules are vector spaces
 POINT = incidence_algebra(antichain(1))
@@ -55,14 +61,6 @@ def test_chain_map_validation():
         # d_target o f != f o d_source = 0
         RepChainMap(stalk_complex_of(space(1)), c,
                     {0: linear_map(ExactMatrix.from_rows([[1]]))}).check()
-
-
-def test_shift_convention():
-    a = incidence_algebra(diamond())
-    s = stalk_complex_of(simple_module(a, "0"), 0)
-    assert shift(s, 1).support == [-1]
-    assert shift(s, -2).support == [2]
-    assert as_stalk(shift(s, 1)).degree == -1
 
 
 def test_cone_of_identity_is_acyclic():
@@ -192,7 +190,8 @@ def test_replacement_spans_a_gap(poset):
             for n in mods:
                 q, _ = proj_replacement(ComplexOfReps.make(a, {0: m, 2: n}, {}))
                 for s in simples:
-                    em, en = ext_dims(m, s, 5), ext_dims(n, s, 5)
+                    em = minimal_resolution(m).ext_dims(s, 5)
+                    en = minimal_resolution(n).ext_dims(s, 5)
                     expected = [(em[i] if i >= 0 else 0) + (en[i + 2] if i >= -2 else 0)
                                 for i in shifts]
                     assert hom_cohomology(q, stalk_complex_of(s), shifts) == expected
@@ -341,7 +340,7 @@ def test_derived_hom_shift_vs_resolution():
         assert derived_hom_dims(s0, s1, i) == \
             derived_hom_dims(s0, s1, i, method="resolution")
     # Hom(M<0>, N<1>[i]) = Ext^{i-1}(M, N)
-    exts = ext_dims(simple_module(a, "0"), simple_module(a, "1"), 3)
+    exts = minimal_resolution(simple_module(a, "0")).ext_dims(simple_module(a, "1"), 3)
     for i in range(1, 4):
         assert derived_hom_dims(s0, s1, i) == exts[i - 1]
 
@@ -417,6 +416,27 @@ def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
     assert len(replacements) == 1
     # the replacement is certified on the cone it builds, not a second one
     assert cones == []
+
+
+def test_cone_terms_are_built_once(monkeypatch):
+    sums = count_calls(monkeypatch, derived, "direct_sum_rep")
+    sum_maps = count_calls(monkeypatch, derived, "_sum_map")
+    images = dict(f_images_of_simples((3, 3, 3)))
+    assert sums == []
+    proj_replacement(images["w"].complex)
+    # one sum C^j = Q^{j+1} (+) X^j per cone step, j = 0 and -1 here; the
+    # step below takes it as its target
+    assert len(sum_maps) == 2
+    assert len(sums) == len(sum_maps)
+    sums.clear()
+    sum_maps.clear()
+    a = incidence_algebra(diamond())
+    s = simple_module(a, "0")
+    c = cone(RepChainMap(stalk_complex_of(s), stalk_complex_of(s), {0: identity_map(s)}))
+    # the two terms S (+) 0 in degree -1 and 0 (+) S in degree 0, one
+    # differential between them
+    assert len(sums) == 2 and len(sum_maps) == 1
+    assert c.cohomology_dims() == {}
 
 
 def resolution_gldim(a):

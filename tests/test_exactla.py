@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dequiv.exactla import (QQ, ExactMatrix, IntPolynomial, PrimeField,
-                            char_poly, field_from_spec, rank_and_kernel,
-                            smith_normal_form)
+from dequiv.exactla import (QQ, ExactMatrix, PrimeField, char_poly,
+                            field_from_spec, smith_normal_form)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(101)]
 
@@ -231,14 +230,10 @@ def test_integral_input_gives_int_entries():
 
 def test_rank_and_kernel_consistency():
     m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    rank, kernel = rank_and_kernel(m)
+    rank, kernel = m.rank(), m.kernel()
     assert rank == 1
     assert kernel.ncols == 2
     assert (m @ kernel).is_zero()
-
-
-def test_int_polynomial_rendering():
-    assert str(IntPolynomial((1, -2, 1))) == "x^2 - 2x + 1"
 
 
 def test_rank_and_kernel_eliminates_once(monkeypatch):
@@ -251,9 +246,27 @@ def test_rank_and_kernel_eliminates_once(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "rref", counted)
     m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    rank, kernel = rank_and_kernel(m)
+    kernel = m.kernel()
     assert len(calls) == 1
-    assert (rank, kernel) == (m.rank(), m.kernel())
+    assert m.kernel() == kernel
+    assert len(calls) == 2
+    assert kernel.ncols == 3 - m.rank() == 1
+    assert (m @ kernel).is_zero()
+
+
+def test_add_refuses_a_shape_mismatch_under_O(run_optimized):
+    # zip would truncate the longer rows; the check is a raise, not an assert
+    done = run_optimized(
+        "from dequiv.exactla import ExactMatrix\n"
+        "ExactMatrix.from_rows([[1, 2]]) - ExactMatrix.from_rows([[1, 2, 3]])\n")
+    assert "ValueError: shape mismatch 1x2 + 1x3" in done.stderr
+
+
+def test_hstack_refuses_a_row_mismatch_under_O(run_optimized):
+    done = run_optimized(
+        "from dequiv.exactla import ExactMatrix\n"
+        "ExactMatrix.from_rows([[1], [2]]).hstack(ExactMatrix.from_rows([[1, 2]]))\n")
+    assert "ValueError: shape mismatch: hstack of 2x1 and 1x2" in done.stderr
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=repr)

@@ -5,11 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dequiv import homology, posets
-from dequiv.posets import (CycleError, Poset, PosetError, antichain,
+from dequiv.posets import (CycleError, Poset, PosetError, _members, antichain,
                            are_isomorphic, build_Xp, build_remark_poset,
                            canonical_key, chain, diamond, enumerate_posets,
-                           hasse, order_complex, poset_from_covers,
-                           poset_product, remark_free_edges)
+                           order_complex, poset_from_covers, remark_free_edges)
+
+
+def poset_product(p: Poset, q: Poset) -> Poset:
+    """Componentwise order on label pairs '(a,b)'; the pair (i, j) of
+    indices has index i * q.n + j."""
+    elems = tuple("(%s,%s)" % (a, b) for a in p.elements for b in q.elements)
+    up = []
+    for m in p.up_masks:
+        for mq in q.up_masks:
+            mask = 0
+            for k in _members(m):
+                mask |= mq << k * q.n
+            up.append(mask)
+    return Poset(elems, tuple(up))
 
 
 def naive_count(n):
@@ -300,7 +313,7 @@ def test_enumeration_is_irredundant():
 
 def test_hasse_round_trip():
     for p in enumerate_posets(4):
-        assert poset_from_covers(p.elements, hasse(p)) == p
+        assert poset_from_covers(p.elements, p.covers()) == p
 
 
 def test_cycle_reported():
@@ -318,6 +331,23 @@ def test_isomorphism_witness_is_replayable():
     for a, b in p.relation:
         assert (wit[a], wit[b]) in q.relation
     assert are_isomorphic(chain(3), antichain(3)) is None
+
+
+def test_isomorphism_replay_refuses_a_bad_witness_under_O(run_optimized):
+    # a canonical labelling that reaches the right bits through a wrong
+    # ordering gives a witness that is not an isomorphism; the replay check
+    # is a raise, not an assert
+    done = run_optimized(
+        "from dequiv import posets\n"
+        "labelling = posets._canonical_labelling\n"
+        "calls = []\n"
+        "def reversed_second(up):\n"
+        "    bits, order = labelling(up)\n"
+        "    calls.append(up)\n"
+        "    return bits, order[::-1] if len(calls) == 2 else order\n"
+        "posets._canonical_labelling = reversed_second\n"
+        "posets.are_isomorphic(posets.chain(2, 'c'), posets.chain(2, 'd'))\n")
+    assert "RuntimeError: isomorphism witness fails on the pair (c0, c1)" in done.stderr
 
 
 def test_product_of_chains_is_diamond():
@@ -344,7 +374,7 @@ def test_xp_has_unique_bottom_and_top():
 
 
 def test_order_complex_of_diamond():
-    faces = order_complex(diamond()).faces
+    faces = order_complex(diamond())
     assert len(faces[0]) == 4   # vertices
     assert len(faces[1]) == 5   # edges: 4 covers + bottom-to-top
     assert len(faces[2]) == 2   # triangles through a and b
@@ -503,7 +533,7 @@ def test_order_complex_matches_the_pairwise_walk(monkeypatch):
         return original_lt(self, x, y)
 
     monkeypatch.setattr(Poset, "lt", counting_lt)
-    complexes = [order_complex(p, elements).faces for p, elements in cases]
+    complexes = [order_complex(p, elements) for p, elements in cases]
     assert lts == []
     monkeypatch.undo()
     assert complexes == [pairwise_order_complex(p, elements) for p, elements in cases]

@@ -110,20 +110,6 @@ class Poset:
             out.extend((elems[i], elems[j]) for j in _members(strict & ~higher))
         return tuple(sorted(out))
 
-    def is_connected(self) -> bool:
-        up = self.up_masks
-        if not up:
-            return True
-        near = [m | d for m, d in zip(up, _down_masks(up))]
-        seen = frontier = 1
-        while frontier:
-            reach = 0
-            for i in _members(frontier):
-                reach |= near[i]
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == (1 << len(up)) - 1
-
     # -- io ----------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -253,9 +239,10 @@ def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
     arranged in every way that can change the bitmask: twins (elements
     with the same strict down-set and the same strict up-set, hence
     incomparable and of one colour) are swapped by an automorphism, so
-    only the sequence of twin classes in a cell is varied.  An ordering
-    sends the element at position a to the row a, so x < y sets bit
-    pos(x) * n + pos(y).  Isomorphic posets reach the same least bitmask,
+    only the sequence of twin classes in a cell is varied.  When every
+    class is a single element, the one ordering is read off the colours.
+    An ordering sends the element at position a to the row a, so x < y
+    sets bit pos(x) * n + pos(y).  Isomorphic posets reach the same least bitmask,
     and equal bitmasks give an isomorphism.
     """
     n = len(up)
@@ -276,16 +263,23 @@ def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
         if len(rank) == count:
             break
         count = len(rank)
-    twins: Dict[tuple, List[int]] = {}
-    for i in range(n):
-        twins.setdefault((colour[i], tuple(below[i]), tuple(above[i])), []).append(i)
-    cells: List[List[List[int]]] = [[] for _ in range(count)]
-    for (c, _, _), members in twins.items():
-        cells[c].append(members)
+    if count == n:
+        order = [0] * n
+        for i, c in enumerate(colour):
+            order[c] = i
+        orderings: Iterable[List[int]] = [order]
+    else:
+        twins: Dict[tuple, List[int]] = {}
+        for i in range(n):
+            twins.setdefault((colour[i], tuple(below[i]), tuple(above[i])), []).append(i)
+        cells: List[List[List[int]]] = [[] for _ in range(count)]
+        for (c, _, _), members in twins.items():
+            cells[c].append(members)
+        orderings = ([i for part in parts for i in part]
+                     for parts in itertools.product(*(_arrangements(c) for c in cells)))
     best, best_order = -1, None
     pos = [0] * n
-    for parts in itertools.product(*(_arrangements(c) for c in cells)):
-        order = [i for part in parts for i in part]
+    for order in orderings:
         for a, i in enumerate(order):
             pos[i] = a
         bits = 0
@@ -350,41 +344,83 @@ def _order_ideals(down: Sequence[int]) -> List[int]:
     return ideals
 
 
+def _components(up: Sequence[int], down: Sequence[int]) -> List[int]:
+    """The connected components of the poset with up-set masks up and
+    down-set masks down, as masks, in the order of their lowest element."""
+    comps = []
+    left = (1 << len(up)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for i in _members(frontier):
+                reach |= up[i] | down[i]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
 def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
     """All posets on n elements up to isomorphism (labels '0'..'n-1').
 
     Built by adding a new maximal element over every order ideal of each
-    smaller poset, deduplicated by canonical form.  A candidate is dropped
-    before it is canonicalised when another of its maximal elements has a
-    strictly larger down-set than the new one: every poset still arises by
-    adding a maximal element of largest down-set to the rest.  Each level
-    is kept as the up-set masks of the first candidate of each class,
-    sorted by canonical key, and a `Poset` is built only for the classes
-    of the last level.
+    smaller poset, deduplicated by canonical form.  Each level is kept as
+    the up-set masks of the first candidate of each class, sorted by
+    canonical key, and a `Poset` is built only for the classes of the last
+    level.  Three kinds of candidate are dropped before they are
+    canonicalised, none of which changes the listing:
+
+    - another maximal element has a strictly larger down-set than the new
+      one: every poset still arises by adding a maximal element of largest
+      down-set to the rest;
+    - the ideal holds some members of a twin class (elements of the parent
+      with the same strict down-set and strict up-set) but not the
+      lowest-index ones: swapping twins is an automorphism of the parent,
+      so the candidates of ideals that differ only by such swaps are
+      isomorphic, and the kept one, whose members in each twin class are
+      the lowest-index ones, has the smallest mask of them and is the
+      first one the ideal order reaches.  These ideals are the order ideals
+      of the parent with each twin class made a chain by index;
+    - with connected_only, on the last level, the ideal misses a component
+      of the parent, so the candidate is disconnected and would not be
+      listed.
     """
     if not 1 <= n <= 8:
         raise PosetError("enumeration supported for 1 <= n <= 8, got %d" % n)
     level = [(1,)]
     for size in range(2, n + 1):
         new_bit = 1 << (size - 1)
+        last_connected = connected_only and size == n
         seen = {}
         for up in level:
             down = _down_masks(up)
-            down_size = [d.bit_count() for d in down]
-            maximal = [i for i, m in enumerate(up) if m == 1 << i]
-            for ideal in _order_ideals(down):
-                new_down = ideal.bit_count() + 1
-                if any(down_size[i] > new_down for i in maximal if not ideal >> i & 1):
+            # the down-sets with each twin class made a chain by index
+            chained, lower = [], {}
+            for i, (u, d) in enumerate(zip(up, down)):
+                twin = (u ^ 1 << i, d ^ 1 << i)
+                prefix = lower.get(twin, 0)
+                chained.append(d | prefix)
+                lower[twin] = prefix | 1 << i
+            # big[k]: the maximal elements with more than k elements below
+            big = [0] * (size + 1)
+            for i, m in enumerate(up):
+                if m == 1 << i:
+                    for k in range(down[i].bit_count()):
+                        big[k] |= m
+            comps = _components(up, down) if last_connected else ()
+            for ideal in _order_ideals(chained):
+                if big[ideal.bit_count() + 1] & ~ideal:
+                    continue
+                if last_connected and not all(ideal & c for c in comps):
                     continue
                 masks = tuple(m | new_bit if ideal >> i & 1 else m
                               for i, m in enumerate(up)) + (new_bit,)
                 seen.setdefault(_canonical_labelling(masks)[0], masks)
         level = [masks for _, masks in sorted(seen.items())]
     elements = tuple(str(i) for i in range(n))
-    posets = [Poset(elements, up) for up in level]
-    if connected_only:
-        posets = [p for p in posets if p.is_connected()]
-    return posets
+    return [Poset(elements, up) for up in level]
 
 
 # -- the weight-triple families ---------------------------------------------

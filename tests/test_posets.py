@@ -109,14 +109,9 @@ def count_orderings(monkeypatch):
     return tried
 
 
-def test_enumeration_canonicalises_only_unpruned_candidates(monkeypatch):
-    """Work pin: candidates whose new maximal element does not have a
-    largest down-set are dropped before they are canonicalised (938
-    labellings without the cut), and a Poset is built only for each class
-    of the returned level (318), not for the classes of the smaller levels
-    (405 on levels 1..6) nor per candidate.  Twins are kept in order, so
-    the 582 labellings try 814 orderings (3,460 when each colour cell is
-    permuted in every way)."""
+def count_builds(monkeypatch):
+    """Wrap the Poset constructor; returns a list with the size of each
+    Poset built."""
     built = []
     init = Poset.__init__
 
@@ -124,18 +119,45 @@ def test_enumeration_canonicalises_only_unpruned_candidates(monkeypatch):
         built.append(len(args[0]))
         init(self, *args)
 
-    tried = count_orderings(monkeypatch)
     monkeypatch.setattr(Poset, "__init__", counting_init)
+    return built
+
+
+def test_enumeration_canonicalises_only_unpruned_candidates(monkeypatch):
+    """Work pin: candidates whose new maximal element does not have a
+    largest down-set (730 labellings without that cut), or whose ideal
+    holds some members of a twin class of the parent but not the
+    lowest-index ones (582 without that cut), are dropped before they are
+    canonicalised, and a Poset is built only for each class of the
+    returned level (318), not for the classes of the smaller levels (405
+    on levels 1..6) nor per candidate.  Twins are kept in order, so the
+    441 labellings try 640 orderings."""
+    tried = count_orderings(monkeypatch)
+    built = count_builds(monkeypatch)
     assert len(enumerate_posets(6)) == 318
-    assert len(tried) == 582
-    assert sum(tried) == 814
+    assert len(tried) == 441
+    assert sum(tried) == 640
     assert built == [6] * 318
+
+
+def test_connected_enumeration_canonicalises_only_connected_candidates(monkeypatch):
+    """Work pin: with connected_only, the last level drops the candidates
+    whose ideal misses a component of the parent before canonicalising
+    them, so enumerate_posets(6, connected_only=True) makes 352
+    labellings (441 without that cut) and builds a Poset only for the 238
+    connected classes (318 when the disconnected ones were filtered
+    after)."""
+    tried = count_orderings(monkeypatch)
+    built = count_builds(monkeypatch)
+    assert len(enumerate_posets(6, connected_only=True)) == 238
+    assert len(tried) == 352
+    assert built == [6] * 238
 
 
 def test_labelling_equals_oracle_on_enumeration_candidates(monkeypatch):
     """On every candidate that enumerate_posets(7) canonicalises (all
-    levels n <= 7), the bitmask equals the oracle's, and the returned
-    ordering reproduces it."""
+    levels n <= 7, 2,774 candidates), the bitmask equals the oracle's, and
+    the returned ordering reproduces it."""
     candidates = []
     labelling = posets._canonical_labelling
 
@@ -145,11 +167,72 @@ def test_labelling_equals_oracle_on_enumeration_candidates(monkeypatch):
 
     monkeypatch.setattr(posets, "_canonical_labelling", recording_labelling)
     enumerate_posets(7)
-    assert len(candidates) == 3568
+    assert len(candidates) == 2774
     for up in candidates:
         bits, order = labelling(up)
         assert sorted(order) == list(range(len(up)))
         assert bits == oracle_labelling(up) == relation_bits(up, order)
+
+
+def is_connected(p: Poset) -> bool:
+    """Whether the comparability graph of p is connected, by a search from
+    the first element."""
+    up = p.up_masks
+    if not up:
+        return True
+    near = [m | d for m, d in zip(up, posets._down_masks(up))]
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for i in _members(frontier):
+            reach |= near[i]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(up)) - 1
+
+
+def oracle_enumeration(n, connected_only=False):
+    """Reference for `enumerate_posets` with only the largest-down-set cut:
+    every other order ideal of each parent is canonicalised, twins and
+    all, and the disconnected posets are filtered out at the end."""
+    level = [(1,)]
+    for size in range(2, n + 1):
+        new_bit = 1 << (size - 1)
+        seen = {}
+        for up in level:
+            down = posets._down_masks(up)
+            down_size = [d.bit_count() for d in down]
+            maximal = [i for i, m in enumerate(up) if m == 1 << i]
+            for ideal in posets._order_ideals(down):
+                new_down = ideal.bit_count() + 1
+                if any(down_size[i] > new_down for i in maximal if not ideal >> i & 1):
+                    continue
+                masks = tuple(m | new_bit if ideal >> i & 1 else m
+                              for i, m in enumerate(up)) + (new_bit,)
+                seen.setdefault(posets._canonical_labelling(masks)[0], masks)
+        level = [masks for _, masks in sorted(seen.items())]
+    elements = tuple(str(i) for i in range(n))
+    found = [Poset(elements, up) for up in level]
+    if connected_only:
+        found = [p for p in found if is_connected(p)]
+    return found
+
+
+@pytest.mark.parametrize("connected_only", [False, True], ids=["all", "connected"])
+def test_enumeration_equals_oracle(connected_only):
+    """The skipped candidates change nothing: for n <= 7 the listing equals
+    the oracle's, with the same labels, up-set masks and order."""
+    for n in range(1, 8):
+        assert enumerate_posets(n, connected_only) == oracle_enumeration(n, connected_only)
+
+
+def test_connected_enumeration_lists_only_connected_posets():
+    """Every poset listed with connected_only is connected, and there are as
+    many as the connected posets of the full listing."""
+    for n in range(1, 8):
+        connected = enumerate_posets(n, connected_only=True)
+        assert all(is_connected(p) for p in connected)
+        assert len(connected) == sum(map(is_connected, enumerate_posets(n)))
 
 
 def bottom_top_around(k):

@@ -27,6 +27,9 @@ class BoundQuiverAlgebra:
     For each (u, v) the span of {left*g*right : g a relation} inside the
     path space u -> v is row-reduced; the non-pivot paths (ordered by
     length, then arrow names) represent the basis of the quotient block.
+    A pivot row has 1 at its pivot and 0 at every other pivot, so the class
+    of a pivot path is minus the rest of its row, a combination of basis
+    paths; that class is kept, and `reduce_path` reads it off.
     """
 
     def __init__(self, pres: Presentation):
@@ -49,8 +52,8 @@ class BoundQuiverAlgebra:
                 if ps:
                     self._paths[(u, v)] = ps
                     self._pidx[(u, v)] = {p: i for i, p in enumerate(ps)}
-        self._reduce_rows: Dict[Tuple[str, str], List[tuple]] = {}
-        self._pivot_of: Dict[Tuple[str, str], Dict[int, int]] = {}
+        # the class of each pivot path, {basis_path: coeff}, per block
+        self._pivot_class: Dict[Tuple[str, str], Dict[tuple, Dict[tuple, object]]] = {}
         self._basis: Dict[Tuple[str, str], List[tuple]] = {}
         self._compute_basis()
         self.dimension = sum(len(b) for b in self._basis.values())
@@ -77,18 +80,16 @@ class BoundQuiverAlgebra:
         f = self.field
         for (u, v), paths in self._paths.items():
             vecs = self._ideal_vectors(u, v)
+            pivots, rows = [], ()
             if vecs:
-                m = ExactMatrix.from_rows(vecs, f)
-                rank, pivots, rr = m.rref()
-                rows = [rr.entries[i] for i in range(rank)]
-                self._reduce_rows[(u, v)] = rows
-                self._pivot_of[(u, v)] = {p: i for i, p in enumerate(pivots)}
-                pivset = set(pivots)
-            else:
-                self._reduce_rows[(u, v)] = []
-                self._pivot_of[(u, v)] = {}
-                pivset = set()
-            self._basis[(u, v)] = [p for i, p in enumerate(paths) if i not in pivset]
+                _, pivots, rr = ExactMatrix.from_rows(vecs, f).rref()
+                rows = rr.entries  # the rows past the rank are zero; zip drops them
+            pivset = set(pivots)
+            basis = [(j, p) for j, p in enumerate(paths) if j not in pivset]
+            self._basis[(u, v)] = [p for _, p in basis]
+            self._pivot_class[(u, v)] = {
+                paths[pc]: {p: f.neg(row[j]) for j, p in basis if not f.is_zero(row[j])}
+                for pc, row in zip(pivots, rows)}
 
     def basis(self, u, v):
         """Basis path representatives of the (u, v) block."""
@@ -98,23 +99,12 @@ class BoundQuiverAlgebra:
         return len(self._basis.get((u, v), []))
 
     def reduce_path(self, u, v, path) -> Dict[tuple, object]:
-        """Express a path's class in the block basis: {basis_path: coeff}."""
-        f = self.field
-        paths = self._paths[(u, v)]
-        pidx = self._pidx[(u, v)]
-        vec = [f.zero] * len(paths)
-        vec[pidx[path]] = f.one
-        for piv, rowi in self._pivot_of[(u, v)].items():
-            c = vec[piv]
-            if not f.is_zero(c):
-                row = self._reduce_rows[(u, v)][rowi]
-                for j in range(len(vec)):
-                    vec[j] = f.sub(vec[j], f.mul(c, row[j]))
-        out = {}
-        for p, c in zip(paths, vec):
-            if not f.is_zero(c):
-                out[p] = c
-        return out
+        """Express a path's class in the block basis: {basis_path: coeff},
+        a fresh dict.  KeyError if the path is not a u -> v path."""
+        if path not in self._pidx[(u, v)]:
+            raise KeyError(path)
+        cls = self._pivot_class[(u, v)].get(path)
+        return {path: self.field.one} if cls is None else dict(cls)
 
     # -- invariants --------------------------------------------------------
 

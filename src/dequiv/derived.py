@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exactla import ExactMatrix
 from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
@@ -291,7 +291,7 @@ def derived_hom_dims(x: StalkComplex, y: StalkComplex, i: int,
     return hom_cohomology(q, y.complex, [i])[0]
 
 
-def proj_replacement(x: ComplexOfReps, cap: Optional[int] = None):
+def proj_replacement(x: ComplexOfReps):
     """A quasi-isomorphism eps : Q -> X from a bounded complex of projectives.
 
     Built from X's top degree b down: Q^b is the projective cover of X^b,
@@ -299,7 +299,8 @@ def proj_replacement(x: ComplexOfReps, cap: Optional[int] = None):
     cone's differential C^j -> C^{j+1}, where C^j = Q^{j+1} (+) X^j and the
     differential is [[-d_Q, 0], [eps, d_X]]; the two components of the
     cover give d_Q and eps in degree j.  The build stops at the first
-    vanishing kernel at or below X's lowest degree.  A map is a quasi-isomorphism
+    vanishing kernel at or below X's lowest degree, and refuses after
+    (b - lo) + dim A + 3 steps.  A map is a quasi-isomorphism
     exactly when its cone is acyclic, so the cone built on the way is the
     certificate: it is checked once as a complex of module maps, and for
     zero cohomology.  Returns (Q, eps) with eps[j] : Q^j -> X^j."""
@@ -307,8 +308,7 @@ def proj_replacement(x: ComplexOfReps, cap: Optional[int] = None):
     if x.is_zero():
         return ComplexOfReps(alg, {}, {}), {}
     lo, b = x.support[0], x.support[-1]
-    if cap is None:
-        cap = (b - lo) + alg.dimension + 3
+    cap = (b - lo) + alg.dimension + 3
     zero = x.term(b + 1)  # Q, like X, is zero above b
     p_b, cover = projective_cover(x.term(b))
     q = {b: p_b}
@@ -336,7 +336,7 @@ def proj_replacement(x: ComplexOfReps, cap: Optional[int] = None):
         dq[j] = _component_map(tot, src, 0)
         eps[j] = -_component_map(tot, src, 1)
     else:
-        raise DerivedError("projective replacement cap exceeded")
+        raise DerivedError("projective replacement cap %d exceeded" % cap)
     cone_complex = ComplexOfReps.make(alg, cone_terms, cone_diffs)
     if cone_complex.cohomology_dims():
         raise DerivedError("projective replacement is not a quasi-isomorphism")
@@ -505,11 +505,10 @@ def verify_t2(p1: int, p2: int) -> dict:
             "poset_cert": ca.to_json(), "canonical_cert": cc.to_json()}
 
 
-def search_matching_posets(target: InvariantCertificate, n: int,
-                           connected_only: bool = True) -> List[Poset]:
-    """All (connected) posets on n elements whose incidence-algebra
+def search_matching_posets(target: InvariantCertificate, n: int) -> List[Poset]:
+    """All connected posets on n elements whose incidence-algebra
     certificate matches the target's invariants."""
-    return _matching(target, enumerate_posets(n, connected_only=connected_only))
+    return _matching(target, enumerate_posets(n, connected_only=True))
 
 
 def _matching(target: InvariantCertificate, candidates: Sequence[Poset]) -> List[Poset]:

@@ -84,11 +84,9 @@ def projective_cover(m: Representation) -> Tuple[ProjectiveRep, ModuleMap]:
     return p, cover
 
 
-def minimal_resolution(m: Representation, cap: Optional[int] = None) -> ProjectiveResolution:
-    """Minimal projective resolution, failing loudly if cap is exceeded."""
-    alg = m.algebra
-    if cap is None:
-        cap = alg.dimension
+def minimal_resolution(m: Representation) -> ProjectiveResolution:
+    """Minimal projective resolution, failing loudly past dim A steps."""
+    cap = m.algebra.dimension
     steps: List[Tuple[ProjectiveRep, ModuleMap]] = []
     cur = m
     prev_incl: Optional[ModuleMap] = None
@@ -139,14 +137,15 @@ def hom_cohomology(q: ComplexOfReps, y: ComplexOfReps,
             acts[k, v, path] = yt[k].act_path(v, path)
         return acts[k, v, path]
 
-    def coords(n):
-        """Blocks (j, g) of Hom^n with their dimensions; empty ones skipped."""
-        return [((j, g), yt[j + n].dim(v)) for j in sorted(qt) if j + n in yt
-                for g, v in enumerate(qt[j].blocks) if yt[j + n].dim(v)]
+    # the blocks (j, g) of Hom^n with their dimensions, empty ones skipped,
+    # once for each degree a requested H^n reads
+    coords = {n: [((j, g), yt[j + n].dim(v)) for j in sorted(qt) if j + n in yt
+                  for g, v in enumerate(qt[j].blocks) if yt[j + n].dim(v)]
+              for n in {m + e for m in degrees for e in (-1, 0, 1)}}
 
     def rank(n):
         """Rank of D : Hom^n -> Hom^{n+1}."""
-        src, tgt = coords(n), coords(n + 1)
+        src, tgt = coords[n], coords[n + 1]
         if not src or not tgt:
             return 0
         col = {c: i for i, (c, _) in enumerate(src)}
@@ -179,7 +178,7 @@ def hom_cohomology(q: ComplexOfReps, y: ComplexOfReps,
                                        [k for _, k in src], f).rank()
 
     ranks = {m: rank(m) for m in set(degrees) | {n - 1 for n in degrees}}
-    return [sum(k for _, k in coords(n)) - ranks[n] - ranks[n - 1] for n in degrees]
+    return [sum(k for _, k in coords[n]) - ranks[n] - ranks[n - 1] for n in degrees]
 
 
 def global_dimension(a: BoundQuiverAlgebra) -> int:
@@ -463,39 +462,27 @@ def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int,
     if max_deg > 3:
         raise ResourceRefusal("hochschild_bar supports max_deg <= 3")
     f = a.field
-    # radical basis elements (u, v, path); n = 0 cochains live on diagonal blocks
-    rad = []
+    # radical basis elements (u, v, path), and those out of each vertex
+    rad, rad_from = [], {}
     for (u, v), paths in a._basis.items():
         for p in paths:
             if p:
                 rad.append((u, v, p))
-
-    def composable_tuples(n):
-        if n == 0:
-            return [()]
-        out = [(r,) for r in rad]
-        for _ in range(n - 1):
-            out = [tup + (r,) for tup in out for r in rad if tup[-1][1] == r[0]]
-        return out
-
-    def cochain_space(n):
-        """Basis of C^n: (argument tuple, value basis path) with blocks matching."""
-        basis = []
-        for tup in composable_tuples(n):
-            if n == 0:
-                for v in a.vertex_order:
-                    for bp in a.basis(v, v):
-                        basis.append((tup, (v, v), bp))
-            else:
-                blk = (tup[0][0], tup[-1][1])
-                for bp in a.basis(*blk):
-                    basis.append((tup, blk, bp))
-        if len(basis) > size_budget:
+                rad_from.setdefault(u, []).append((u, v, p))
+    # C^n has basis (argument tuple, block, value basis path); n = 0 cochains
+    # live on diagonal blocks.  The composable n-tuples are listed once per
+    # degree, each (n-1)-tuple extended by the radical elements out of its end.
+    tuples = [[()]]
+    spaces = [[((), (v, v), bp) for v in a.vertex_order for bp in a.basis(v, v)]]
+    for n in range(max_deg + 2):
+        if n:
+            tuples.append([tup + (r,) for tup in tuples[-1]
+                           for r in (rad_from.get(tup[-1][1], ()) if tup else rad)])
+            spaces.append([(tup, (tup[0][0], tup[-1][1]), bp) for tup in tuples[n]
+                           for bp in a.basis(tup[0][0], tup[-1][1])])
+        if len(spaces[n]) > size_budget:
             raise ResourceRefusal("bar cochain space in degree %d exceeds budget" % n)
-        return basis
-
-    spaces = [cochain_space(n) for n in range(max_deg + 2)]
-    mats = []
+    ranks = []  # of each coboundary C^n -> C^{n+1}, ranked once
     for n in range(max_deg + 1):
         src, tgt = spaces[n], spaces[n + 1]
         tgt_idx = {(tup, bp): i for i, (tup, blk, bp) in enumerate(tgt)}
@@ -515,7 +502,7 @@ def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int,
         # each composable (n+1)-tuple once; each bar term reaches only the
         # sources on one argument tuple, so no other source is compared
         last_sign = f.from_int(-1 if n % 2 == 0 else 1)  # (-1)^{n+1}
-        for big in composable_tuples(n + 1):
+        for big in tuples[n + 1]:
             # term 0: r_1 * f(r_2..r_{n+1})
             r = big[0]
             for k, blk, bp in by_args.get(big[1:], ()):
@@ -534,14 +521,9 @@ def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int,
             for k, blk, bp in by_args.get(big[:-1], ()):
                 if blk[1] == r[0]:
                     add_at(k, big, a.reduce_path(blk[0], r[1], bp + r[2]), last_sign)
-        mats.append(ExactMatrix.from_cols(cols, len(tgt), f))
-
-    out = []
-    for n in range(max_deg + 1):
-        rank_out = mats[n].rank()
-        rank_in = mats[n - 1].rank() if n >= 1 else 0
-        out.append(len(spaces[n]) - rank_out - rank_in)
-    return out
+        ranks.append(ExactMatrix.from_cols(cols, len(tgt), f).rank())
+    return [len(spaces[n]) - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(max_deg + 1)]
 
 
 def hochschild_of_poset(p: Poset, max_deg: int) -> List[int]:

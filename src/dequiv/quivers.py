@@ -347,8 +347,6 @@ def unique_path_property(q: Quiver) -> bool:
         for v in q.vertices:
             if u != v and len(q.paths(u, v)) > 1:
                 return False
-        if len(q.paths(u, u)) > 1:
-            return False
     return True
 
 
@@ -372,12 +370,12 @@ def is_gentle(pres: Presentation) -> bool:
             return False
         forbidden.add(path.arrow_names)
     for b in q.arrows:
-        pre = [a for a in q.arrows if a.target == b.source]
+        pre = q.arrows_into(b.source)
         pre_rel = [a for a in pre if (a.name, b.name) in forbidden]
         pre_free = [a for a in pre if (a.name, b.name) not in forbidden]
         if len(pre_rel) > 1 or len(pre_free) > 1:
             return False
-        post = [c for c in q.arrows if c.source == b.target]
+        post = q.arrows_from(b.target)
         post_rel = [c for c in post if (b.name, c.name) in forbidden]
         post_free = [c for c in post if (b.name, c.name) not in forbidden]
         if len(post_rel) > 1 or len(post_free) > 1:

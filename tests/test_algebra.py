@@ -1,7 +1,7 @@
 import pytest
 
-from dequiv.exactla import QQ, ExactMatrix
-from dequiv.posets import antichain, chain, diamond
+from dequiv.exactla import QQ, ExactMatrix, PrimeField
+from dequiv.posets import antichain, chain, diamond, enumerate_posets
 from dequiv.quivers import canonical_presentation, kronecker_presentation
 from dequiv.algebra import (AlgebraError, build_algebra, incidence_algebra,
                             kernel_of, make_rep, module_map, projective_module,
@@ -40,6 +40,66 @@ def check_associativity(a):
             if not f.is_zero(f.sub(left.get(k, f.zero), right.get(k, f.zero))):
                 return False
     return True
+
+
+def oracle_reduce_path(a, u, v, path):
+    """The class of a path as the row reduction of its unit vector against
+    the rref of the block's ideal vectors: each pivot's coefficient times
+    its row is subtracted, pivot by pivot, and the nonzero coordinates
+    left are read off in path order.  The oracle for reduce_path."""
+    f = a.field
+    paths = a._paths[(u, v)]
+    vecs = a._ideal_vectors(u, v)
+    _, pivots, rr = ExactMatrix.from_rows(vecs, f).rref() if vecs else (0, [], None)
+    vec = [f.zero] * len(paths)
+    vec[paths.index(path)] = f.one
+    for i, piv in enumerate(pivots):
+        c = vec[piv]
+        if not f.is_zero(c):
+            row = rr.entries[i]
+            for j in range(len(vec)):
+                vec[j] = f.sub(vec[j], f.mul(c, row[j]))
+    return {p: c for p, c in zip(paths, vec) if not f.is_zero(c)}
+
+
+def reduction_algebras(field):
+    yield build_algebra(canonical_presentation([2, 2, 2, 2], [1, 2], field))
+    yield build_algebra(canonical_presentation([3, 3, 3], field=field))
+    yield build_algebra(canonical_presentation([2, 3, 5], field=field))
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            yield incidence_algebra(p, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_reduce_path_reads_the_basis_rref(field):
+    # a pivot path's class is minus the rest of its rref row, kept when the
+    # basis is computed; every path of every block reduces as the loop does
+    algebras = 0
+    for a in reduction_algebras(field):
+        algebras += 1
+        for (u, v), paths in a._paths.items():
+            for path in paths:
+                got = a.reduce_path(u, v, path)
+                want = oracle_reduce_path(a, u, v, path)
+                assert got == want and list(got) == list(want)
+    assert algebras == 3 + (1 + 2 + 5 + 16 + 63)  # posets on n <= 5, OEIS A000112
+
+
+def test_reduce_path_refuses_a_path_of_another_block_and_returns_fresh_dicts():
+    a = build_algebra(canonical_presentation([2, 2, 2]))
+    (u, v), (w, z) = [blk for blk in a._paths if blk[0] != blk[1]][:2]
+    other = next(p for p in a._paths[(w, z)] if p not in a._paths[(u, v)])
+    with pytest.raises(KeyError):
+        a.reduce_path(u, v, other)
+    with pytest.raises(KeyError):  # a block with no path
+        a.reduce_path(a.vertex_order[-1], a.vertex_order[0], ())
+    for (u, v), paths in a._paths.items():
+        for path in paths:
+            first = a.reduce_path(u, v, path)
+            assert first  # no path of this algebra is zero
+            first.clear()
+            assert a.reduce_path(u, v, path) == oracle_reduce_path(a, u, v, path)
 
 
 def hom_dim(m, n):

@@ -30,6 +30,11 @@ def test_bench_history_entries_have_every_key():
             assert set(side["traced_seed1"]) == COUNTS
             assert all(v is None or (isinstance(v, int) and v >= 0)
                        for v in side["traced_seed1"].values())
+    # only the newest change's entries may still lack their commit: a change
+    # fills in its parent's before appending its own
+    pending = [i for i, e in enumerate(entries) if e["revision"] is None]
+    assert pending == list(range(len(entries) - len(pending), len(entries)))
+    assert len({entries[i]["parent_revision"] for i in pending}) <= 1
     backfilled = {e["revision"] for e in entries if e["source"] == "CHANGES.md"}
     assert backfilled == {"95d46c1", "01abe3c", "68100a8", "05f137f"}
     assert {e["workload"] for e in entries if e["source"] == "measured"} == WORKLOADS

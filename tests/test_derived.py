@@ -233,6 +233,16 @@ def test_certificate_catches_a_sign_flip_in_eps(monkeypatch):
     assert len(flipped) == 1
 
 
+def test_replacement_cap_names_its_value(monkeypatch):
+    # a kernel that never vanishes runs the build into its cap,
+    # (b - lo) + dim A + 3 = 0 + 3 + 3 steps for a stalk over k(. -> .)
+    a = incidence_algebra(chain(2))
+    assert a.dimension == 3
+    monkeypatch.setattr(derived, "kernel_of", lambda d: (d.source, identity_map(d.source)))
+    with pytest.raises(DerivedError, match=r"^projective replacement cap 6 exceeded$"):
+        proj_replacement(stalk_complex_of(simple_module(a, "c0")))
+
+
 def test_replacement_builds_one_zero_term(monkeypatch):
     # the zero term outside X's support is built once per complex, not once
     # per lookup

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import ExactMatrix, QQ
@@ -38,20 +39,11 @@ class BoundQuiverAlgebra:
         self.field = pres.field
         # the poset of an incidence algebra (set by incidence_algebra)
         self.poset: Optional[Poset] = None
-        self.vertex_order = pres.quiver.topological_order()
+        self.vertex_order = pres.quiver.topological_order
         # (source, target) of each relation, in presentation order
         self.relation_endpoints = tuple(rel.endpoints(self.quiver)
                                         for rel in pres.relations)
         self._vidx = {v: i for i, v in enumerate(self.vertex_order)}
-        self._paths: Dict[Tuple[str, str], List[tuple]] = {}
-        self._pidx: Dict[Tuple[str, str], Dict[tuple, int]] = {}
-        q = self.quiver
-        for u in self.vertex_order:
-            for v in self.vertex_order:
-                ps = sorted(q.paths(u, v), key=lambda p: (len(p), p))
-                if ps:
-                    self._paths[(u, v)] = ps
-                    self._pidx[(u, v)] = {p: i for i, p in enumerate(ps)}
         # the class of each pivot path, {basis_path: coeff}, per block
         self._pivot_class: Dict[Tuple[str, str], Dict[tuple, Dict[tuple, object]]] = {}
         self._basis: Dict[Tuple[str, str], List[tuple]] = {}
@@ -63,13 +55,13 @@ class BoundQuiverAlgebra:
     def _ideal_vectors(self, u, v):
         """Spanning vectors of the relation ideal inside the (u, v) path space."""
         f = self.field
-        npaths = len(self._paths[(u, v)])
-        pidx = self._pidx[(u, v)]
+        q = self.quiver
+        pidx = {p: i for i, p in enumerate(q.paths(u, v))}
         vecs = []
         for rel, (rs, rt) in zip(self.presentation.relations, self.relation_endpoints):
-            for left in self._paths.get((u, rs), []):
-                for right in self._paths.get((rt, v), []):
-                    vec = [f.zero] * npaths
+            for left in q.paths(u, rs):
+                for right in q.paths(rt, v):
+                    vec = [f.zero] * len(pidx)
                     for coeff, path in rel.terms:
                         full = left + path.arrow_names + right
                         vec[pidx[full]] = f.add(vec[pidx[full]], coeff)
@@ -77,8 +69,13 @@ class BoundQuiverAlgebra:
         return vecs
 
     def _compute_basis(self):
-        f = self.field
-        for (u, v), paths in self._paths.items():
+        """The blocks in vertex_order x vertex_order order; a block with no
+        path is skipped."""
+        f, q = self.field, self.quiver
+        for u, v in product(self.vertex_order, repeat=2):
+            paths = q.paths(u, v)
+            if not paths:
+                continue
             vecs = self._ideal_vectors(u, v)
             pivots, rows = [], ()
             if vecs:
@@ -101,10 +98,12 @@ class BoundQuiverAlgebra:
     def reduce_path(self, u, v, path) -> Dict[tuple, object]:
         """Express a path's class in the block basis: {basis_path: coeff},
         a fresh dict.  KeyError if the path is not a u -> v path."""
-        if path not in self._pidx[(u, v)]:
+        cls = self._pivot_class[(u, v)].get(path)  # KeyError for a block with no path
+        if cls is not None:
+            return dict(cls)
+        if path not in self.quiver.paths(u, v):
             raise KeyError(path)
-        cls = self._pivot_class[(u, v)].get(path)
-        return {path: self.field.one} if cls is None else dict(cls)
+        return {path: self.field.one}
 
     # -- invariants --------------------------------------------------------
 
@@ -321,7 +320,9 @@ class ModuleMap:
 
 
 def module_map(source: Representation, target: Representation,
-               blocks: Dict[str, ExactMatrix], check: bool = True) -> ModuleMap:
+               blocks: Dict[str, ExactMatrix]) -> ModuleMap:
+    """The module map with the given blocks (missing ones zero), shape
+    checked; whether it commutes with the arrows is `ModuleMap.check`."""
     alg = source.algebra
     f = alg.field
     full = []
@@ -332,22 +333,19 @@ def module_map(source: Representation, target: Representation,
         if (m.nrows, m.ncols) != (target.dim(v), source.dim(v)):
             raise AlgebraError("block at %s has wrong shape" % v)
         full.append(m)
-    mm = ModuleMap(source, target, tuple(full))
-    if check and not mm.check():
-        raise AlgebraError("blocks do not commute with the arrow actions")
-    return mm
+    return ModuleMap(source, target, tuple(full))
 
 
 def zero_map(source: Representation, target: Representation) -> ModuleMap:
-    return module_map(source, target, {}, check=False)
+    return module_map(source, target, {})
 
 
 def hom_from_generators(p: ProjectiveRep, n: Representation,
                         gen_images: Sequence[ExactMatrix]) -> ModuleMap:
     """The module map P -> N sending the j-th projective generator to the
     given column vector in N at blocks[j]; a basis label (j, path) goes to
-    that vector carried along the path, one arrow map at a time.  It
-    commutes with the arrows by construction, so the check is skipped."""
+    that vector carried along the path, one arrow map at a time, so it
+    commutes with the arrows by construction."""
     alg = p.algebra
     f = alg.field
     maps = dict(n.maps)
@@ -356,7 +354,7 @@ def hom_from_generators(p: ProjectiveRep, n: Representation,
         cols = [reduce(lambda v, name: maps[name] @ v, path, gen_images[j]).col(0)
                 for j, path in p.labels_at(w)]
         blocks[w] = ExactMatrix.from_cols(cols, n.dim(w), f)
-    return module_map(p, n, blocks, check=False)
+    return module_map(p, n, blocks)
 
 
 def direct_sum_rep(reps: Sequence[Representation]) -> Representation:
@@ -372,36 +370,28 @@ def direct_sum_rep(reps: Sequence[Representation]) -> Representation:
 
 
 def kernel_of(mm: ModuleMap) -> Tuple[Representation, ModuleMap]:
-    """Kernel subrepresentation with its inclusion.  The arrow maps of the
-    kernel are solved for so that the inclusion commutes with them, so the
-    inclusion is built without the commutation check."""
+    """Kernel subrepresentation with its inclusion.
+
+    The rows of a kernel basis K_v at its free coordinates form the identity
+    (`ExactMatrix.kernel`), so a kernel vector's coordinates are its entries
+    there: the kernel's map for an arrow a: u -> v is those rows of
+    M_a K_u.  An image outside the kernel at v is refused; otherwise the
+    inclusion commutes with the arrows by construction."""
     alg = mm.source.algebra
     f = alg.field
-    kbases = {}
-    for v in alg.vertex_order:
-        kbases[v] = mm.block(v).kernel()  # columns span the kernel at v
-    dims = {v: kbases[v].ncols for v in alg.vertex_order}
+    kbases = {v: mm.block(v).kernel() for v in alg.vertex_order}
+    # the free coordinate of each kernel column is its last nonzero entry
+    free = {v: [max(r for r, x in enumerate(col) if not f.is_zero(x))
+                for col in zip(*k.entries)] for v, k in kbases.items()}
     maps = {}
-    for v in alg.vertex_order:
-        arrows = alg.quiver.arrows_into(v)
-        if not arrows:
-            continue
-        # one solve per target vertex, the images of its arrows side by side
-        imgs = [mm.source.map_of(a.name) @ kbases[a.source] for a in arrows]
-        sol = kbases[v].solve(reduce(ExactMatrix.hstack, imgs))
-        if sol is None:
-            raise AlgebraError("kernel not arrow-stable (inconsistent solve)")
-        if len(arrows) == 1:  # the whole solution is the one arrow's map
-            maps[arrows[0].name] = sol
-            continue
-        lo = 0
-        for a, img in zip(arrows, imgs):
-            maps[a.name] = ExactMatrix(f, sol.nrows, img.ncols,
-                                       tuple(r[lo:lo + img.ncols] for r in sol.entries))
-            lo += img.ncols
-    ker = make_rep(alg, dims, maps, check=False)
-    incl = module_map(ker, mm.source, {v: kbases[v] for v in alg.vertex_order}, check=False)
-    return ker, incl
+    for a in alg.quiver.arrows:
+        img = mm.source.map_of(a.name) @ kbases[a.source]
+        if not (mm.block(a.target) @ img).is_zero():
+            raise AlgebraError("kernel not arrow-stable")
+        maps[a.name] = ExactMatrix(f, len(free[a.target]), img.ncols,
+                                   tuple(img.entries[r] for r in free[a.target]))
+    ker = make_rep(alg, {v: k.ncols for v, k in kbases.items()}, maps, check=False)
+    return ker, module_map(ker, mm.source, kbases)
 
 
 # -- bounded complexes -------------------------------------------------------

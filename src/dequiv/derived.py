@@ -23,7 +23,7 @@ from .algebra import (BoundQuiverAlgebra, ComplexOfReps, DerivedError, ModuleMap
                       zero_map)
 from .homology import (InvariantCertificate, certificate, global_dimension,
                        hom_cohomology, matches_certificate, minimal_resolution,
-                       poset_ext_dims, projective_cover)
+                       poset_ext_dims, poset_global_dimension, projective_cover)
 
 
 # ===========================================================================
@@ -88,7 +88,7 @@ def _sum_map(src: Representation, tgt: Representation,
         vb[v] = ExactMatrix.from_blocks(
             {(i, j): mm.block(v) for (i, j), mm in blocks.items()},
             [t.dim(v) for t in targets], [s.dim(v) for s in sources], algebra.field)
-    return module_map(src, tgt, vb, check=False)
+    return module_map(src, tgt, vb)
 
 
 def cone(fmap: RepChainMap) -> ComplexOfReps:
@@ -253,7 +253,7 @@ def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int],
     for d in sorted(degs):
         blocks = {v: vdiff(v, d) for v in alg.vertex_order}
         if not all(b.is_zero() for b in blocks.values()):
-            diffs[d] = module_map(terms[d], terms[d + 1], blocks, check=False)
+            diffs[d] = module_map(terms[d], terms[d + 1], blocks)
 
     return ComplexOfReps.make(alg, terms, diffs)
 
@@ -355,7 +355,7 @@ def _component_map(mm: ModuleMap, targets: Sequence[Representation], idx: int) -
         d = targets[idx].dim(v)
         m = mm.block(v)
         blocks[v] = ExactMatrix(f, d, m.ncols, m.entries[off:off + d])
-    return module_map(mm.source, targets[idx], blocks, check=False)
+    return module_map(mm.source, targets[idx], blocks)
 
 
 # ===========================================================================
@@ -366,8 +366,6 @@ def _component_map(mm: ModuleMap, targets: Sequence[Representation], idx: int) -
 class ExtTable:
     """(source element, target element, shift) -> dimension."""
 
-    labels: tuple
-    window: Tuple[int, int]
     entries: Dict[Tuple[str, str, int], int]
 
 
@@ -379,16 +377,16 @@ def beilinson_table_check(weights: Tuple[int, int, int],
 
     The poset side is read off interval cohomology (`poset_ext_dims`), so
     the two tables come from independent computations."""
-    ax = incidence_algebra(build_Xp(*weights))
-    g = global_dimension(ax)
+    xp = build_Xp(*weights)
+    g = poset_global_dimension(xp)
     if window[0] > -g or window[1] < g:
         raise DerivedError("window must contain [-gldim, gldim] = [%d, %d]" % (-g, g))
-    labels = tuple(ax.vertex_order)
+    labels = xp.elements
     shifts = range(window[0], window[1] + 1)
-    left, right = ExtTable(labels, window, {}), ExtTable(labels, window, {})
+    left, right = ExtTable({}), ExtTable({})
     for x in labels:
         for y in labels:
-            exts = poset_ext_dims(ax.poset, x, y, window[1], ax.field)
+            exts = poset_ext_dims(xp, x, y, window[1])
             left.entries.update(((x, y, i), exts[i] if i >= 0 else 0) for i in shifts)
     # the right entry (x, y, i) is Hom(F S_x, F S_y[i]), one Hom complex per pair
     images = dict(f_images_of_simples(weights))
@@ -402,7 +400,7 @@ def beilinson_table_check(weights: Tuple[int, int, int],
 
     # signed dimension-vector classes of the images in the canonical order
     rows = []
-    for sx in ax.vertex_order:
+    for sx in labels:
         st = images[sx]
         sign = 1 if st.degree % 2 == 0 else -1
         rows.append([sign * st.module.dim(v) for v in alg.vertex_order])

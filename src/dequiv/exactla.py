@@ -310,7 +310,10 @@ class ExactMatrix:
 
     def kernel(self) -> "ExactMatrix":
         """Matrix whose columns form a basis of the right kernel, from one
-        rref."""
+        rref.  Column k has 1 at the k-th free (non-pivot) coordinate f_k, 0
+        at every other free coordinate, and its other nonzero entries at
+        pivots left of f_k: f_k is the column's last nonzero entry, and the
+        rows at the free coordinates form the identity."""
         f = self.field
         _, pivots, rr = self.rref()
         pivset = set(pivots)

@@ -324,7 +324,7 @@ def certificate(a: BoundQuiverAlgebra) -> InvariantCertificate:
         coxeter=cartan_coxeter_polynomial(c),
         snf_antisym=cartan_snf_antisym(c),
         gldim=global_dimension(a),
-        vertex_order=tuple(a.vertex_order),
+        vertex_order=a.vertex_order,
     )
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .exactla import QQ
 from .posets import Poset, poset_from_covers
@@ -40,7 +40,7 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vs or a.target not in vs:
                 raise QuiverError("arrow %s has endpoint off the vertex set" % a.name)
-        self.topological_order()  # raises on an oriented cycle
+        self.topological_order  # raises on an oriented cycle
 
     @cached_property
     def _index(self):
@@ -65,7 +65,10 @@ class Quiver:
     def is_sink(self, v) -> bool:
         return not self.arrows_from(v)
 
-    def topological_order(self) -> List[str]:
+    @cached_property
+    def topological_order(self) -> Tuple[str, ...]:
+        """The vertices, each after every vertex with an arrow into it,
+        ready vertices taken by name; built once."""
         indeg = {v: 0 for v in self.vertices}
         for a in self.arrows:
             indeg[a.target] += 1
@@ -81,28 +84,28 @@ class Quiver:
             ready.sort()
         if len(out) != len(self.vertices):
             raise QuiverError("quiver has an oriented cycle")
-        return out
+        return tuple(out)
 
     @cached_property
-    def _walks(self) -> Dict[str, Dict[str, List[Tuple[str, ...]]]]:
-        """Per source already walked: every path out of it, by target."""
-        return {}
+    def _path_table(self) -> Dict[str, Dict[str, Tuple[Tuple[str, ...], ...]]]:
+        """Every path out of each vertex, by target, sorted by length then
+        arrow names; built once, from the sinks back: a path out of u is ()
+        or an arrow out of u followed by a path out of the arrow's target."""
+        table = {}
+        for u in reversed(self.topological_order):
+            by_target = {u: [()]}
+            for a in self.arrows_from(u):
+                for v, ps in table[a.target].items():
+                    by_target.setdefault(v, []).extend((a.name,) + p for p in ps)
+            table[u] = {v: tuple(sorted(ps, key=lambda p: (len(p), p)))
+                        for v, ps in by_target.items()}
+        return table
 
-    def paths(self, u, v) -> List[Tuple[str, ...]]:
-        """All directed paths u -> v as arrow-name tuples ('' paths excluded
-        unless u == v, where the empty tuple denotes the trivial path), in
-        depth-first pre-order over the arrow order.  One walk per source."""
-        if u not in self._walks:
-            by_target: Dict[str, List[Tuple[str, ...]]] = {}
-
-            def walk(cur, acc):
-                by_target.setdefault(cur, []).append(acc)
-                for a in self.arrows_from(cur):
-                    walk(a.target, acc + (a.name,))
-
-            walk(u, ())
-            self._walks[u] = by_target
-        return list(self._walks[u].get(v, ()))
+    def paths(self, u, v) -> Tuple[Tuple[str, ...], ...]:
+        """All directed paths u -> v as arrow-name tuples (the empty tuple is
+        the trivial path, at u == v only), sorted by length then arrow
+        names."""
+        return self._path_table[u].get(v, ())
 
     def to_json(self, relations=None) -> dict:
         data = {
@@ -180,7 +183,7 @@ class Presentation:
     @staticmethod
     def from_json(data: dict, field=QQ) -> "Presentation":
         """Presentation from quiver JSON.  A missing key, an unknown arrow or
-        a term with neither arrows nor a source raises QuiverError naming it."""
+        a term with an empty path raises QuiverError naming it."""
         vertices = tuple(_key(data, "vertices", "quiver"))
         arrows = []
         for a in _key(data, "arrows", "quiver"):
@@ -197,10 +200,11 @@ class Presentation:
                 unknown = [name for name in path if name not in arrow_src]
                 if unknown:
                     raise QuiverError("%s uses unknown arrow %r" % (where, unknown[0]))
-                src = arrow_src[path[0]] if path else t.get("source")
-                if src not in q.vertices:
-                    raise QuiverError("%s has an empty path and no 'source' vertex" % where)
-                terms.append((field.from_str(_key(t, "coeff", where)), QPath(src, path)))
+                if not path:
+                    raise QuiverError("%s is not admissible: its path has 0 arrows, and "
+                                      "every path in a relation needs at least 2" % where)
+                terms.append((field.from_str(_key(t, "coeff", where)),
+                              QPath(arrow_src[path[0]], path)))
             rels.append(Relation(tuple(terms)))
         return Presentation(q, tuple(rels), field)
 
@@ -316,13 +320,10 @@ def incidence_presentation(p: Poset, field=QQ) -> Presentation:
     rels = []
     for u in p.elements:
         for v in p.elements:
-            if u == v or not p.lt(u, v):
-                continue
-            paths = sorted(q.paths(u, v), key=lambda pp: (len(pp), pp))
-            base = paths[0]
+            paths = q.paths(u, v)
             for other in paths[1:]:
                 rels.append(Relation((
-                    (field.one, QPath(u, base)),
+                    (field.one, QPath(u, paths[0])),
                     (field.neg(field.one), QPath(u, other)),
                 )))
     return Presentation(q, tuple(rels), field)

@@ -48,7 +48,7 @@ def oracle_reduce_path(a, u, v, path):
     its row is subtracted, pivot by pivot, and the nonzero coordinates
     left are read off in path order.  The oracle for reduce_path."""
     f = a.field
-    paths = a._paths[(u, v)]
+    paths = a.quiver.paths(u, v)
     vecs = a._ideal_vectors(u, v)
     _, pivots, rr = ExactMatrix.from_rows(vecs, f).rref() if vecs else (0, [], None)
     vec = [f.zero] * len(paths)
@@ -78,8 +78,8 @@ def test_reduce_path_reads_the_basis_rref(field):
     algebras = 0
     for a in reduction_algebras(field):
         algebras += 1
-        for (u, v), paths in a._paths.items():
-            for path in paths:
+        for u, v in a._basis:
+            for path in a.quiver.paths(u, v):
                 got = a.reduce_path(u, v, path)
                 want = oracle_reduce_path(a, u, v, path)
                 assert got == want and list(got) == list(want)
@@ -88,14 +88,14 @@ def test_reduce_path_reads_the_basis_rref(field):
 
 def test_reduce_path_refuses_a_path_of_another_block_and_returns_fresh_dicts():
     a = build_algebra(canonical_presentation([2, 2, 2]))
-    (u, v), (w, z) = [blk for blk in a._paths if blk[0] != blk[1]][:2]
-    other = next(p for p in a._paths[(w, z)] if p not in a._paths[(u, v)])
+    (u, v), (w, z) = [blk for blk in a._basis if blk[0] != blk[1]][:2]
+    other = next(p for p in a.quiver.paths(w, z) if p not in a.quiver.paths(u, v))
     with pytest.raises(KeyError):
         a.reduce_path(u, v, other)
     with pytest.raises(KeyError):  # a block with no path
         a.reduce_path(a.vertex_order[-1], a.vertex_order[0], ())
-    for (u, v), paths in a._paths.items():
-        for path in paths:
+    for u, v in a._basis:
+        for path in a.quiver.paths(u, v):
             first = a.reduce_path(u, v, path)
             assert first  # no path of this algebra is zero
             first.clear()
@@ -177,6 +177,18 @@ def test_kernel_of_projective_cover():
     assert ker.total_dim == p.total_dim - 1
     assert incl.check()
     assert cover.compose(incl).is_zero()
+
+
+def test_kernel_of_refuses_a_kernel_that_is_not_arrow_stable():
+    # blocks (0, [1]) from P(c0) to S(c1) do not commute with the arrow
+    # c0 -> c1: the kernel at c0 is all of P(c0), whose arrow image is not in
+    # the kernel at c1
+    a = incidence_algebra(chain(2))
+    p, s = projective_module(a, "c0"), simple_module(a, "c1")
+    mm = module_map(p, s, {"c1": ExactMatrix.from_rows([[1]])})
+    assert not mm.check()
+    with pytest.raises(AlgebraError, match="kernel not arrow-stable"):
+        kernel_of(mm)
 
 
 def test_module_map_shape_validation():

@@ -150,13 +150,17 @@ PATH_QUIVER = {"vertices": ["a", "b", "c"],
 
 @pytest.mark.parametrize("data, message", [
     (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": []}]}]),
-     'relation term {"coeff": "1", "path": []} has an empty path and no \'source\' vertex'),
+     'relation term {"coeff": "1", "path": []} is not admissible: its path has 0 arrows'),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": [], "source": "a"}]}]),
+     'relation term {"coeff": "1", "path": [], "source": "a"} is not admissible: '
+     'its path has 0 arrows, and every path in a relation needs at least 2'),
     ({"vertices": ["a"]}, "quiver is missing key 'arrows'"),
     (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x", "z"]}]}]),
      'relation term {"coeff": "1", "path": ["x", "z"]} uses unknown arrow \'z\''),
     (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x"]}]}]),
      "relation 1*x is not admissible: its term x has 1 arrow(s)"),
-], ids=["empty-path", "missing-key", "unknown-arrow", "length-1-relation"])
+], ids=["empty-path", "empty-path-with-source", "missing-key", "unknown-arrow",
+        "length-1-relation"])
 def test_malformed_quiver_names_the_problem(tmp_path, capsys, data, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(data))

@@ -74,6 +74,24 @@ def test_kernel_columns_are_annihilated():
             assert (m @ k).is_zero()
 
 
+@pytest.mark.parametrize("f", [QQ, PrimeField(3)], ids=repr)
+def test_kernel_columns_end_in_their_free_coordinate(f):
+    # each kernel column's last nonzero entry is 1, at a row where every
+    # other column is 0: a kernel vector's coordinates are its entries there
+    rng = random.Random(29)
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 4), rng.randint(1, 6)
+        m = ExactMatrix.from_rows([[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(ncols)]
+                                   for _ in range(nrows)] or [[0] * ncols], f)
+        k = m.kernel()
+        cols = list(zip(*k.entries))
+        assert len(cols) == ncols - m.rank()
+        for c, col in enumerate(cols):
+            last = max(r for r, x in enumerate(col) if not f.is_zero(x))
+            assert col[last] == f.one
+            assert all(f.is_zero(other[last]) for d, other in enumerate(cols) if d != c)
+
+
 def test_solve_and_inverse():
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
     b = ExactMatrix.from_rows([[1], [1]])

@@ -14,7 +14,7 @@ from .posets import Poset, PosetError, enumerate_posets
 from .quivers import (Presentation, QuiverError, bgp_reflect, canonical_presentation)
 from .algebra import AlgebraError, build_algebra, incidence_algebra
 from .homology import (ResourceRefusal, certificate, hochschild_bar,
-                       nerve_cohomology)
+                       nerve_cohomology, poset_certificate)
 from .derived import (DerivedError, no_poset_search, verify_remark_family,
                       verify_t2, verify_weights)
 
@@ -131,8 +131,13 @@ def incidence(ctx, poset_path):
 @click.pass_context
 def invariants(ctx, weights, lambdas, poset_path, quiver_path):
     """Derived-invariant certificate of an algebra from one source."""
-    alg = _algebra_from_source(ctx, weights, lambdas, poset_path, quiver_path)
-    _emit(ctx, certificate(alg).to_json())
+    if poset_path and not (weights or quiver_path):
+        # the incidence algebra's certificate, read off the poset
+        cert = poset_certificate(Poset.load(poset_path), ctx.obj["field"])
+    else:
+        cert = certificate(_algebra_from_source(ctx, weights, lambdas, poset_path,
+                                                quiver_path))
+    _emit(ctx, cert.to_json())
 
 
 @main.group()

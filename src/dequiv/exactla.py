@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, List, Optional, Sequence
 
 
@@ -61,6 +62,10 @@ class RationalField:
 
     def is_zero(self, a):
         return a == 0
+
+    def normal(self, x):
+        """The element equal to the int or Fraction x, in normal form."""
+        return _q(x)
 
     def to_str(self, a):
         if a.denominator == 1:
@@ -131,6 +136,10 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def normal(self, x):
+        """The element equal to the int x, in [0, p)."""
+        return x % self.p
 
     def to_str(self, a):
         return str(a % self.p)
@@ -256,30 +265,22 @@ class ExactMatrix:
             tuple(f.mul(c, a) for a in r) for r in self.entries))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        f = self.field
+        """Each entry is the plain sum of its products, put in normal form
+        once."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        ot = other.transpose().entries
-        rows = []
-        for ra in self.entries:
-            row = []
-            for cb in ot:
-                acc = f.zero
-                for a, b in zip(ra, cb):
-                    if not f.is_zero(a) and not f.is_zero(b):
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            rows.append(tuple(row))
-        return ExactMatrix(f, self.nrows, other.ncols, tuple(rows))
+        normal = self.field.normal
+        cols = other.transpose().entries
+        return ExactMatrix(self.field, self.nrows, other.ncols, tuple(
+            tuple(normal(sum(map(mul, row, col))) for col in cols) for row in self.entries))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, self.ncols, self.nrows,
-                           tuple(tuple(self.entries[r][c] for r in range(self.nrows))
-                                 for c in range(self.ncols)))
+        entries = tuple(zip(*self.entries)) if self.nrows else ((),) * self.ncols
+        return ExactMatrix(self.field, self.ncols, self.nrows, entries)
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(a) for r in self.entries for a in r)
+        """Entries are stored in normal form, so a zero entry is falsy."""
+        return not any(map(any, self.entries))
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.nrows != other.nrows:
@@ -453,8 +454,8 @@ def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
         s = []
         for t in range(k):
             if t:
-                v = [sum(x * y for x, y in zip(row, v)) for row in block]
-            s.append(sum(x * y for x, y in zip(r, v)))
+                v = [sum(map(mul, row, v)) for row in block]
+            s.append(sum(map(mul, r, v)))
         e = a[k][k]
         nxt = q + [0]
         for d in range(1, k + 2):

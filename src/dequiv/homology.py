@@ -6,11 +6,12 @@ between the simples of an incidence algebra from interval cohomology."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_form
-from .posets import Poset, _down_masks, _members, order_complex
-from .quivers import unique_path_property
+from .posets import Poset, _down_masks, _members, order_complex, zeta_rows
+from .quivers import hasse_quiver, unique_path_property
 from .algebra import (BoundQuiverAlgebra, ComplexOfReps, ModuleMap, ProjectiveRep,
                       Representation, hom_from_generators, incidence_algebra,
                       kernel_of, projective_rep, radical_rep, simple_module,
@@ -242,11 +243,11 @@ def cartan_snf_antisym(c: Sequence[Sequence[int]]) -> tuple:
 
 
 def _coxeter_rows(c: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Phi = -C^{-T} C as integer rows."""
-    inv = _inverse_unitriangular(c)
-    n = len(c)
-    return [[-sum(inv[k][i] * c[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    """Phi = -C^{-T} C as integer rows: entry (i, j) is minus the product of
+    column i of C^{-1} with column j of C."""
+    c_cols = list(zip(*c))
+    return [[-sum(map(mul, inv_col, c_col)) for c_col in c_cols]
+            for inv_col in zip(*_inverse_unitriangular(c))]
 
 
 def cartan_coxeter_polynomial(c: Sequence[Sequence[int]]) -> IntPolynomial:
@@ -314,18 +315,36 @@ class InvariantCertificate:
         }
 
 
-def certificate(a: BoundQuiverAlgebra) -> InvariantCertificate:
-    """The full certificate of a."""
-    c = a.cartan_matrix().to_int_rows()
+def _cartan_certificate(c: Sequence[Sequence[int]], total_dimension: int,
+                        gldim: int, vertex_order: tuple) -> InvariantCertificate:
+    """The certificate of an algebra with Cartan matrix c (integer rows in
+    a topological vertex order) and the given informational fields."""
     return InvariantCertificate(
         simple_count=len(c),
-        total_dimension=a.dimension,
+        total_dimension=total_dimension,
         cartan_det=cartan_det(c),
         coxeter=cartan_coxeter_polynomial(c),
         snf_antisym=cartan_snf_antisym(c),
-        gldim=global_dimension(a),
-        vertex_order=a.vertex_order,
+        gldim=gldim,
+        vertex_order=vertex_order,
     )
+
+
+def certificate(a: BoundQuiverAlgebra) -> InvariantCertificate:
+    """The full certificate of a."""
+    return _cartan_certificate(a.cartan_matrix().to_int_rows(), a.dimension,
+                               global_dimension(a), a.vertex_order)
+
+
+def poset_certificate(p: Poset, field=QQ) -> InvariantCertificate:
+    """certificate(incidence_algebra(p, field)), read off p; no algebra is
+    built.  The Cartan matrix is the zeta matrix (`zeta_rows`), the
+    dimension is the number of order pairs, gldim comes from interval
+    cohomology, and the vertex order is that of the Hasse quiver, which
+    the incidence algebra takes as its own."""
+    return _cartan_certificate(zeta_rows(p), p.order_pairs(),
+                               poset_global_dimension(p, field),
+                               hasse_quiver(p).topological_order)
 
 
 def matches_certificate(c: Sequence[Sequence[int]], target: InvariantCertificate) -> bool:

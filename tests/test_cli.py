@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from dequiv import cli
+from dequiv.algebra import incidence_algebra
 from dequiv.cli import run
+from dequiv.exactla import QQ, PrimeField
+from dequiv.homology import certificate
 from dequiv.posets import diamond, poset_from_covers
 
 
@@ -73,12 +77,19 @@ def test_fractional_lambdas_golden_json(capsys):
     assert [[t["coeff"] for t in r["terms"]] for r in rels] == [["1", "-1", "1"], ["1", "-1", "1/2"]]
 
 
-def test_invariants_sources_and_field(diamond_file, capsys):
+def test_invariants_sources_and_field(diamond_file, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "incidence_algebra", lambda *args: built.append(args))
     assert run(["invariants", "--poset", diamond_file]) == 0
     cert_q = json.loads(capsys.readouterr().out)
     assert run(["--field", "fp:101", "invariants", "--poset", diamond_file]) == 0
     cert_p = json.loads(capsys.readouterr().out)
     assert cert_q["coxeter"] == cert_p["coxeter"]
+    # a poset is certified from the poset, with the incidence algebra's
+    # certificate, vertex order included, and no algebra built
+    assert built == []
+    assert cert_q == certificate(incidence_algebra(diamond(), QQ)).to_json()
+    assert cert_p == certificate(incidence_algebra(diamond(), PrimeField(101))).to_json()
 
 
 def test_incidence_over_the_field(diamond_file, capsys):

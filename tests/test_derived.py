@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dequiv.exactla import ExactMatrix, PrimeField
-from dequiv.posets import antichain, build_Xp, chain, diamond
+from dequiv.posets import antichain, build_Xp, build_remark_poset, chain, diamond
 from dequiv.quivers import canonical_presentation, hasse_quiver
 from dequiv.algebra import (AlgebraError, build_algebra, hom_from_generators,
                             incidence_algebra, make_rep, module_map,
@@ -473,12 +473,30 @@ def test_report_resolves_no_poset_simples(monkeypatch):
 
 def test_remark_family_resolves_only_the_target(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
+    algebras = count_calls(monkeypatch, algebra, "incidence_algebra", derived, homology)
     r = verify_remark_family(1, 3, 4)
     assert r["verdict"] == "pass"
     # rad A of the canonical (2,3,4) target, resolved once; each
-    # orientation's gldim comes from its intervals
+    # orientation is compared on its zeta matrix, with no algebra and no gldim
     assert len(resolutions) == 1
     assert all(a.poset is None for a in resolved_algebras(resolutions))
+    assert algebras == []
+
+
+def test_remark_mismatches_carry_the_incidence_algebra_certificate(monkeypatch):
+    # against the canonical (2,2,2) algebra, which has 5 simples, every
+    # acyclic orientation of the 8-element family (1,3,4) mismatches
+    monkeypatch.setattr(derived, "canonical_presentation",
+                        lambda weights: canonical_presentation([2, 2, 2]))
+    r = verify_remark_family(1, 3, 4)
+    monkeypatch.undo()
+    acyclic = [o for o in r["orientations"] if o["status"] != "cyclic"]
+    assert acyclic and all(o["status"] == "MISMATCH" for o in acyclic)
+    assert r["verdict"] == "fail"
+    assert [m["orientation"] for m in r["mismatches"]] == [o["orientation"] for o in acyclic]
+    for m in r["mismatches"]:
+        poset = build_remark_poset(1, 3, 4, m["orientation"])
+        assert m["cert"] == homology.certificate(incidence_algebra(poset)).to_json()
 
 
 def test_global_dimension_reads_kernel_maps_without_solving(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dequiv.exactla import (QQ, ExactMatrix, PrimeField, char_poly,
+from dequiv.exactla import (QQ, ExactMatrix, IntPolynomial, PrimeField, char_poly,
                             field_from_spec, smith_normal_form)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(101)]
@@ -382,3 +382,104 @@ def test_det_and_inverse_match_cofactor_expansion(f, data):
     else:
         assert m @ m.inverse() == ExactMatrix.identity(n, f)
         assert normal_form(m.inverse().entries)
+
+
+# -- the product kernels against the term-by-term loops they replaced --------
+
+def oracle_transpose(m):
+    return ExactMatrix(m.field, m.ncols, m.nrows,
+                       tuple(tuple(m.entries[r][c] for r in range(m.nrows))
+                             for c in range(m.ncols)))
+
+
+def oracle_matmul(a, b):
+    """a @ b one term at a time in the field's own arithmetic, each partial
+    sum put in normal form, zero terms skipped."""
+    f = a.field
+    rows = []
+    for ra in a.entries:
+        row = []
+        for cb in oracle_transpose(b).entries:
+            acc = f.zero
+            for x, y in zip(ra, cb):
+                if not f.is_zero(x) and not f.is_zero(y):
+                    acc = f.add(acc, f.mul(x, y))
+            row.append(acc)
+        rows.append(tuple(row))
+    return ExactMatrix(f, a.nrows, b.ncols, tuple(rows))
+
+
+def oracle_is_zero(m):
+    return all(m.field.is_zero(x) for r in m.entries for x in r)
+
+
+def oracle_char_poly(a):
+    """Berkowitz with every dot product summed term by term."""
+    q = [1]
+    for k in range(len(a)):
+        block = [row[:k] for row in a[:k]]
+        r = a[k][:k]
+        v = [row[k] for row in a[:k]]
+        s = []
+        for t in range(k):
+            if t:
+                v = [sum(x * y for x, y in zip(row, v)) for row in block]
+            s.append(sum(x * y for x, y in zip(r, v)))
+        e = a[k][k]
+        nxt = q + [0]
+        for d in range(1, k + 2):
+            nxt[d] -= e * q[d - 1]
+            if d >= 2:
+                nxt[d] -= sum(q[j] * s[d - 2 - j] for j in range(d - 1))
+        q = nxt
+    return tuple(reversed(q))
+
+
+def in_normal_form(m):
+    if m.field is QQ:
+        return normal_form(m.entries)
+    return all(type(x) is int and 0 <= x < m.field.p for r in m.entries for x in r)
+
+
+def assert_kernels_match(a, b):
+    prod = a @ b
+    assert prod == oracle_matmul(a, b) and in_normal_form(prod)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    for m in (a, b, prod):
+        assert m.transpose() == oracle_transpose(m)
+        assert m.is_zero() == oracle_is_zero(m)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_match_the_term_loop(f, data):
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    assert_kernels_match(_matrix(data, f, n, k), _matrix(data, f, k, m))
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=repr)
+def test_products_on_empty_and_one_by_one_shapes(f):
+    rng = random.Random(47)
+    pool = ([0, 1, -2, Fraction(1, 2), Fraction(-5, 3)] if f is QQ else list(range(5)))
+
+    def matrix(nrows, ncols):
+        return ExactMatrix(f, nrows, ncols, tuple(tuple(rng.choice(pool) for _ in range(ncols))
+                                                  for _ in range(nrows)))
+    for n, k in [(0, 3), (3, 0), (0, 0), (1, 1)]:
+        for m in (0, 1, 3):
+            assert_kernels_match(matrix(n, k), matrix(k, m))
+    # a product with an empty inner dimension is zero, not empty
+    assert matrix(2, 0) @ matrix(0, 3) == ExactMatrix.zero(2, 3, f)
+    assert matrix(0, 3).transpose().entries == ((),) * 3
+    for x in pool:
+        one = ExactMatrix(f, 1, 1, ((x,),))
+        assert (one @ one).entries == ((f.mul(x, x),),)
+
+
+def test_char_poly_matches_the_term_loop():
+    rng = random.Random(43)
+    for n in range(9):
+        for _ in range(10):
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            assert char_poly(rows).coeffs == IntPolynomial.of(oracle_char_poly(rows)).coeffs

@@ -12,7 +12,7 @@ from dequiv.quivers import (Arrow, Presentation, Quiver, a1p_presentation,
                             bgp_reflect, canonical_presentation,
                             kronecker_presentation)
 from dequiv.algebra import build_algebra, incidence_algebra, make_rep, simple_module
-from dequiv.homology import (ResourceRefusal, _inverse_unitriangular,
+from dequiv.homology import (ResourceRefusal, _coxeter_rows, _inverse_unitriangular,
                              cartan_coxeter_polynomial, cartan_det,
                              cartan_snf_antisym,
                              certificate, coxeter_polynomial,
@@ -20,8 +20,8 @@ from dequiv.homology import (ResourceRefusal, _inverse_unitriangular,
                              hochschild_bar, hochschild_of_poset,
                              hom_cohomology, matches_certificate,
                              minimal_resolution, mitchell_equivalence_check,
-                             nerve_cohomology, poset_ext_dims,
-                             poset_global_dimension)
+                             nerve_cohomology, poset_certificate,
+                             poset_ext_dims, poset_global_dimension)
 from dequiv.algebra import hom_from_generators, projective_rep
 
 
@@ -361,6 +361,31 @@ def test_poset_global_dimension_matches_resolutions():
         assert poset_global_dimension(p) == resolution_gldim(incidence_algebra(p))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+def test_poset_certificate_equals_the_incidence_algebra_certificate(field):
+    posets = [p for n in range(1, 6) for p in enumerate_posets(n)]
+    posets += [build_Xp(*w) for w in CANONICAL_TRIPLES] + remark_posets()
+    assert len(posets) == 87 + 20 + 29
+    for p in posets:
+        assert poset_certificate(p, field).to_json() == \
+            certificate(incidence_algebra(p, field)).to_json(), p.to_json()
+
+
+def oracle_coxeter_rows(c):
+    """Phi = -C^{-T} C one entry at a time, by index."""
+    inv = _inverse_unitriangular(c)
+    n = len(c)
+    return [[-sum(inv[k][i] * c[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_coxeter_rows_match_the_index_loop():
+    for w in CANONICAL_TRIPLES:
+        for c in (build_algebra(canonical_presentation(w)).cartan_matrix().to_int_rows(),
+                  zeta_rows(build_Xp(*w))):
+            assert _coxeter_rows(c) == oracle_coxeter_rows(c)
+
+
 @pytest.mark.parametrize("p, largest_core", [(chain(20), 1), (build_Xp(3, 3, 20), 6)],
                          ids=["chain20", "X_3_3_20"])
 def test_long_intervals_shrink_to_their_cores(monkeypatch, p, largest_core):
@@ -402,6 +427,9 @@ def test_interval_cohomology_is_taken_over_the_field(rp2):
     # over Q, and the whole plane adds a fourth degree over GF(2)
     assert poset_global_dimension(p, gf2) == 4 == res.length
     assert poset_global_dimension(p) == 3
+    # the poset's certificate reads its gldim over its field
+    assert poset_certificate(p, gf2).to_json() == certificate(a).to_json()
+    assert (poset_certificate(p, gf2).gldim, poset_certificate(p).gldim) == (4, 3)
 
 
 @st.composite

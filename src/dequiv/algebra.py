@@ -44,6 +44,9 @@ class BoundQuiverAlgebra:
         self.relation_endpoints = tuple(rel.endpoints(self.quiver)
                                         for rel in pres.relations)
         self._vidx = {v: i for i, v in enumerate(self.vertex_order)}
+        # the index of each arrow in quiver.arrows, the order of a
+        # representation's maps
+        self._aidx = {a.name: i for i, a in enumerate(self.quiver.arrows)}
         # the class of each pivot path, {basis_path: coeff}, per block
         self._pivot_class: Dict[Tuple[str, str], Dict[tuple, Dict[tuple, object]]] = {}
         self._basis: Dict[Tuple[str, str], List[tuple]] = {}
@@ -134,13 +137,13 @@ def incidence_algebra(p: Poset, field=QQ) -> BoundQuiverAlgebra:
 
 # -- representations ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Representation:
     """Vertex-graded vector spaces with an exact matrix per arrow."""
 
     algebra: BoundQuiverAlgebra
     dims: tuple  # dim per vertex, in algebra.vertex_order
-    maps: tuple  # ((arrow_name, ExactMatrix), ...) for all arrows
+    maps: tuple  # ((arrow_name, ExactMatrix), ...) in quiver arrow order
 
     def dim(self, v) -> int:
         return self.dims[self.algebra._vidx[v]]
@@ -150,10 +153,13 @@ class Representation:
         return sum(self.dims)
 
     def map_of(self, arrow_name) -> ExactMatrix:
-        for name, m in self.maps:
-            if name == arrow_name:
-                return m
-        raise KeyError(arrow_name)
+        """The matrix of an arrow, read at the arrow's index in the quiver;
+        KeyError for a name that is not an arrow."""
+        name, m = self.maps[self.algebra._aidx[arrow_name]]
+        if name != arrow_name:
+            raise AlgebraError("maps not in quiver arrow order: %s where %s belongs"
+                               % (name, arrow_name))
+        return m
 
     def act_path(self, source: str, path: tuple) -> ExactMatrix:
         """Composite matrix of a path (identity for the trivial path)."""
@@ -210,7 +216,7 @@ def simple_module(algebra: BoundQuiverAlgebra, v: str) -> Representation:
     return make_rep(algebra, {v: 1}, {}, check=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProjectiveRep(Representation):
     """A finite direct sum of indecomposable projectives, with bookkeeping.
 
@@ -282,7 +288,7 @@ def radical_rep(algebra: BoundQuiverAlgebra) -> Representation:
 
 # -- module maps -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ModuleMap:
     source: Representation
     target: Representation
@@ -292,8 +298,14 @@ class ModuleMap:
         return self.blocks[self.source.algebra._vidx[v]]
 
     def check(self) -> bool:
+        """Each arrow commutes with the blocks.  An arrow out of a zero
+        source space or into a zero target space compares two empty
+        matrices and is not evaluated."""
         alg = self.source.algebra
+        vidx, sdims, tdims = alg._vidx, self.source.dims, self.target.dims
         for a in alg.quiver.arrows:
+            if not sdims[vidx[a.source]] or not tdims[vidx[a.target]]:
+                continue
             lhs = self.target.map_of(a.name) @ self.block(a.source)
             rhs = self.block(a.target) @ self.source.map_of(a.name)
             if not (lhs - rhs).is_zero():
@@ -348,10 +360,9 @@ def hom_from_generators(p: ProjectiveRep, n: Representation,
     commutes with the arrows by construction."""
     alg = p.algebra
     f = alg.field
-    maps = dict(n.maps)
     blocks = {}
     for w in alg.vertex_order:
-        cols = [reduce(lambda v, name: maps[name] @ v, path, gen_images[j]).col(0)
+        cols = [reduce(lambda v, name: n.map_of(name) @ v, path, gen_images[j]).col(0)
                 for j, path in p.labels_at(w)]
         blocks[w] = ExactMatrix.from_cols(cols, n.dim(w), f)
     return module_map(p, n, blocks)

@@ -181,9 +181,15 @@ def field_from_spec(spec: str):
     raise ValueError("unknown field spec %r" % spec)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExactMatrix:
-    """Immutable dense matrix over an exact field."""
+    """Dense matrix over an exact field, compared by value.
+
+    The entries are a tuple of row tuples, so a matrix's content cannot
+    change, and no operation reassigns an attribute; nothing guards
+    against it, since a frozen dataclass, which sets each field through
+    object.__setattr__, takes four times as long to build.  Instances are
+    not hashable: hash `entries` instead."""
 
     field: object
     nrows: int
@@ -270,7 +276,7 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         normal = self.field.normal
-        cols = other.transpose().entries
+        cols = tuple(zip(*other.entries)) if other.nrows else ((),) * other.ncols
         return ExactMatrix(self.field, self.nrows, other.ncols, tuple(
             tuple(normal(sum(map(mul, row, col))) for col in cols) for row in self.entries))
 

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from dequiv.exactla import QQ, ExactMatrix, PrimeField
 from dequiv.posets import antichain, chain, diamond, enumerate_posets
 from dequiv.quivers import canonical_presentation, kronecker_presentation
-from dequiv.algebra import (AlgebraError, build_algebra, incidence_algebra,
-                            kernel_of, make_rep, module_map, projective_module,
-                            projective_rep, simple_module, zero_rep)
+from dequiv.algebra import (AlgebraError, ProjectiveRep, Representation, build_algebra,
+                            direct_sum_rep, incidence_algebra, kernel_of, make_rep,
+                            module_map, projective_module, projective_rep, radical_rep,
+                            simple_module, zero_map, zero_rep)
 from dequiv.algebra import hom_from_generators
 from dequiv.homology import minimal_resolution
 
@@ -207,3 +210,143 @@ def test_kronecker_structure():
 def test_zero_rep():
     a = incidence_algebra(chain(2))
     assert zero_rep(a).is_zero()
+
+
+# -- slotted value classes, arrow maps by index, module-map checks ------------
+
+def oracle_module_map_check(mm):
+    """Every arrow's square evaluated, zero spaces included: the oracle for
+    ModuleMap.check."""
+    alg = mm.source.algebra
+    for a in alg.quiver.arrows:
+        lhs = mm.target.map_of(a.name) @ mm.block(a.source)
+        rhs = mm.block(a.target) @ mm.source.map_of(a.name)
+        if not (lhs - rhs).is_zero():
+            return False
+    return True
+
+
+def failing_arrows(mm):
+    """The arrows whose square does not commute, each evaluated alone."""
+    return [a for a in mm.source.algebra.quiver.arrows
+            if not (mm.target.map_of(a.name) @ mm.block(a.source)
+                    - mm.block(a.target) @ mm.source.map_of(a.name)).is_zero()]
+
+
+def oracle_map_of(rep, arrow_name):
+    """The linear scan of rep.maps: the oracle for Representation.map_of."""
+    for name, m in rep.maps:
+        if name == arrow_name:
+            return m
+    raise KeyError(arrow_name)
+
+
+def random_matrix(rng, nrows, ncols, f):
+    """A nrows x ncols matrix of small integers, about a third of them 0."""
+    return ExactMatrix.from_rows([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(ncols)]
+                                  for _ in range(nrows)], f) if nrows else \
+        ExactMatrix.zero(0, ncols, f)
+
+
+def module_pool(a):
+    """Modules of a with zero-dimensional vertices: indecomposable projectives,
+    simples, a sum of two projectives, rad A and the zero module."""
+    v = a.vertex_order
+    return ([projective_rep(a, [x]) for x in v] + [simple_module(a, x) for x in v]
+            + [projective_rep(a, [v[1], v[-1]]), radical_rep(a), zero_rep(a)])
+
+
+def map_algebras():
+    return [build_algebra(canonical_presentation([3, 3, 4])), incidence_algebra(diamond())]
+
+
+@pytest.mark.parametrize("a", map_algebras(), ids=["canonical334", "diamond"])
+def test_module_map_check_matches_the_every_arrow_loop(a):
+    """Random module maps, commuting (from generators) or not (random or
+    perturbed blocks), between modules with zero spaces: the check skips
+    zero-space arrows and answers as the loop over every arrow does."""
+    rng = random.Random(21)
+    f = a.field
+    pool = module_pool(a)
+    projectives = [m for m in pool if isinstance(m, ProjectiveRep)]
+    verdicts, skipped = [], 0
+    for _ in range(150):
+        target = rng.choice(pool)
+        kind = rng.randrange(3)
+        if kind == 0:
+            source = rng.choice(pool)
+            mm = module_map(source, target, {
+                v: random_matrix(rng, target.dim(v), source.dim(v), f)
+                for v in a.vertex_order})
+        else:
+            source = rng.choice(projectives)
+            mm = hom_from_generators(source, target, [
+                random_matrix(rng, target.dim(v), 1, f) for v in source.blocks])
+            if kind == 2:
+                w = rng.choice(a.vertex_order)
+                mm = mm + module_map(source, target, {
+                    w: random_matrix(rng, target.dim(w), source.dim(w), f)})
+        skipped += any(not source.dim(x.source) or not target.dim(x.target)
+                       for x in a.quiver.arrows)
+        expected = oracle_module_map_check(mm)
+        assert mm.check() == expected
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+    assert skipped > 100
+
+
+def test_module_map_check_rejects_one_failing_arrow_between_nonzero_spaces():
+    # the identity at 1,1 and zero elsewhere on P(1,1) fails only on
+    # x1_2: 1,1 -> 1,2, where P(1,1) is one-dimensional at both ends
+    a = build_algebra(canonical_presentation([3, 3, 4]))
+    p = projective_module(a, "1,1")
+    mm = module_map(p, p, {"1,1": ExactMatrix.identity(1)})
+    bad = failing_arrows(mm)
+    assert [x.name for x in bad] == ["x1_2"]
+    assert p.dim(bad[0].source) and p.dim(bad[0].target)
+    assert not oracle_module_map_check(mm)
+    assert not mm.check()
+
+
+@pytest.mark.parametrize("a", map_algebras(), ids=["canonical334", "diamond"])
+def test_representations_store_maps_in_arrow_order(a):
+    f = a.field
+    order = [x.name for x in a.quiver.arrows]
+    p = projective_rep(a, a.vertex_order)
+    # make_rep is handed the maps in reverse arrow order
+    made = make_rep(a, dict(zip(a.vertex_order, p.dims)),
+                    {x: p.map_of(x) for x in reversed(order)})
+    top = a.vertex_order[0]
+    p_top = projective_rep(a, [top])
+    cover = hom_from_generators(p_top, simple_module(a, top), [ExactMatrix.from_rows([[1]], f)])
+    ker, _ = kernel_of(cover)
+    reps = [made, p, p_top, radical_rep(a),
+            direct_sum_rep([p, radical_rep(a)]), ker]
+    for rep in reps:
+        assert [name for name, _ in rep.maps] == order
+        for name in order:
+            assert rep.map_of(name) == oracle_map_of(rep, name)
+        with pytest.raises(KeyError):
+            rep.map_of("no such arrow")
+        with pytest.raises(KeyError):
+            oracle_map_of(rep, "no such arrow")
+    swapped = Representation(a, p.dims, p.maps[1:2] + p.maps[:1] + p.maps[2:])
+    with pytest.raises(AlgebraError, match="arrow order"):
+        swapped.map_of(order[0])
+    with pytest.raises(AlgebraError, match="arrow order"):
+        swapped.map_of(order[1])
+
+
+def test_value_classes_are_slotted_and_compare_by_value():
+    # a frozen dataclass sets each field through object.__setattr__; the
+    # slotted classes build faster and keep no per-instance __dict__
+    a = incidence_algebra(diamond())
+    p = projective_rep(a, a.vertex_order)
+    s = simple_module(a, "0")
+    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    for obj in (m, p, s, zero_map(p, s)):
+        assert not hasattr(obj, "__dict__")
+    assert m == ExactMatrix.from_rows([[1, 2], [3, 4]])
+    assert m != ExactMatrix.from_rows([[1, 2], [3, 5]])
+    assert p == projective_rep(a, a.vertex_order)
+    assert zero_map(p, s) == zero_map(p, s)

@@ -387,20 +387,37 @@ def kernel_of(mm: ModuleMap) -> Tuple[Representation, ModuleMap]:
     (`ExactMatrix.kernel`), so a kernel vector's coordinates are its entries
     there: the kernel's map for an arrow a: u -> v is those rows of
     M_a K_u.  An image outside the kernel at v is refused; otherwise the
-    inclusion commutes with the arrows by construction."""
+    inclusion commutes with the arrows by construction.
+
+    A block with no rows or no columns is not eliminated: its kernel is the
+    identity.  An arrow out of a zero kernel or into a zero space of the
+    source gets a zero map with no product, since its image is empty, and
+    an image in a vertex where the target is zero is in the kernel there
+    with no check.  An image in a zero kernel of a nonzero block is still
+    checked."""
     alg = mm.source.algebra
     f = alg.field
-    kbases = {v: mm.block(v).kernel() for v in alg.vertex_order}
-    # the free coordinate of each kernel column is its last nonzero entry
-    free = {v: [max(r for r, x in enumerate(col) if not f.is_zero(x))
-                for col in zip(*k.entries)] for v, k in kbases.items()}
+    kbases, free = {}, {}
+    for v in alg.vertex_order:
+        block = mm.block(v)
+        if block.nrows and block.ncols:
+            k = kbases[v] = block.kernel()
+            # the free coordinate of each kernel column is its last nonzero entry
+            free[v] = [max(r for r, x in enumerate(col) if not f.is_zero(x))
+                       for col in zip(*k.entries)]
+        else:
+            kbases[v] = ExactMatrix.identity(block.ncols, f)
+            free[v] = range(block.ncols)
     maps = {}
     for a in alg.quiver.arrows:
+        rows, ncols, block = free[a.target], kbases[a.source].ncols, mm.block(a.target)
+        if not ncols or not block.ncols:
+            maps[a.name] = ExactMatrix.zero(len(rows), ncols, f)
+            continue
         img = mm.source.map_of(a.name) @ kbases[a.source]
-        if not (mm.block(a.target) @ img).is_zero():
+        if block.nrows and not (block @ img).is_zero():
             raise AlgebraError("kernel not arrow-stable")
-        maps[a.name] = ExactMatrix(f, len(free[a.target]), img.ncols,
-                                   tuple(img.entries[r] for r in free[a.target]))
+        maps[a.name] = ExactMatrix(f, len(rows), ncols, tuple(img.entries[r] for r in rows))
     ker = make_rep(alg, {v: k.ncols for v, k in kbases.items()}, maps, check=False)
     return ker, module_map(ker, mm.source, kbases)
 

@@ -472,6 +472,23 @@ def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
     return IntPolynomial.of(reversed(q))
 
 
+def _least_entry(rows, r0: int, c0: int, nc: int):
+    """The position of the first entry of least nonzero absolute value in
+    rows r0.. and columns c0..nc-1, in row-major order, or None when they
+    are all zero.  An entry of absolute value 1 is such a first least
+    entry, so the scan stops there."""
+    piv, least = None, 0
+    for i in range(r0, len(rows)):
+        row = rows[i]
+        for j in range(c0, nc):
+            x = row[j]
+            if x and (piv is None or abs(x) < least):
+                piv, least = (i, j), abs(x)
+                if least == 1:
+                    return piv
+    return piv
+
+
 def smith_normal_form(m: Sequence[Sequence[int]]):
     """Invariant factors d1 | d2 | ... (positive, rank many) of an integer
     matrix given as integer rows; the rows are not modified."""
@@ -481,12 +498,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     diag = []
     r0 = c0 = 0
     while r0 < nr and c0 < nc:
-        # locate a nonzero pivot of minimal absolute value
-        piv = None
-        for i in range(r0, nr):
-            for j in range(c0, nc):
-                if rows[i][j] != 0 and (piv is None or abs(rows[i][j]) < abs(rows[piv[0]][piv[1]])):
-                    piv = (i, j)
+        piv = _least_entry(rows, r0, c0, nc)
         if piv is None:
             break
         while True:
@@ -512,11 +524,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
             if not dirty:
                 break
             # a smaller remainder appeared somewhere in the pivot row/column
-            piv = None
-            for i in range(r0, nr):
-                for j in range(c0, nc):
-                    if rows[i][j] != 0 and (piv is None or abs(rows[i][j]) < abs(rows[piv[0]][piv[1]])):
-                        piv = (i, j)
+            piv = _least_entry(rows, r0, c0, nc)
         diag.append(abs(rows[r0][c0]))
         r0 += 1
         c0 += 1

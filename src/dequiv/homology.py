@@ -209,9 +209,9 @@ def global_dimension(a: BoundQuiverAlgebra) -> int:
 
 def _check_unitriangular(c: Sequence[Sequence[int]]) -> None:
     n = len(c)
-    if (any(len(row) != n for row in c) or any(c[i][i] != 1 for i in range(n))
-            or any(c[i][j] for i in range(n) for j in range(i))):
-        raise ValueError("Cartan matrix is not unitriangular in the vertex order")
+    for i, row in enumerate(c):
+        if len(row) != n or row[i] != 1 or any(row[:i]):
+            raise ValueError("Cartan matrix is not unitriangular in the vertex order")
 
 
 def _inverse_unitriangular(c: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -240,6 +240,27 @@ def cartan_snf_antisym(c: Sequence[Sequence[int]]) -> tuple:
     n = len(c)
     return tuple(smith_normal_form([[c[i][j] - c[j][i] for j in range(n)]
                                     for i in range(n)]))
+
+
+def cartan_antisym_rank_mod2(c: Sequence[Sequence[int]]) -> int:
+    """The rank of C - C^T over GF(2), its rows taken as bitmasks and
+    eliminated by XOR.  It equals the number of odd invariant factors in
+    the Smith form of C - C^T: U (C - C^T) V = D with U, V unimodular stays
+    an equation of invertible matrices mod 2."""
+    n = len(c)
+    pivots = {}
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            if (c[i][j] ^ c[j][i]) & 1:
+                row |= 1 << j
+        while row:
+            top = row.bit_length()
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
 
 
 def _coxeter_rows(c: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -351,11 +372,18 @@ def matches_certificate(c: Sequence[Sequence[int]], target: InvariantCertificate
     """certificate(a).same_invariants(target) for an algebra a with Cartan
     matrix c (integer rows in a topological vertex order), computing the
     compared fields cheapest first and stopping at the first that differs:
-    simple count, det C, Smith form of C - C^T, Coxeter polynomial.  gldim
-    is never computed; it is not part of the comparison."""
+    simple count, det C, the GF(2) rank of C - C^T against the number of
+    odd invariant factors of the target's Smith form, the Smith form of
+    C - C^T, Coxeter polynomial.  The GF(2) rank is the number of odd
+    invariant factors of C - C^T (`cartan_antisym_rank_mod2`), so a
+    difference there proves the Smith forms differ; a candidate that
+    agrees is still compared on the whole Smith form.  gldim is never
+    computed; it is not part of the comparison."""
     if len(c) != target.simple_count:
         return False
     if cartan_det(c) != target.cartan_det:
+        return False
+    if cartan_antisym_rank_mod2(c) != sum(d & 1 for d in target.snf_antisym):
         return False
     if cartan_snf_antisym(c) != target.snf_antisym:
         return False

@@ -239,42 +239,64 @@ def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
     arranged in every way that can change the bitmask: twins (elements
     with the same strict down-set and the same strict up-set, hence
     incomparable and of one colour) are swapped by an automorphism, so
-    only the sequence of twin classes in a cell is varied.  When every
-    class is a single element, the one ordering is read off the colours.
-    An ordering sends the element at position a to the row a, so x < y
-    sets bit pos(x) * n + pos(y).  Isomorphic posets reach the same least bitmask,
+    only the sequence of twin classes in a cell is varied.  An ordering
+    sends the element at position a to the row a, so x < y sets bit
+    pos(x) * n + pos(y).  Isomorphic posets reach the same least bitmask,
     and equal bitmasks give an isomorphism.
+
+    Three cases need less work and give the same result.  Twins have the
+    same neighbours, so a round cannot split a cell that is one twin
+    class: refinement stops once every cell is one, and the twin classes
+    are only found when the first colouring is not discrete.  When every
+    class is a single element, the position of an element is its colour.
+    When every cell is one twin class, the one ordering lists the cells in
+    colour order, each cell's members in index order.
     """
     n = len(up)
-    above = [list(_members(m & ~(1 << i))) for i, m in enumerate(up)]
+    above: List[List[int]] = [[] for _ in range(n)]
     below: List[List[int]] = [[] for _ in range(n)]
-    for i, ups in enumerate(above):
-        for j in ups:
+    down = [0] * n
+    pairs = []
+    for i, m in enumerate(up):
+        m ^= 1 << i
+        ups = above[i]
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            ups.append(j)
             below[j].append(i)
+            down[j] |= 1 << i
+            pairs.append((i, j))
+            m ^= low
     sigs = [(len(below[i]), len(above[i])) for i in range(n)]
     rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
     colour = [rank[s] for s in sigs]
     count = len(rank)
-    while 1 < count < n:
-        sigs = [(colour[i], tuple(sorted(colour[j] for j in below[i])),
-                 tuple(sorted(colour[j] for j in above[i]))) for i in range(n)]
-        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        colour = [rank[s] for s in sigs]
-        if len(rank) == count:
-            break
-        count = len(rank)
+    if count < n:
+        # twin classes in the order of their lowest member
+        twins: Dict[tuple, List[int]] = {}
+        for i in range(n):
+            twins.setdefault((down[i], up[i] ^ 1 << i), []).append(i)
+        while count < len(twins):
+            sigs = [(colour[i], tuple(sorted([colour[j] for j in below[i]])),
+                     tuple(sorted([colour[j] for j in above[i]]))) for i in range(n)]
+            split = set(sigs)
+            if len(split) == count:
+                break
+            rank = {s: r for r, s in enumerate(sorted(split))}
+            colour = [rank[s] for s in sigs]
+            count = len(rank)
     if count == n:
         order = [0] * n
         for i, c in enumerate(colour):
             order[c] = i
-        orderings: Iterable[List[int]] = [order]
+        return sum(1 << (colour[i] * n + colour[j]) for i, j in pairs), order
+    cells: List[List[List[int]]] = [[] for _ in range(count)]
+    for members in twins.values():
+        cells[colour[members[0]]].append(members)
+    if count == len(twins):
+        orderings: Iterable[List[int]] = [[i for (members,) in cells for i in members]]
     else:
-        twins: Dict[tuple, List[int]] = {}
-        for i in range(n):
-            twins.setdefault((colour[i], tuple(below[i]), tuple(above[i])), []).append(i)
-        cells: List[List[List[int]]] = [[] for _ in range(count)]
-        for (c, _, _), members in twins.items():
-            cells[c].append(members)
         orderings = ([i for part in parts for i in part]
                      for parts in itertools.product(*(_arrangements(c) for c in cells)))
     best, best_order = -1, None
@@ -283,10 +305,8 @@ def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
         for a, i in enumerate(order):
             pos[i] = a
         bits = 0
-        for i in range(n):
-            row = pos[i] * n
-            for j in above[i]:
-                bits |= 1 << (row + pos[j])
+        for i, j in pairs:
+            bits |= 1 << (pos[i] * n + pos[j])
         if best_order is None or bits < best:
             best, best_order = bits, order
     return best, best_order

@@ -530,14 +530,18 @@ def canonical_target(weights):
 def test_search_compares_in_cost_order(monkeypatch):
     target = canonical_target([2, 2, 2, 2])
     gldims = count_calls(monkeypatch, homology, "global_dimension", derived)
+    smith_forms = count_calls(monkeypatch, homology, "smith_normal_form")
     coxeters = count_calls(monkeypatch, homology, "cartan_coxeter_polynomial")
     algebras = count_calls(monkeypatch, derived, "incidence_algebra")
     hits = derived.search_matching_posets(target, 6)
     assert len(hits) == 1  # lambda = 2: the octahedron poset 2+2+2
-    # of the 238 connected 6-element posets, 15 agree with the target up to
-    # the Smith form and reach the Coxeter polynomial; none needs its gldim,
-    # and candidates are compared on their zeta matrices, with no algebra
+    # of the 238 connected 6-element posets, 15 have as many odd invariant
+    # factors of C - C^T as the target (its GF(2) rank) and get a Smith
+    # form, and those 15 agree with the target up to the Smith form and
+    # reach the Coxeter polynomial; none needs its gldim, and candidates
+    # are compared on their zeta matrices, with no algebra
     assert gldims == []
+    assert len(smith_forms) == 15
     assert len(coxeters) == 15
     assert algebras == []
 

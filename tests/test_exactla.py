@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -154,6 +155,87 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[0, 2], [-2, 0]]) == [2, 2]
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert smith_normal_form([[0, 0, 0], [0, 0, 0]]) == []
+
+
+def full_scan_smith_normal_form(m):
+    """Reference for `smith_normal_form`: the same reduction, each pivot
+    search scanning the whole remaining block for the first entry of least
+    nonzero absolute value in row-major order."""
+    rows = [list(r) for r in m]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+
+    def least():
+        piv = None
+        for i in range(r0, nr):
+            for j in range(c0, nc):
+                if rows[i][j] != 0 and (piv is None or abs(rows[i][j]) < abs(rows[piv[0]][piv[1]])):
+                    piv = (i, j)
+        return piv
+
+    diag = []
+    r0 = c0 = 0
+    while r0 < nr and c0 < nc:
+        piv = least()
+        if piv is None:
+            break
+        while True:
+            i, j = piv
+            rows[r0], rows[i] = rows[i], rows[r0]
+            for k in range(nr):
+                rows[k][c0], rows[k][j] = rows[k][j], rows[k][c0]
+            p = rows[r0][c0]
+            dirty = False
+            for i in range(r0 + 1, nr):
+                q = rows[i][c0] // p
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r0])]
+                if rows[i][c0] != 0:
+                    dirty = True
+            for j in range(c0 + 1, nc):
+                q = rows[r0][j] // p
+                if q:
+                    for i in range(nr):
+                        rows[i][j] -= q * rows[i][c0]
+                if rows[r0][j] != 0:
+                    dirty = True
+            if not dirty:
+                break
+            piv = least()
+        diag.append(abs(rows[r0][c0]))
+        r0 += 1
+        c0 += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if b % a != 0:
+                g = math.gcd(a, b)
+                diag[i], diag[i + 1] = g, a * b // g
+                changed = True
+    return [d for d in diag if d != 0]
+
+
+def test_smith_normal_form_equals_full_scan():
+    # the pivot search stops at the first entry of absolute value 1, the
+    # first least entry in row-major order, so every factor is the same;
+    # half the matrices have no entry +-1, and some rows and columns are zero
+    rng = random.Random(29)
+    for k in range(400):
+        nr, nc = rng.randint(0, 6), rng.randint(0, 6)
+        values = [0, 0, 2, -2, 3, -4, 6, -9] if k % 2 else [0, 0, 1, -1, 2, -3, 4]
+        rows = [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
+        for i in range(nr):
+            if rng.random() < 0.2:
+                rows[i] = [0] * nc
+        for j in range(nc):
+            if rng.random() < 0.2:
+                for row in rows:
+                    row[j] = 0
+        copy = [list(r) for r in rows]
+        assert smith_normal_form(rows) == full_scan_smith_normal_form(rows)
+        assert rows == copy
 
 
 def test_smith_divisibility_and_unimodular_invariance():

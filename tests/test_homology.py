@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dequiv import algebra, homology
+from dequiv import algebra, exactla, homology
 from dequiv.exactla import QQ, ExactMatrix, PrimeField, char_poly
 from dequiv.posets import (CycleError, antichain, build_Xp, build_remark_poset,
                            chain, diamond, enumerate_posets, poset_from_covers,
@@ -166,11 +167,17 @@ def test_integer_inverse_refuses_non_unitriangular():
             _inverse_unitriangular(c)
 
 
-def search_targets():
-    """Certificates the searches compare candidate posets against."""
+def search_algebras():
+    """The algebras whose certificates the searches compare candidate
+    posets against."""
     pres = [a1p_presentation(p) for p in range(1, 6)]
     pres += [canonical_presentation(w) for w in ([2, 2, 2], [2, 2, 2, 2], [2, 2, 2, 3])]
-    return [certificate(build_algebra(q)) for q in pres]
+    return [build_algebra(q) for q in pres]
+
+
+def search_targets():
+    """Certificates the searches compare candidate posets against."""
+    return [certificate(a) for a in search_algebras()]
 
 
 def test_matches_certificate_agrees_with_full_comparison():
@@ -189,6 +196,39 @@ def test_matches_certificate_agrees_with_full_comparison():
     # 8 five-element posets (X_(2,2,2) among them) match the canonical
     # (2,2,2) algebra and one six-element poset matches (2,2,2,2)
     assert hits == 9
+
+
+def test_antisym_rank_mod2_counts_odd_invariant_factors():
+    # exact, not a sample: U (C - C^T) V = D with U, V unimodular holds mod 2
+    # with U, V invertible, so the GF(2) rank is the number of odd factors
+    rows = [zeta_rows(p) for n in range(1, 7) for p in enumerate_posets(n)]
+    assert len(rows) == 405
+    rows += [a.cartan_matrix().to_int_rows() for a in search_algebras()]
+    for c in rows:
+        odd = sum(d % 2 for d in cartan_snf_antisym(c))
+        assert homology.cartan_antisym_rank_mod2(c) == odd
+
+
+def test_mod2_gate_rejects_a_changed_factor_without_a_smith_form(monkeypatch):
+    # X_(2,2,2) matches the canonical (2,2,2) algebra; a target with one
+    # invariant factor 1 made 2 has one odd factor less, so the candidate is
+    # refused before any Smith form is computed
+    target = certificate(build_algebra(canonical_presentation([2, 2, 2])))
+    zeta = zeta_rows(build_Xp(2, 2, 2))
+    assert matches_certificate(zeta, target)
+    factors = list(target.snf_antisym)
+    factors[factors.index(1)] = 2
+    changed = dataclasses.replace(target, snf_antisym=tuple(factors))
+    smith_forms = []
+    smith_normal_form = homology.smith_normal_form
+
+    def counted(rows):
+        smith_forms.append(rows)
+        return smith_normal_form(rows)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    assert not matches_certificate(zeta, changed)
+    assert smith_forms == []
 
 
 def test_zeta_invariants_equal_certificate_fields():
@@ -719,6 +759,36 @@ def test_kernel_of_matches_the_oracle_on_random_maps(field):
             dense += sum(sum(not field.is_zero(x) for x in col) > 1
                          for k in ker[1].blocks for col in zip(*k.entries))
     assert dense > 0
+
+
+def test_kernel_of_skips_empty_blocks_and_vacuous_arrows(monkeypatch):
+    # the covers down the minimal resolutions of the simples of canonical
+    # (3,3,3): every kernel, arrow product and stability check that kernel_of
+    # still makes has a nonempty shape, and the kernels equal the oracle's
+    a = build_algebra(canonical_presentation([3, 3, 3]))
+    covers = []
+    for v in a.vertex_order:
+        m = simple_module(a, v)
+        while not m.is_zero():
+            covers.append(homology.projective_cover(m)[1])
+            m = algebra.kernel_of(covers[-1])[0]
+    shapes = []
+    matmul, eliminate = ExactMatrix.__matmul__, exactla._eliminate
+
+    def counted_matmul(x, y):
+        shapes.append(x.nrows * x.ncols * y.ncols)
+        return matmul(x, y)
+
+    def counted_eliminate(field, entries, ncols):
+        shapes.append(len(entries) * ncols)
+        return eliminate(field, entries, ncols)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(exactla, "_eliminate", counted_eliminate)
+    kernels = [algebra.kernel_of(cover) for cover in covers]
+    assert shapes and all(shapes)
+    monkeypatch.undo()
+    assert kernels == [oracle_kernel_of(cover) for cover in covers]
 
 
 def oracle_resolution_length(m):

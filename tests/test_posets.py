@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -80,6 +81,51 @@ def oracle_labelling(up):
     return best
 
 
+def full_refinement_labelling(up):
+    """Reference for `_canonical_labelling`'s bitmask and ordering: the
+    same colouring, refined until no class splits whatever the twins, and
+    the same orderings tried in the same order, through `_arrangements`
+    for every cell that is not discrete."""
+    n = len(up)
+    above = [list(_members(m & ~(1 << i))) for i, m in enumerate(up)]
+    below = [[] for _ in range(n)]
+    for i, ups in enumerate(above):
+        for j in ups:
+            below[j].append(i)
+    sigs = [(len(below[i]), len(above[i])) for i in range(n)]
+    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    colour = [rank[s] for s in sigs]
+    count = len(rank)
+    while 1 < count < n:
+        sigs = [(colour[i], tuple(sorted(colour[j] for j in below[i])),
+                 tuple(sorted(colour[j] for j in above[i]))) for i in range(n)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        colour = [rank[s] for s in sigs]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    if count == n:
+        order = [0] * n
+        for i, c in enumerate(colour):
+            order[c] = i
+        orderings = [order]
+    else:
+        twins = {}
+        for i in range(n):
+            twins.setdefault((colour[i], tuple(below[i]), tuple(above[i])), []).append(i)
+        cells = [[] for _ in range(count)]
+        for (c, _, _), members in twins.items():
+            cells[c].append(members)
+        orderings = ([i for part in parts for i in part]
+                     for parts in itertools.product(*(posets._arrangements(c) for c in cells)))
+    best, best_order = -1, None
+    for order in orderings:
+        bits = relation_bits(up, order)
+        if best_order is None or bits < best:
+            best, best_order = bits, order
+    return best, best_order
+
+
 def relation_bits(up, order):
     """The strict-relation bitmask of up-set masks up under `order`."""
     n = len(up)
@@ -156,8 +202,9 @@ def test_connected_enumeration_canonicalises_only_connected_candidates(monkeypat
 
 def test_labelling_equals_oracle_on_enumeration_candidates(monkeypatch):
     """On every candidate that enumerate_posets(7) canonicalises (all
-    levels n <= 7, 2,774 candidates), the bitmask equals the oracle's, and
-    the returned ordering reproduces it."""
+    levels n <= 7, 2,774 candidates), the bitmask equals the oracle's, the
+    returned ordering reproduces it, and both equal those of the labelling
+    that refines to the end and arranges every cell."""
     candidates = []
     labelling = posets._canonical_labelling
 
@@ -172,6 +219,28 @@ def test_labelling_equals_oracle_on_enumeration_candidates(monkeypatch):
         bits, order = labelling(up)
         assert sorted(order) == list(range(len(up)))
         assert bits == oracle_labelling(up) == relation_bits(up, order)
+        assert (bits, order) == full_refinement_labelling(up)
+
+
+def test_labelling_equals_reference_on_shuffled_posets():
+    """Every poset with n <= 6 (405), its elements in three seeded random
+    orders each, so that twin classes are not runs of consecutive indices:
+    the bitmask and the ordering equal those of the labelling that refines
+    to the end and arranges every cell."""
+    rng = random.Random(6)
+    count = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                # element i of p becomes element perm[i]
+                up = [0] * n
+                for i, m in enumerate(p.up_masks):
+                    up[perm[i]] = sum(1 << perm[j] for j in _members(m))
+                assert posets._canonical_labelling(up) == full_refinement_labelling(up)
+            count += 1
+    assert count == 405
 
 
 def is_connected(p: Poset) -> bool:

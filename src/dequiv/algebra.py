@@ -66,7 +66,7 @@ class BoundQuiverAlgebra:
                 for right in q.paths(rt, v):
                     vec = [f.zero] * len(pidx)
                     for coeff, path in rel.terms:
-                        full = left + path.arrow_names + right
+                        full = left + path + right
                         vec[pidx[full]] = f.add(vec[pidx[full]], coeff)
                     vecs.append(vec)
         return vecs
@@ -179,7 +179,7 @@ class Representation:
                 continue
             acc = ExactMatrix.zero(self.dim(tgt), self.dim(src), f)
             for coeff, path in rel.terms:
-                acc = acc + self.act_path(src, path.arrow_names).scale(coeff)
+                acc = acc + self.act_path(src, path).scale(coeff)
             if not acc.is_zero():
                 return False
         return True

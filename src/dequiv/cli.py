@@ -206,7 +206,8 @@ def hh(ctx, poset_path, weights, lambdas, max_degree, method):
     if method in ("nerve", "both"):
         out["nerve"] = nerve_cohomology(poset, max_degree, ctx.obj["field"])
     if method in ("bar", "both"):
-        alg = _algebra_from_source(ctx, weights, lambdas, poset_path, None)
+        alg = (incidence_algebra(poset, ctx.obj["field"]) if poset is not None
+               else _algebra_from_source(ctx, weights, lambdas, None, None))
         out["bar"] = hochschild_bar(alg, max_degree)
     if method == "both":
         out["agree"] = out["nerve"] == out["bar"]

@@ -69,7 +69,10 @@ class StalkComplex:
 
     @cached_property
     def resolution(self) -> ComplexOfReps:
-        return minimal_resolution(self.module).as_complex(self.degree)
+        res = minimal_resolution(self.module)
+        return ComplexOfReps(res.algebra,
+                             {self.degree + d: p for d, p in res.terms.items()},
+                             {self.degree + d: m for d, m in res.diffs.items()})
 
     @cached_property
     def replacement(self) -> Tuple[ComplexOfReps, Dict[int, ModuleMap]]:
@@ -533,11 +536,9 @@ def no_poset_search(p: int) -> dict:
     analysis = []
     for poset in matches:
         ipres = incidence_presentation(poset)
-        a = incidence_algebra(poset)
-        g = global_dimension(a)
         analysis.append({
             "poset": poset.to_json(),
-            "gldim": g,
+            "gldim": poset_global_dimension(poset),
             "unique_path_hasse": unique_path_property(ipres.quiver),
             "gentle": is_gentle(ipres),
         })

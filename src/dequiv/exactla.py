@@ -272,11 +272,13 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Each entry is the plain sum of its products, put in normal form
-        once."""
+        once; with inner dimension 0 the product is the zero matrix."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
+        if not self.ncols:
+            return ExactMatrix.zero(self.nrows, other.ncols, self.field)
         normal = self.field.normal
-        cols = tuple(zip(*other.entries)) if other.nrows else ((),) * other.ncols
+        cols = tuple(zip(*other.entries))
         return ExactMatrix(self.field, self.nrows, other.ncols, tuple(
             tuple(normal(sum(map(mul, row, col))) for col in cols) for row in self.entries))
 
@@ -298,7 +300,10 @@ class ExactMatrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self):
-        """Return (rank, pivot_cols, rref matrix)."""
+        """Return (rank, pivot_cols, rref matrix).  A matrix with no rows or
+        no columns is its own rref, with no elimination."""
+        if not (self.nrows and self.ncols):
+            return 0, [], self
         f = self.field
         pivots, rows, last, _, _ = _eliminate(f, self.entries, self.ncols)
         rank = len(pivots)
@@ -308,7 +313,10 @@ class ExactMatrix:
         return rank, pivots, ExactMatrix(f, self.nrows, self.ncols, out)
 
     def pivot_cols(self) -> List[int]:
-        """The pivot columns of the elimination; no rref is built."""
+        """The pivot columns of the elimination; no rref is built, and a
+        matrix with no rows or no columns is not eliminated."""
+        if not (self.nrows and self.ncols):
+            return []
         return _eliminate(self.field, self.entries, self.ncols)[0]
 
     def rank(self) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_form
 from .posets import Poset, _down_masks, _members, order_complex, zeta_rows
@@ -20,33 +20,6 @@ from .algebra import (BoundQuiverAlgebra, ComplexOfReps, ModuleMap, ProjectiveRe
 
 class ResolutionError(RuntimeError):
     pass
-
-
-@dataclass
-class ProjectiveResolution:
-    """... -> P_1 -> P_0 -> M -> 0 with minimal (radical) differentials.
-
-    steps[i] = (P_i, d_i) with d_0 : P_0 -> M and d_i : P_i -> P_{i-1}.
-    No steps means M = 0 (projective dimension -1 by convention)."""
-
-    module: Representation
-    steps: List[Tuple[ProjectiveRep, ModuleMap]]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps) - 1
-
-    def as_complex(self, degree: int = 0) -> ComplexOfReps:
-        """The complex of projectives with P_i in degree `degree` - i.  The
-        differentials commute with the arrows and compose to zero by
-        construction, so the complex is not checked."""
-        return ComplexOfReps(self.module.algebra,
-                             {degree - i: p for i, (p, _) in enumerate(self.steps)},
-                             {degree - i: d for i, (_, d) in enumerate(self.steps) if i})
-
-    def ext_dims(self, n: Representation, max_i: int) -> List[int]:
-        """dim Ext^i(M, N) for i = 0..max_i, read off this resolution of M."""
-        return hom_cohomology(self.as_complex(), stalk_complex_of(n), range(max_i + 1))
 
 
 def _top_generators(m: Representation):
@@ -85,36 +58,38 @@ def projective_cover(m: Representation) -> Tuple[ProjectiveRep, ModuleMap]:
     return p, cover
 
 
-def minimal_resolution(m: Representation) -> ProjectiveResolution:
-    """Minimal projective resolution, failing loudly past dim A steps."""
-    cap = m.algebra.dimension
-    steps: List[Tuple[ProjectiveRep, ModuleMap]] = []
-    cur = m
-    prev_incl: Optional[ModuleMap] = None
-    for _ in range(cap + 1):
+def minimal_resolution(m: Representation) -> ComplexOfReps:
+    """The minimal projective resolution ... -> P_1 -> P_0 of M as a
+    complex of projectives, P_i in degree -i (no terms when M = 0), failing
+    loudly past dim A steps.  The differentials commute with the arrows and
+    compose to zero by construction, so the complex is not checked."""
+    alg = m.algebra
+    terms, diffs = {}, {}  # P_i, and d_i : P_i -> P_{i-1}, in degree -i
+    cur, prev_incl = m, None  # the i-th syzygy and its inclusion
+    for i in range(alg.dimension + 1):
         if cur.is_zero():
-            _assert_minimal(steps)
-            return ProjectiveResolution(m, steps)
-        p, cover = projective_cover(cur)
-        diff = cover if prev_incl is None else prev_incl.compose(cover)
-        steps.append((p, diff))
+            res = ComplexOfReps(alg, terms, diffs)
+            _assert_minimal(res)
+            return res
+        terms[-i], cover = projective_cover(cur)
+        if prev_incl is not None:
+            diffs[-i] = prev_incl.compose(cover)
         cur, prev_incl = kernel_of(cover)
-    raise ResolutionError("resolution cap %d exceeded" % cap)
+    raise ResolutionError("resolution cap %d exceeded" % alg.dimension)
 
 
-def _assert_minimal(steps):
+def _assert_minimal(res: ComplexOfReps):
     # differentials between projectives must land in the radical: the
     # coordinate of any generator image along a trivial-path basis label
     # of the target must vanish
-    for i in range(1, len(steps)):
-        p_i, d_i = steps[i]
-        p_prev = steps[i - 1][0]
-        f = p_i.algebra.field
-        for j, v in enumerate(p_i.blocks):
-            img = d_i.block(v).col(p_i.labels_at(v).index((j, ())))
-            for x, lab in zip(img, p_prev.labels_at(v)):
+    f = res.algebra.field
+    for d, diff in res.diffs.items():
+        p, p_next = res.terms[d], res.terms[d + 1]
+        for j, v in enumerate(p.blocks):
+            img = diff.block(v).col(p.labels_at(v).index((j, ())))
+            for x, lab in zip(img, p_next.labels_at(v)):
                 if lab[1] == () and not f.is_zero(x):
-                    raise ResolutionError("non-minimal differential at step %d" % i)
+                    raise ResolutionError("non-minimal differential at step %d" % -d)
 
 
 def hom_cohomology(q: ComplexOfReps, y: ComplexOfReps,
@@ -195,7 +170,7 @@ def global_dimension(a: BoundQuiverAlgebra) -> int:
     if a.poset is not None:
         return poset_global_dimension(a.poset, a.field)
     rad = radical_rep(a)
-    return 0 if rad.is_zero() else 1 + minimal_resolution(rad).length
+    return 0 if rad.is_zero() else len(minimal_resolution(rad).terms)
 
 
 # -- the integer invariants of a Cartan matrix --------------------------------
@@ -283,11 +258,12 @@ def coxeter_polynomial(a: BoundQuiverAlgebra) -> IntPolynomial:
 def euler_form_check(a: BoundQuiverAlgebra) -> bool:
     """sum_i (-1)^i dim Ext^i(S_x, S_y) must equal (C^{-1})_{x,y}."""
     cinv = _inverse_unitriangular(a.cartan_matrix().to_int_rows())
-    res = {v: minimal_resolution(simple_module(a, v)) for v in a.vertex_order}
-    g = max(r.length for r in res.values())
+    simples = {v: simple_module(a, v) for v in a.vertex_order}
+    res = {v: minimal_resolution(s) for v, s in simples.items()}
+    degrees = range(max(len(r.terms) for r in res.values()))
     for i, x in enumerate(a.vertex_order):
         for j, y in enumerate(a.vertex_order):
-            exts = res[x].ext_dims(res[y].module, g)
+            exts = hom_cohomology(res[x], stalk_complex_of(simples[y]), degrees)
             alt = sum((-1) ** k * d for k, d in enumerate(exts))
             if cinv[i][j] != alt:
                 return False

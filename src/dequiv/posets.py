@@ -117,22 +117,43 @@ class Poset:
 
     @staticmethod
     def from_json(data: dict) -> "Poset":
-        """Poset from {"elements": [...], "covers": [[x, y], ...]}.  A missing
-        key or a cover that is not a pair raises PosetError naming it."""
-        for key in ("elements", "covers"):
-            if not isinstance(data, dict) or key not in data:
-                raise PosetError("poset is missing key %r" % key)
+        """Poset from {"elements": [...], "covers": [[x, y], ...]}, every
+        label a string.  A missing key, a value of the wrong JSON type or a
+        cover that is not a pair of labels raises PosetError naming it."""
+        elements = json_labels(data, "elements", "poset", PosetError)
         covers = []
-        for c in data["covers"]:
-            if not isinstance(c, (list, tuple)) or len(c) != 2:
-                raise PosetError("cover %s is not a pair [lower, upper]" % json.dumps(c))
+        for c in json_key(data, "covers", "poset", list, PosetError):
+            if not (isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)):
+                raise PosetError("cover %s is not a pair [lower, upper] of labels" % json.dumps(c))
             covers.append(tuple(c))
-        return poset_from_covers(data["elements"], covers)
+        return poset_from_covers(elements, covers)
 
     @staticmethod
     def load(path) -> "Poset":
         with open(path) as fh:
             return Poset.from_json(json.load(fh))
+
+
+def json_key(obj, key, where, kind, error):
+    """obj[key] of an object read from JSON, of type kind (list, str, or
+    object for any); else error naming where, the key and the value."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise error("%s is missing key %r" % (where, key))
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise error("%s key %r is %s, not a %s"
+                    % (where, key, json.dumps(value), "list" if kind is list else "string"))
+    return value
+
+
+def json_labels(obj, key, where, error) -> tuple:
+    """obj[key], which must be a JSON list of strings, as a tuple; anything
+    else raises error naming where, the key and the value."""
+    values = json_key(obj, key, where, list, error)
+    for x in values:
+        if not isinstance(x, str):
+            raise error("%s key %r holds %s, not a string" % (where, key, json.dumps(x)))
+    return tuple(values)
 
 
 def poset_from_covers(elements: Sequence[str], covers: Iterable[Tuple[str, str]]) -> Poset:

@@ -9,7 +9,7 @@ from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exactla import QQ
-from .posets import Poset, poset_from_covers
+from .posets import Poset, json_key, json_labels, poset_from_covers
 
 
 class QuiverError(ValueError):
@@ -114,46 +114,31 @@ class Quiver:
         }
         if relations is not None:
             data["relations"] = [
-                {"terms": [{"coeff": QQ.to_str(c), "path": list(p.arrow_names)} for c, p in rel.terms]}
+                {"terms": [{"coeff": QQ.to_str(c), "path": list(p)} for c, p in rel.terms]}
                 for rel in relations
             ]
         return data
 
 
 @dataclass(frozen=True)
-class QPath:
-    """A path: a source vertex plus a composable arrow-name sequence.
-
-    The empty sequence is the trivial path at the source."""
-
-    source: str
-    arrow_names: tuple
-
-    def target(self, q: Quiver) -> str:
-        v = self.source
-        for name in self.arrow_names:
-            a = q.arrow(name)
-            if a.source != v:
-                raise QuiverError("path %s not composable at %s" % (self.arrow_names, v))
-            v = a.target
-        return v
-
-    def __len__(self):
-        return len(self.arrow_names)
-
-
-@dataclass(frozen=True)
 class Relation:
     """Linear combination of parallel paths, all with a common source/target."""
 
-    terms: tuple  # ((coeff, QPath), ...)
+    terms: tuple  # ((coeff, arrow-name tuple), ...)
 
     def endpoints(self, q: Quiver):
-        srcs = {p.source for _, p in self.terms}
-        tgts = {p.target(q) for _, p in self.terms}
-        if len(srcs) != 1 or len(tgts) != 1:
+        """The common (source, target) of the terms' paths; a path that is
+        not composable or terms that are not parallel raise QuiverError."""
+        ends = set()
+        for _, path in self.terms:
+            arrows = [q.arrow(name) for name in path]
+            for a, b in zip(arrows, arrows[1:]):
+                if a.target != b.source:
+                    raise QuiverError("path %s not composable at %s" % (path, a.target))
+            ends.add((arrows[0].source, arrows[-1].target))
+        if len(ends) != 1:
             raise QuiverError("relation terms are not parallel")
-        return srcs.pop(), tgts.pop()
+        return ends.pop()
 
 
 @dataclass(frozen=True)
@@ -171,7 +156,7 @@ class Presentation:
                         "and every path in a relation needs at least 2"
                         % (_relation_text(rel, self.field), _path_text(path), len(path)))
             rel.endpoints(self.quiver)
-            paths = [p.arrow_names for _, p in rel.terms]
+            paths = [p for _, p in rel.terms]
             if len(set(paths)) != len(paths):
                 raise QuiverError("relation repeats a path")
             if not any(not self.field.is_zero(c) for c, _ in rel.terms):
@@ -182,29 +167,39 @@ class Presentation:
 
     @staticmethod
     def from_json(data: dict, field=QQ) -> "Presentation":
-        """Presentation from quiver JSON.  A missing key, an unknown arrow or
-        a term with an empty path raises QuiverError naming it."""
-        vertices = tuple(_key(data, "vertices", "quiver"))
+        """Presentation from quiver JSON, every vertex label, arrow id and
+        endpoint and path entry a string.  A missing key, a value of the wrong
+        JSON type, an unknown arrow, a term with an empty path or a coefficient
+        outside the field, or a relation with no terms raises QuiverError."""
+        vertices = json_labels(data, "vertices", "quiver", QuiverError)
         arrows = []
-        for a in _key(data, "arrows", "quiver"):
+        for a in json_key(data, "arrows", "quiver", list, QuiverError):
             where = "arrow %s" % json.dumps(a)
-            arrows.append(Arrow(_key(a, "id", where), _key(a, "from", where), _key(a, "to", where)))
+            arrows.append(Arrow(*(json_key(a, k, where, str, QuiverError)
+                                  for k in ("id", "from", "to"))))
         q = Quiver(vertices, tuple(arrows))
         rels = []
-        arrow_src = {a.name: a.source for a in q.arrows}
-        for rel in data.get("relations", []):
+        names = {a.name for a in q.arrows}
+        for rel in (json_key(data, "relations", "quiver", list, QuiverError)
+                    if "relations" in data else ()):
             terms = []
-            for t in _key(rel, "terms", "relation %s" % json.dumps(rel)):
+            for t in json_key(rel, "terms", "relation %s" % json.dumps(rel), list, QuiverError):
                 where = "relation term %s" % json.dumps(t)
-                path = tuple(_key(t, "path", where))
-                unknown = [name for name in path if name not in arrow_src]
+                path = json_labels(t, "path", where, QuiverError)
+                unknown = [name for name in path if name not in names]
                 if unknown:
                     raise QuiverError("%s uses unknown arrow %r" % (where, unknown[0]))
                 if not path:
                     raise QuiverError("%s is not admissible: its path has 0 arrows, and "
                                       "every path in a relation needs at least 2" % where)
-                terms.append((field.from_str(_key(t, "coeff", where)),
-                              QPath(arrow_src[path[0]], path)))
+                coeff = json_key(t, "coeff", where, object, QuiverError)
+                try:
+                    terms.append((field.from_str(coeff), path))
+                except (ValueError, TypeError, ZeroDivisionError):
+                    raise QuiverError("%s has coefficient %s, which is not an element of %r"
+                                      % (where, json.dumps(coeff), field)) from None
+            if not terms:
+                raise QuiverError("relation %s has no terms" % json.dumps(rel))
             rels.append(Relation(tuple(terms)))
         return Presentation(q, tuple(rels), field)
 
@@ -214,14 +209,8 @@ class Presentation:
             return Presentation.from_json(json.load(fh), field)
 
 
-def _key(obj, key, where):
-    if not isinstance(obj, dict) or key not in obj:
-        raise QuiverError("%s is missing key %r" % (where, key))
-    return obj[key]
-
-
-def _path_text(path: QPath) -> str:
-    return ".".join(path.arrow_names) or "e_%s" % path.source
+def _path_text(path: tuple) -> str:
+    return ".".join(path) or "()"
 
 
 def _relation_text(rel: Relation, field) -> str:
@@ -277,7 +266,7 @@ def canonical_presentation(weights: Sequence[int], lambdas: Optional[Sequence] =
         if len({field.to_str(x) for x in lam}) != len(lam):
             raise QuiverError("lambda parameters must be pairwise distinct")
     q = _canonical_quiver(ws)
-    arm_path = {i: QPath("0", tuple("x%d_%d" % (i, j) for j in range(1, p + 1)))
+    arm_path = {i: tuple("x%d_%d" % (i, j) for j in range(1, p + 1))
                 for i, p in enumerate(ws, start=1)}
     rels = []
     for i in range(3, t + 1):
@@ -323,8 +312,8 @@ def incidence_presentation(p: Poset, field=QQ) -> Presentation:
             paths = q.paths(u, v)
             for other in paths[1:]:
                 rels.append(Relation((
-                    (field.one, QPath(u, paths[0])),
-                    (field.neg(field.one), QPath(u, other)),
+                    (field.one, paths[0]),
+                    (field.neg(field.one), other),
                 )))
     return Presentation(q, tuple(rels), field)
 
@@ -369,7 +358,7 @@ def is_gentle(pres: Presentation) -> bool:
         _, path = rel.terms[0]
         if len(path) != 2:
             return False
-        forbidden.add(path.arrow_names)
+        forbidden.add(path)
     for b in q.arrows:
         pre = q.arrows_into(b.source)
         pre_rel = [a for a in pre if (a.name, b.name) in forbidden]

@@ -8,9 +8,9 @@ from dequiv.quivers import canonical_presentation, kronecker_presentation
 from dequiv.algebra import (AlgebraError, ProjectiveRep, Representation, build_algebra,
                             direct_sum_rep, incidence_algebra, kernel_of, make_rep,
                             module_map, projective_module, projective_rep, radical_rep,
-                            simple_module, zero_map, zero_rep)
+                            simple_module, stalk_complex_of, zero_map, zero_rep)
 from dequiv.algebra import hom_from_generators
-from dequiv.homology import minimal_resolution
+from dequiv.homology import hom_cohomology, minimal_resolution
 
 
 def check_associativity(a):
@@ -107,7 +107,7 @@ def test_reduce_path_refuses_a_path_of_another_block_and_returns_fresh_dicts():
 
 def hom_dim(m, n):
     """dim Hom_A(M, N), read as Ext^0 off the minimal resolution of M."""
-    return minimal_resolution(m).ext_dims(n, 0)[0]
+    return hom_cohomology(minimal_resolution(m), stalk_complex_of(n), range(1))[0]
 
 
 def test_canonical_algebra_dimension_and_associativity():

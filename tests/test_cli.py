@@ -170,8 +170,22 @@ PATH_QUIVER = {"vertices": ["a", "b", "c"],
      'relation term {"coeff": "1", "path": ["x", "z"]} uses unknown arrow \'z\''),
     (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x"]}]}]),
      "relation 1*x is not admissible: its term x has 1 arrow(s)"),
+    (dict(PATH_QUIVER, vertices="abc"), """quiver key 'vertices' is "abc", not a list"""),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": "xy"}]}]),
+     """relation term {"coeff": "1", "path": "xy"} key 'path' is "xy", not a list"""),
+    (dict(PATH_QUIVER, arrows=[{"id": ["x"], "from": "a", "to": "b"}]),
+     """arrow {"id": ["x"], "from": "a", "to": "b"} key 'id' is ["x"], not a string"""),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1/0", "path": ["x", "y"]}]}]),
+     'relation term {"coeff": "1/0", "path": ["x", "y"]} has coefficient "1/0", '
+     'which is not an element of QQ'),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "abc", "path": ["x", "y"]}]}]),
+     'relation term {"coeff": "abc", "path": ["x", "y"]} has coefficient "abc", '
+     'which is not an element of QQ'),
+    (dict(PATH_QUIVER, relations=[{"terms": []}]), 'relation {"terms": []} has no terms'),
 ], ids=["empty-path", "empty-path-with-source", "missing-key", "unknown-arrow",
-        "length-1-relation"])
+        "length-1-relation", "vertices-not-a-list", "path-not-a-list",
+        "arrow-id-not-a-string", "zero-denominator", "coeff-not-a-number",
+        "no-terms"])
 def test_malformed_quiver_names_the_problem(tmp_path, capsys, data, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(data))
@@ -182,11 +196,34 @@ def test_malformed_quiver_names_the_problem(tmp_path, capsys, data, message):
 @pytest.mark.parametrize("data, message", [
     ({"elements": ["a", "b"]}, "poset is missing key 'covers'"),
     ({"elements": ["a", "b"], "covers": [["a"]]}, 'cover ["a"] is not a pair [lower, upper]'),
-], ids=["missing-key", "bad-cover"])
+    ({"elements": "abc", "covers": []}, """poset key 'elements' is "abc", not a list"""),
+    ({"elements": [["a"], "b"], "covers": []},
+     """poset key 'elements' holds ["a"], not a string"""),
+    ({"elements": ["a", "b"], "covers": [[["a"], "b"]]},
+     'cover [["a"], "b"] is not a pair [lower, upper] of labels'),
+], ids=["missing-key", "bad-cover", "elements-not-a-list", "label-not-a-string",
+        "cover-label-not-a-string"])
 def test_malformed_poset_names_the_problem(tmp_path, capsys, data, message):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
     assert run(["invariants", "--poset", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, data, message", [
+    # int and str labels cannot be sorted into the chains of the order complex
+    (["hh", "--method", "nerve", "--poset"], {"elements": [1, "b"], "covers": [[1, "b"]]},
+     "poset key 'elements' holds 1, not a string"),
+    (["--field", "fp:3", "invariants", "--quiver"],
+     dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "abc", "path": ["x", "y"]}]}]),
+     'relation term {"coeff": "abc", "path": ["x", "y"]} has coefficient "abc", '
+     'which is not an element of GF(3)'),
+], ids=["hh-nerve-mixed-labels", "coeff-outside-gf3"])
+def test_malformed_input_of_other_commands_names_the_problem(tmp_path, capsys, args,
+                                                             data, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert run(args + [str(path)]) == 2
     assert message in capsys.readouterr().err
 
 

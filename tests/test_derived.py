@@ -8,7 +8,7 @@ from dequiv.quivers import canonical_presentation, hasse_quiver
 from dequiv.algebra import (AlgebraError, build_algebra, hom_from_generators,
                             incidence_algebra, make_rep, module_map,
                             projective_module, projective_rep, simple_module)
-from dequiv import algebra, derived, homology
+from dequiv import algebra, derived, exactla, homology
 from dequiv.homology import hom_cohomology, minimal_resolution
 from dequiv.derived import (ComplexOfReps, DerivedError, RepChainMap,
                             StalkComplex, as_stalk, beilinson_table_check,
@@ -190,8 +190,8 @@ def test_replacement_spans_a_gap(poset):
             for n in mods:
                 q, _ = proj_replacement(ComplexOfReps.make(a, {0: m, 2: n}, {}))
                 for s in simples:
-                    em = minimal_resolution(m).ext_dims(s, 5)
-                    en = minimal_resolution(n).ext_dims(s, 5)
+                    em = hom_cohomology(minimal_resolution(m), stalk_complex_of(s), range(6))
+                    en = hom_cohomology(minimal_resolution(n), stalk_complex_of(s), range(6))
                     expected = [(em[i] if i >= 0 else 0) + (en[i + 2] if i >= -2 else 0)
                                 for i in shifts]
                     assert hom_cohomology(q, stalk_complex_of(s), shifts) == expected
@@ -306,7 +306,7 @@ def oracle_check_relations(m):
     for rel, (src, tgt) in zip(alg.presentation.relations, alg.relation_endpoints):
         acc = ExactMatrix.zero(m.dim(tgt), m.dim(src), alg.field)
         for coeff, path in rel.terms:
-            acc = acc + m.act_path(src, path.arrow_names).scale(coeff)
+            acc = acc + m.act_path(src, path).scale(coeff)
         if not acc.is_zero():
             return False
     return True
@@ -350,7 +350,8 @@ def test_derived_hom_shift_vs_resolution():
         assert derived_hom_dims(s0, s1, i) == \
             derived_hom_dims(s0, s1, i, method="resolution")
     # Hom(M<0>, N<1>[i]) = Ext^{i-1}(M, N)
-    exts = minimal_resolution(simple_module(a, "0")).ext_dims(simple_module(a, "1"), 3)
+    exts = hom_cohomology(minimal_resolution(simple_module(a, "0")),
+                          stalk_complex_of(simple_module(a, "1")), range(4))
     for i in range(1, 4):
         assert derived_hom_dims(s0, s1, i) == exts[i - 1]
 
@@ -412,6 +413,34 @@ def test_beilinson_resolves_each_module_once(monkeypatch):
     assert len(complexes) == 64
 
 
+def test_beilinson_eliminates_no_empty_shape(monkeypatch):
+    # a block with no rows or no columns (a zero space of a module) is
+    # never eliminated
+    shapes = []
+    original = exactla._eliminate
+
+    def recorded(field, entries, ncols):
+        shapes.append((len(entries), ncols))
+        return original(field, entries, ncols)
+
+    monkeypatch.setattr(exactla, "_eliminate", recorded)
+    left, right, equal, unimod = beilinson_table_check((3, 3, 3))
+    assert equal and unimod
+    assert shapes and all(nrows and ncols for nrows, ncols in shapes)
+
+
+def test_stalk_resolution_ends_in_the_stalk_degree():
+    # the diamond's S_0 has projective dimension 2: in degree 1 its
+    # resolution takes degrees 1, 0, -1
+    m = simple_module(incidence_algebra(diamond()), "0")
+    res = minimal_resolution(m)
+    shifted = StalkComplex(m, 1).resolution
+    assert sorted(res.terms) == [-2, -1, 0] and sorted(shifted.terms) == [-1, 0, 1]
+    assert sorted(shifted.diffs) == [-1, 0]
+    assert all(shifted.terms[d + 1] == p for d, p in res.terms.items())
+    assert all(shifted.diffs[d + 1] == m for d, m in res.diffs.items())
+
+
 def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
     resolutions = count_calls(monkeypatch, homology, "minimal_resolution", derived)
     replacements = count_calls(monkeypatch, derived, "proj_replacement")
@@ -450,7 +479,7 @@ def test_cone_terms_are_built_once(monkeypatch):
 
 
 def resolution_gldim(a):
-    return max(minimal_resolution(simple_module(a, v)).length for v in a.vertex_order)
+    return max(len(minimal_resolution(simple_module(a, v)).terms) - 1 for v in a.vertex_order)
 
 
 def test_report_resolves_no_poset_simples(monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dequiv import exactla
 from dequiv.exactla import (QQ, ExactMatrix, IntPolynomial, PrimeField, char_poly,
                             field_from_spec, smith_normal_form)
 
@@ -557,6 +558,19 @@ def test_products_on_empty_and_one_by_one_shapes(f):
     for x in pool:
         one = ExactMatrix(f, 1, 1, ((x,),))
         assert (one @ one).entries == ((f.mul(x, x),),)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=repr)
+def test_empty_shapes_are_not_eliminated(f, monkeypatch):
+    def eliminate(*args):
+        raise AssertionError("eliminated an empty shape")
+
+    monkeypatch.setattr(exactla, "_eliminate", eliminate)
+    for n, k in [(0, 3), (3, 0), (0, 0)]:
+        m = ExactMatrix.zero(n, k, f)
+        assert m.pivot_cols() == [] and m.rank() == 0
+        assert m.rref() == (0, [], m)
+        assert m.kernel() == ExactMatrix.identity(k, f)
 
 
 def test_char_poly_matches_the_term_loop():

@@ -12,7 +12,8 @@ from dequiv.posets import (CycleError, antichain, build_Xp, build_remark_poset,
 from dequiv.quivers import (Arrow, Presentation, Quiver, a1p_presentation,
                             bgp_reflect, canonical_presentation,
                             kronecker_presentation)
-from dequiv.algebra import build_algebra, incidence_algebra, make_rep, simple_module
+from dequiv.algebra import (build_algebra, incidence_algebra, make_rep, simple_module,
+                            stalk_complex_of)
 from dequiv.homology import (ResourceRefusal, _coxeter_rows, _inverse_unitriangular,
                              cartan_coxeter_polynomial, cartan_det,
                              cartan_snf_antisym,
@@ -38,10 +39,22 @@ def test_diamond_resolution_and_ext():
     a = incidence_algebra(diamond())
     s0 = simple_module(a, "0")
     res = minimal_resolution(s0)
-    assert res.length == 2
-    assert res.ext_dims(simple_module(a, "a"), 2) == [0, 1, 0]
-    assert res.ext_dims(simple_module(a, "1"), 2) == [0, 0, 1]
-    assert res.ext_dims(s0, 2) == [1, 0, 0]
+    assert len(res.terms) - 1 == 2
+    assert hom_cohomology(res, stalk_complex_of(simple_module(a, "a")), range(3)) == [0, 1, 0]
+    assert hom_cohomology(res, stalk_complex_of(simple_module(a, "1")), range(3)) == [0, 0, 1]
+    assert hom_cohomology(res, stalk_complex_of(s0), range(3)) == [1, 0, 0]
+
+
+def test_non_minimal_differential_is_refused():
+    # the identity P_1 -> P_1 sends the generator to the generator, outside
+    # the radical
+    a = incidence_algebra(chain(2))
+    p = projective_rep(a, ["c1"])
+    ident = algebra.module_map(p, p, {v: ExactMatrix.identity(p.dim(v), a.field)
+                                      for v in a.vertex_order})
+    handmade = algebra.ComplexOfReps(a, {-1: p, 0: p}, {-1: ident})
+    with pytest.raises(homology.ResolutionError, match="non-minimal differential at step 1"):
+        homology._assert_minimal(handmade)
 
 
 def test_ext_truncation_consistency():
@@ -49,16 +62,16 @@ def test_ext_truncation_consistency():
     a = incidence_algebra(diamond())
     res = minimal_resolution(simple_module(a, "0"))
     for other in ("0", "a", "b", "1"):
-        t = simple_module(a, other)
-        full = res.ext_dims(t, 3)
+        t = stalk_complex_of(simple_module(a, other))
+        full = hom_cohomology(res, t, range(4))
         for k in range(3):
-            assert res.ext_dims(t, k) == full[: k + 1]
+            assert hom_cohomology(res, t, range(k + 1)) == full[: k + 1]
 
 
 def resolution_gldim(a):
     """The largest length of a minimal resolution of a simple: the oracle
     for the interval-cohomology global dimension of incidence algebras."""
-    return max(minimal_resolution(simple_module(a, v)).length for v in a.vertex_order)
+    return max(len(minimal_resolution(simple_module(a, v)).terms) - 1 for v in a.vertex_order)
 
 
 def test_simple_resolutions_give_global_dimension():
@@ -268,24 +281,24 @@ def test_certificate_key_ignores_gldim():
 
 # -- the Hom-complex builder against the per-coordinate oracle ---------------
 
-def hom_complex(res_steps, n, max_i):
+def hom_complex(res, n, max_i):
     """Hom(P_*, N) in generator coordinates, one coordinate at a time: each
     unit generator image becomes a full module map, is composed with the
-    differential and read back at the generators.  Returns (dims, mats) with
+    differential and read back at the generators.  res is the resolution
+    with P_i in degree -i.  Returns (dims, mats) with
     mats[i] : Hom(P_i, N) -> Hom(P_{i+1}, N).  The oracle for hom_cohomology."""
-    if not res_steps:
+    if not res.terms:
         return [], []
     f = n.algebra.field
 
     def unit(d, r):
         return ExactMatrix.from_cols([[f.one if k == r else f.zero for k in range(d)]], d, f)
 
-    steps = res_steps[: max_i + 2]
-    dims = [sum(n.dim(v) for v in p.blocks) for p, _ in steps]
+    ps = [res.terms[-i] for i in range(min(len(res.terms), max_i + 2))]
+    dims = [sum(n.dim(v) for v in p.blocks) for p in ps]
     mats = []
-    for i in range(1, len(steps)):
-        p_hi, d = steps[i]
-        p_lo = steps[i - 1][0]
+    for i in range(1, len(ps)):
+        p_hi, d, p_lo = ps[i], res.diffs[-i], ps[i - 1]
         cols = []
         for j, v in enumerate(p_lo.blocks):
             for c in range(n.dim(v)):
@@ -302,7 +315,7 @@ def hom_complex(res_steps, n, max_i):
 
 
 def oracle_ext_dims(res, n, max_i):
-    dims, mats = hom_complex(res.steps, n, max_i)
+    dims, mats = hom_complex(res, n, max_i)
     out = []
     for i in range(max_i + 1):
         if i >= len(dims):
@@ -343,7 +356,8 @@ def test_hom_cohomology_matches_per_coordinate_oracle(field):
         for m in mods:
             res = minimal_resolution(m)
             for n in mods:
-                assert res.ext_dims(n, 3) == oracle_ext_dims(res, n, 3)
+                assert hom_cohomology(res, stalk_complex_of(n), range(4)) == \
+                    oracle_ext_dims(res, n, 3)
                 pairs += 1
     assert pairs == 4 + 16 + 3 * 36 + 10 * 64 + 11 ** 2 + 15 ** 2
 
@@ -353,12 +367,13 @@ def test_hom_cohomology_into_a_complex():
     # Ext^n(M, N): the d_Y part of the differential must be right
     for a in (incidence_algebra(diamond()),
               build_algebra(canonical_presentation([2, 3, 3]))):
-        res = {v: minimal_resolution(simple_module(a, v)) for v in a.vertex_order}
+        simples = {v: simple_module(a, v) for v in a.vertex_order}
+        res = {v: minimal_resolution(s) for v, s in simples.items()}
         for x in a.vertex_order:
-            q = res[x].as_complex()
+            q = res[x]
             for y in a.vertex_order:
-                assert hom_cohomology(q, res[y].as_complex(), range(-1, 4)) == \
-                    [0] + res[x].ext_dims(res[y].module, 3)
+                assert hom_cohomology(q, res[y], range(-1, 4)) == \
+                    [0] + hom_cohomology(q, stalk_complex_of(simples[y]), range(4))
 
 
 # -- Ext between poset simples from interval cohomology ----------------------
@@ -374,7 +389,7 @@ def test_poset_ext_dims_match_resolutions(field):
                 res = minimal_resolution(simples[x])
                 for y in a.vertex_order:
                     assert poset_ext_dims(p, x, y, 4, field) == \
-                        res.ext_dims(simples[y], 4), (p, x, y)
+                        hom_cohomology(res, stalk_complex_of(simples[y]), range(5)), (p, x, y)
                     pairs += 1
     assert pairs == 1885
 
@@ -462,10 +477,11 @@ def test_interval_cohomology_is_taken_over_the_field(rp2):
     assert nerve_cohomology(rp2, 3) == [1, 0, 0, 0]
     a = incidence_algebra(p, gf2)
     res = minimal_resolution(simple_module(a, "bottom"))
-    assert res.ext_dims(simple_module(a, "top"), 5) == [0, 0, 0, 1, 1, 0]
+    assert hom_cohomology(res, stalk_complex_of(simple_module(a, "top")), range(6)) == \
+        [0, 0, 0, 1, 1, 0]
     # links of vertices and boundaries of triangles are circles: gldim 3
     # over Q, and the whole plane adds a fourth degree over GF(2)
-    assert poset_global_dimension(p, gf2) == 4 == res.length
+    assert poset_global_dimension(p, gf2) == 4 == len(res.terms) - 1
     assert poset_global_dimension(p) == 3
     # the poset's certificate reads its gldim over its field
     assert poset_certificate(p, gf2).to_json() == certificate(a).to_json()
@@ -679,7 +695,10 @@ def test_constructed_maps_commute(monkeypatch):
     differentials = []
     for a in algebras:
         for v in a.vertex_order:
-            differentials += [d for _, d in minimal_resolution(simple_module(a, v)).steps]
+            # the cover P_0 -> S_v and the differentials P_i -> P_{i-1}
+            s = simple_module(a, v)
+            differentials.append(homology.projective_cover(s)[1])
+            differentials += minimal_resolution(s).diffs.values()
     assert len(built) > len(differentials) > 100
     assert all(m.check() for m in built + differentials)
 

@@ -2,7 +2,7 @@ import pytest
 
 from dequiv.posets import chain, diamond, enumerate_posets
 from dequiv.quivers import (Arrow, NotPosetQuiverError, Presentation, Quiver,
-                            QuiverError, a1p_presentation, bgp_reflect,
+                            QuiverError, Relation, a1p_presentation, bgp_reflect,
                             canonical_presentation, hasse_quiver,
                             incidence_presentation, is_gentle,
                             kronecker_presentation, quiver_as_poset, t2_poset,
@@ -12,6 +12,16 @@ from dequiv.quivers import (Arrow, NotPosetQuiverError, Presentation, Quiver,
 def test_acyclicity_enforced():
     with pytest.raises(QuiverError):
         Quiver(("a", "b"), (Arrow("f", "a", "b"), Arrow("g", "b", "a")))
+
+
+def test_relation_endpoints_refuse_bad_paths():
+    q = Quiver(("a", "b", "c", "d"),
+               (Arrow("x", "a", "b"), Arrow("y", "b", "c"), Arrow("z", "c", "d")))
+    assert Relation(((1, ("x", "y")),)).endpoints(q) == ("a", "c")
+    with pytest.raises(QuiverError, match=r"path \('y', 'x'\) not composable at c"):
+        Relation(((1, ("y", "x")),)).endpoints(q)
+    with pytest.raises(QuiverError, match="relation terms are not parallel"):
+        Relation(((1, ("x", "y")), (1, ("y", "z")))).endpoints(q)
 
 
 def test_canonical_presentation_shapes():

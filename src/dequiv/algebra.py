@@ -5,7 +5,7 @@ module maps and bounded complexes of representations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,39 +55,50 @@ class BoundQuiverAlgebra:
 
     # -- basis -------------------------------------------------------------
 
-    def _ideal_vectors(self, u, v):
-        """Spanning vectors of the relation ideal inside the (u, v) path space."""
-        f = self.field
-        q = self.quiver
-        pidx = {p: i for i, p in enumerate(q.paths(u, v))}
-        vecs = []
+    def _ideal_vectors(self, blocks):
+        """Spanning vectors of the relation ideal inside each path space, by
+        block, from one pass over the relations: for each relation, each
+        left path into its source times each right path out of its target.
+        Inside a block the vectors come relation by relation, then by left
+        path, then by right path.  blocks maps (u, v) to its paths."""
+        f, q, order = self.field, self.quiver, self.vertex_order
+        pidx, vecs = {}, {}
         for rel, (rs, rt) in zip(self.presentation.relations, self.relation_endpoints):
-            for left in q.paths(u, rs):
-                for right in q.paths(rt, v):
-                    vec = [f.zero] * len(pidx)
+            lefts = [(u, left) for u in order for left in q.paths(u, rs)]
+            rights = [(v, right) for v in order for right in q.paths(rt, v)]
+            for u, left in lefts:
+                for v, right in rights:
+                    idx = pidx.get((u, v))
+                    if idx is None:
+                        idx = pidx[(u, v)] = {p: i for i, p in enumerate(blocks[(u, v)])}
+                        vecs[(u, v)] = []
+                    vec = [f.zero] * len(idx)
                     for coeff, path in rel.terms:
-                        full = left + path + right
-                        vec[pidx[full]] = f.add(vec[pidx[full]], coeff)
-                    vecs.append(vec)
+                        i = idx[left + path + right]
+                        vec[i] = f.add(vec[i], coeff)
+                    vecs[(u, v)].append(vec)
         return vecs
 
     def _compute_basis(self):
         """The blocks in vertex_order x vertex_order order; a block with no
         path is skipped."""
         f, q = self.field, self.quiver
+        blocks = {}
         for u, v in product(self.vertex_order, repeat=2):
             paths = q.paths(u, v)
-            if not paths:
-                continue
-            vecs = self._ideal_vectors(u, v)
+            if paths:
+                blocks[(u, v)] = paths
+        ideal = self._ideal_vectors(blocks)
+        for key, paths in blocks.items():
+            vecs = ideal.get(key)
             pivots, rows = [], ()
             if vecs:
                 _, pivots, rr = ExactMatrix.from_rows(vecs, f).rref()
                 rows = rr.entries  # the rows past the rank are zero; zip drops them
             pivset = set(pivots)
             basis = [(j, p) for j, p in enumerate(paths) if j not in pivset]
-            self._basis[(u, v)] = [p for _, p in basis]
-            self._pivot_class[(u, v)] = {
+            self._basis[key] = [p for _, p in basis]
+            self._pivot_class[key] = {
                 paths[pc]: {p: f.neg(row[j]) for j, p in basis if not f.is_zero(row[j])}
                 for pc, row in zip(pivots, rows)}
 
@@ -247,6 +258,10 @@ def projective_rep(algebra: BoundQuiverAlgebra, blocks: Sequence[str]) -> Projec
     for a in algebra.quiver.arrows:
         src_labels = labels_by_vertex[algebra._vidx[a.source]]
         tgt_labels = labels_by_vertex[algebra._vidx[a.target]]
+        if not (src_labels and tgt_labels):
+            # an empty side: the zero map, with no path reduced
+            maps.append((a.name, ExactMatrix.zero(len(tgt_labels), len(src_labels), f)))
+            continue
         tgt_index = {lab: i for i, lab in enumerate(tgt_labels)}
         cols = []
         for j, p in src_labels:
@@ -316,9 +331,14 @@ class ModuleMap:
         return all(b.is_zero() for b in self.blocks)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (other first)."""
-        return ModuleMap(other.source, self.target,
-                         tuple(b1 @ b2 for b1, b2 in zip(self.blocks, other.blocks)))
+        """self after other (other first).  Only blocks with rows and
+        columns are multiplied; a block of an empty shape is the zero
+        block, and blocks that do not compose still raise."""
+        f = self.source.algebra.field
+        return ModuleMap(other.source, self.target, tuple(
+            b1 @ b2 if b1.ncols != b2.nrows or (b1.nrows and b1.ncols and b2.ncols)
+            else ExactMatrix.zero(b1.nrows, b2.ncols, f)
+            for b1, b2 in zip(self.blocks, other.blocks)))
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target,
@@ -357,26 +377,50 @@ def hom_from_generators(p: ProjectiveRep, n: Representation,
     """The module map P -> N sending the j-th projective generator to the
     given column vector in N at blocks[j]; a basis label (j, path) goes to
     that vector carried along the path, one arrow map at a time, so it
-    commutes with the arrows by construction."""
+    commutes with the arrows by construction.
+
+    The image of each path prefix is kept for the call, so a generator is
+    carried along each prefix once, and a vertex where P or N is zero gets
+    its zero block from module_map with nothing carried."""
     alg = p.algebra
     f = alg.field
+    for j, v in enumerate(p.blocks):
+        g = gen_images[j]
+        if (g.nrows, g.ncols) != (n.dim(v), 1):
+            raise AlgebraError("image of generator %d is %dx%d, not a column of N at %s"
+                               % (j, g.nrows, g.ncols, v))
+    images = {}
+
+    def image(j, path):
+        """The j-th generator's image carried along path."""
+        key = (j, path)
+        m = images.get(key)
+        if m is None:
+            m = images[key] = (n.map_of(path[-1]) @ image(j, path[:-1]) if path
+                               else gen_images[j])
+        return m
+
     blocks = {}
-    for w in alg.vertex_order:
-        cols = [reduce(lambda v, name: n.map_of(name) @ v, path, gen_images[j]).col(0)
-                for j, path in p.labels_at(w)]
-        blocks[w] = ExactMatrix.from_cols(cols, n.dim(w), f)
+    for w, nw, labels in zip(alg.vertex_order, n.dims, p.basis_labels):
+        if nw and labels:
+            blocks[w] = ExactMatrix.from_cols([image(j, path).col(0) for j, path in labels],
+                                              nw, f)
     return module_map(p, n, blocks)
 
 
 def direct_sum_rep(reps: Sequence[Representation]) -> Representation:
-    """Direct sum of representations, summands in the given order."""
+    """Direct sum of representations, summands in the given order.  An
+    arrow with an empty side gets its zero map from make_rep."""
     alg = reps[0].algebra
-    dims = {v: sum(r.dim(v) for r in reps) for v in alg.vertex_order}
+    vidx = alg._vidx
+    dims = {v: sum(r.dims[i] for r in reps) for v, i in vidx.items()}
     maps = {}
     for a in alg.quiver.arrows:
-        maps[a.name] = ExactMatrix.from_blocks(
-            {(i, i): r.map_of(a.name) for i, r in enumerate(reps)},
-            [r.dim(a.target) for r in reps], [r.dim(a.source) for r in reps], alg.field)
+        if dims[a.source] and dims[a.target]:
+            s, t = vidx[a.source], vidx[a.target]
+            maps[a.name] = ExactMatrix.from_blocks(
+                {(i, i): r.map_of(a.name) for i, r in enumerate(reps)},
+                [r.dims[t] for r in reps], [r.dims[s] for r in reps], alg.field)
     return make_rep(alg, dims, maps, check=False)
 
 

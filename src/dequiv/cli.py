@@ -36,7 +36,14 @@ def _parse_weights(text, minimum=2):
 def _parse_lambdas(text, field):
     if text is None:
         return None
-    return [field.from_str(x) for x in text.split(",")]
+    lambdas = []
+    for x in text.split(","):
+        try:
+            lambdas.append(field.from_str(x))
+        except (ValueError, ZeroDivisionError):
+            raise click.UsageError("--lambdas value %r is not an element of %r"
+                                   % (x, field)) from None
+    return lambdas
 
 
 def _render(data, fmt):

@@ -85,13 +85,15 @@ def _sum_map(src: Representation, tgt: Representation,
              blocks: Dict[Tuple[int, int], ModuleMap]) -> ModuleMap:
     """Module map src -> tgt given by a sparse block dict, src and tgt being
     the direct sums of sources and of targets, built by the caller.  It is
-    not checked; the complex it becomes a differential of checks it."""
+    not checked; the complex it becomes a differential of checks it.  A
+    vertex where src or tgt is zero gets its zero block from module_map."""
     algebra = src.algebra
     vb = {}
-    for v in algebra.vertex_order:
-        vb[v] = ExactMatrix.from_blocks(
-            {(i, j): mm.block(v) for (i, j), mm in blocks.items()},
-            [t.dim(v) for t in targets], [s.dim(v) for s in sources], algebra.field)
+    for k, v in enumerate(algebra.vertex_order):
+        if src.dims[k] and tgt.dims[k]:
+            vb[v] = ExactMatrix.from_blocks(
+                {ij: mm.blocks[k] for ij, mm in blocks.items()},
+                [t.dims[k] for t in targets], [s.dims[k] for s in sources], algebra.field)
     return module_map(src, tgt, vb)
 
 
@@ -194,16 +196,18 @@ def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int],
         layout[end[i]] = [(end[i], 0), (end[partner[i]], 0), ("w", 1)]
     layout["w"] = [(end[1], 0), (end[2], 0), (end[3], 0), ("w", 1)]
 
-    degs = set(c.support) | {d + 1 for d in c.support}
-
-    def part_dim(lab, off, d):
-        return c.term(d - off).dim(lab)
+    degs = sorted(set(c.support) | {d + 1 for d in c.support})
+    # the dimension of each layout part and their sum, per degree and
+    # vertex, each read once; a block with an empty side is never built, as
+    # make_rep and module_map fill in the zero maps
+    part_dims = {d: {v: [c.term(d - off).dim(lab) for lab, off in parts]
+                     for v, parts in layout.items()} for d in degs}
+    vertex_dims = {d: {v: sum(ps) for v, ps in pd.items()} for d, pd in part_dims.items()}
 
     def vdiff(v, d):
         """Differential of the vertex complex at degree d."""
         parts = layout[v]
-        rows = [part_dim(lab, off, d + 1) for lab, off in parts]
-        cols = [part_dim(lab, off, d) for lab, off in parts]
+        rows, cols = part_dims[d + 1][v], part_dims[d][v]
         blocks = {}
         for idx, (lab, off) in enumerate(parts):
             if d - off in c.diffs:
@@ -235,28 +239,35 @@ def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int],
             return {(0, 0): arm if i != 2 else -arm,
                     (1, 0): cr if i == 2 else -cr}
         # canonical embedding of the arm cone into the total cone
-        return {(tgt_parts.index(part), sidx): ExactMatrix.identity(part_dim(*part, d), f)
-                for sidx, part in enumerate(src_parts)}
+        return {(tgt_parts.index(part), sidx): ExactMatrix.identity(n, f)
+                for sidx, (part, n) in enumerate(zip(src_parts, part_dims[d][arrow.source]))}
 
     # assemble representations per degree
     terms: Dict[int, Representation] = {}
-    for d in sorted(degs):
-        dims = {v: sum(part_dim(lab, off, d) for lab, off in layout[v])
-                for v in alg.vertex_order}
+    for d in degs:
+        dims = vertex_dims[d]
         maps = {}
         for a in alg.quiver.arrows:
-            rows = [part_dim(lab, off, d) for lab, off in layout[a.target]]
-            cols = [part_dim(lab, off, d) for lab, off in layout[a.source]]
-            blocks = {k: m for k, m in arrow_blocks(a, d).items() if not m.is_zero()}
-            maps[a.name] = ExactMatrix.from_blocks(blocks, rows, cols, f)
+            if dims[a.source] and dims[a.target]:
+                blocks = {k: m for k, m in arrow_blocks(a, d).items() if not m.is_zero()}
+                maps[a.name] = ExactMatrix.from_blocks(
+                    blocks, part_dims[d][a.target], part_dims[d][a.source], f)
         terms[d] = make_rep(alg, dims, maps, check=True)
 
-    # a degree whose blocks are all zero (the top one among them) gets no
-    # differential; ComplexOfReps.make checks the others
+    # a degree whose blocks are all zero (the top one among them, and any
+    # below a gap in the support) gets no differential; ComplexOfReps.make
+    # checks the others
     diffs: Dict[int, ModuleMap] = {}
-    for d in sorted(degs):
-        blocks = {v: vdiff(v, d) for v in alg.vertex_order}
-        if not all(b.is_zero() for b in blocks.values()):
+    for d in degs:
+        if d + 1 not in vertex_dims:
+            continue
+        blocks = {}
+        for v in alg.vertex_order:
+            if vertex_dims[d][v] and vertex_dims[d + 1][v]:
+                b = vdiff(v, d)
+                if not b.is_zero():
+                    blocks[v] = b
+        if blocks:
             diffs[d] = module_map(terms[d], terms[d + 1], blocks)
 
     return ComplexOfReps.make(alg, terms, diffs)

@@ -233,8 +233,9 @@ class ExactMatrix:
 
     @staticmethod
     def zero(nrows: int, ncols: int, field=QQ) -> "ExactMatrix":
-        z = field.zero
-        return ExactMatrix(field, nrows, ncols, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
+        """The zero matrix; its rows are one shared tuple, so an empty shape
+        builds no row at all."""
+        return ExactMatrix(field, nrows, ncols, ((field.zero,) * ncols,) * nrows)
 
     @staticmethod
     def identity(n: int, field=QQ) -> "ExactMatrix":
@@ -272,10 +273,11 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Each entry is the plain sum of its products, put in normal form
-        once; with inner dimension 0 the product is the zero matrix."""
+        once; a product with an empty shape is the zero matrix, with no
+        product taken."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        if not self.ncols:
+        if not (self.nrows and self.ncols and other.ncols):
             return ExactMatrix.zero(self.nrows, other.ncols, self.field)
         normal = self.field.normal
         cols = tuple(zip(*other.entries))

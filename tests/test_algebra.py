@@ -1,14 +1,15 @@
 import random
+from functools import reduce
 
 import pytest
 
 from dequiv.exactla import QQ, ExactMatrix, PrimeField
 from dequiv.posets import antichain, chain, diamond, enumerate_posets
 from dequiv.quivers import canonical_presentation, kronecker_presentation
-from dequiv.algebra import (AlgebraError, ProjectiveRep, Representation, build_algebra,
-                            direct_sum_rep, incidence_algebra, kernel_of, make_rep,
-                            module_map, projective_module, projective_rep, radical_rep,
-                            simple_module, stalk_complex_of, zero_map, zero_rep)
+from dequiv.algebra import (AlgebraError, ModuleMap, ProjectiveRep, Representation,
+                            build_algebra, direct_sum_rep, incidence_algebra, kernel_of,
+                            make_rep, module_map, projective_module, projective_rep,
+                            radical_rep, simple_module, stalk_complex_of, zero_map, zero_rep)
 from dequiv.algebra import hom_from_generators
 from dequiv.homology import hom_cohomology, minimal_resolution
 
@@ -45,6 +46,49 @@ def check_associativity(a):
     return True
 
 
+def oracle_ideal_vectors(a, u, v):
+    """Spanning vectors of the relation ideal inside the (u, v) path space,
+    each relation's multiples looked up for this block alone: the oracle
+    for the one pass over the relations of _compute_basis."""
+    f = a.field
+    q = a.quiver
+    pidx = {p: i for i, p in enumerate(q.paths(u, v))}
+    vecs = []
+    for rel, (rs, rt) in zip(a.presentation.relations, a.relation_endpoints):
+        for left in q.paths(u, rs):
+            for right in q.paths(rt, v):
+                vec = [f.zero] * len(pidx)
+                for coeff, path in rel.terms:
+                    full = left + path + right
+                    vec[pidx[full]] = f.add(vec[pidx[full]], coeff)
+                vecs.append(vec)
+    return vecs
+
+
+def oracle_basis(a):
+    """(basis, pivot classes) of every block, each block reduced from its
+    own oracle_ideal_vectors."""
+    f = a.field
+    basis, pivot_class = {}, {}
+    for u in a.vertex_order:
+        for v in a.vertex_order:
+            paths = a.quiver.paths(u, v)
+            if not paths:
+                continue
+            vecs = oracle_ideal_vectors(a, u, v)
+            pivots, rows = [], ()
+            if vecs:
+                _, pivots, rr = ExactMatrix.from_rows(vecs, f).rref()
+                rows = rr.entries
+            pivset = set(pivots)
+            free = [(j, p) for j, p in enumerate(paths) if j not in pivset]
+            basis[(u, v)] = [p for _, p in free]
+            pivot_class[(u, v)] = {
+                paths[pc]: {p: f.neg(row[j]) for j, p in free if not f.is_zero(row[j])}
+                for pc, row in zip(pivots, rows)}
+    return basis, pivot_class
+
+
 def oracle_reduce_path(a, u, v, path):
     """The class of a path as the row reduction of its unit vector against
     the rref of the block's ideal vectors: each pivot's coefficient times
@@ -52,7 +96,7 @@ def oracle_reduce_path(a, u, v, path):
     left are read off in path order.  The oracle for reduce_path."""
     f = a.field
     paths = a.quiver.paths(u, v)
-    vecs = a._ideal_vectors(u, v)
+    vecs = oracle_ideal_vectors(a, u, v)
     _, pivots, rr = ExactMatrix.from_rows(vecs, f).rref() if vecs else (0, [], None)
     vec = [f.zero] * len(paths)
     vec[paths.index(path)] = f.one
@@ -87,6 +131,18 @@ def test_reduce_path_reads_the_basis_rref(field):
                 want = oracle_reduce_path(a, u, v, path)
                 assert got == want and list(got) == list(want)
     assert algebras == 3 + (1 + 2 + 5 + 16 + 63)  # posets on n <= 5, OEIS A000112
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_basis_from_one_pass_over_the_relations_matches_the_per_block_oracle(field):
+    # the same basis paths and pivot classes, in the same block order, as
+    # when every block looks up every relation's multiples again
+    for a in reduction_algebras(field):
+        basis, pivot_class = oracle_basis(a)
+        assert list(a._basis.items()) == list(basis.items())
+        assert a._pivot_class == pivot_class
+        assert all(list(a._pivot_class[k][p]) == list(c)
+                   for k, cls in pivot_class.items() for p, c in cls.items())
 
 
 def test_reduce_path_refuses_a_path_of_another_block_and_returns_fresh_dicts():
@@ -293,6 +349,57 @@ def test_module_map_check_matches_the_every_arrow_loop(a):
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
     assert skipped > 100
+
+
+def oracle_hom_from_generators(p, n, gen_images):
+    """Reference for hom_from_generators: every basis label's generator
+    carried along its whole path, arrow by arrow, at every vertex."""
+    f = p.algebra.field
+    return module_map(p, n, {
+        w: ExactMatrix.from_cols(
+            [reduce(lambda v, name: n.map_of(name) @ v, path, gen_images[j]).col(0)
+             for j, path in p.labels_at(w)], n.dim(w), f)
+        for w in p.algebra.vertex_order})
+
+
+@pytest.mark.parametrize("a", map_algebras(), ids=["canonical334", "diamond"])
+def test_hom_from_generators_matches_the_whole_path_oracle(a):
+    # seeded random generator images, from sums of projectives with
+    # repeated summands into modules with zero spaces
+    rng = random.Random(24)
+    f = a.field
+    pool = module_pool(a)
+    v = a.vertex_order
+    sources = [projective_rep(a, [x]) for x in v] + [
+        projective_rep(a, [v[0], v[0], v[-1]]), projective_rep(a, list(v)),
+        projective_rep(a, [v[1], v[-2], v[1]])]
+    for _ in range(120):
+        source, target = rng.choice(sources), rng.choice(pool)
+        gens = [random_matrix(rng, target.dim(x), 1, f) for x in source.blocks]
+        mm = hom_from_generators(source, target, gens)
+        assert mm.blocks == oracle_hom_from_generators(source, target, gens).blocks
+        assert mm.check()
+
+
+def test_hom_from_generators_refuses_an_image_of_the_wrong_shape():
+    a = incidence_algebra(diamond())
+    p = projective_rep(a, ["0"])
+    s = simple_module(a, "1")  # zero at the generator's vertex
+    with pytest.raises(AlgebraError, match="image of generator 0 is 1x1"):
+        hom_from_generators(p, s, [ExactMatrix.from_rows([[1]])])
+
+
+def test_compose_takes_no_empty_product_and_refuses_blocks_that_do_not_compose():
+    a = incidence_algebra(diamond())
+    p, s = projective_rep(a, ["0"]), simple_module(a, "0")
+    cover = hom_from_generators(p, s, [ExactMatrix.from_rows([[1]])])
+    back = zero_map(s, p)
+    assert back.compose(cover).blocks == zero_map(p, p).blocks
+    assert cover.compose(back).blocks == zero_map(s, s).blocks
+    # a middle block that does not match raises, also at a zero outer space
+    bad = ModuleMap(p, s, tuple(ExactMatrix.zero(0, 2) for _ in a.vertex_order))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        bad.compose(cover)
 
 
 def test_module_map_check_rejects_one_failing_arrow_between_nonzero_spaces():

@@ -227,6 +227,22 @@ def test_malformed_input_of_other_commands_names_the_problem(tmp_path, capsys, a
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["invariants", "--weights", "2,2,2,2", "--lambdas", "1/0"],
+     "--lambdas value '1/0' is not an element of QQ"),
+    (["hh", "--weights", "2,2,2,2", "--lambdas", "1/0", "--method", "bar"],
+     "--lambdas value '1/0' is not an element of QQ"),
+    (["invariants", "--weights", "2,2,2,2", "--lambdas", "x"],
+     "--lambdas value 'x' is not an element of QQ"),
+    (["--field", "fp:3", "invariants", "--weights", "2,2,2,2", "--lambdas", "x"],
+     "--lambdas value 'x' is not an element of GF(3)"),
+], ids=["zero-denominator", "hh-zero-denominator", "not-a-number", "not-a-number-gf3"])
+def test_lambdas_outside_the_field_name_the_option(capsys, args, message):
+    assert run(args) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
 def test_admissible_quiver_relation_is_accepted(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(dict(

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -112,18 +113,24 @@ def test_functor_f_refuses_a_complex_with_nonzero_square():
         functor_F(c, (3, 3, 3))
 
 
-@pytest.mark.parametrize("weights", [(3, 3, 3), (3, 3, 4), (3, 4, 4)])
-def test_functor_f_on_constant_diagrams(weights):
-    """Constant complexes with identity cover maps: the output must exist,
-    validate, and satisfy the canonical relation (checked inside)."""
+def constant_diagram(weights):
+    """A constant complex on the weight-triple poset: 2-dimensional spaces,
+    identity cover maps and a seeded nilpotent differential."""
     rng = random.Random(sum(weights))
     ax = incidence_algebra(build_Xp(*weights))
     d = ExactMatrix.from_rows([[0, rng.randint(-2, 2)], [0, 0]])
     ident = ExactMatrix.identity(2)
     k = make_rep(ax, {x: 2 for x in ax.vertex_order},
                  {a.name: ident for a in ax.quiver.arrows})
-    c = ComplexOfReps.make(ax, {0: k, 1: k},
-                           {0: module_map(k, k, {x: d for x in ax.vertex_order})})
+    return ComplexOfReps.make(ax, {0: k, 1: k},
+                              {0: module_map(k, k, {x: d for x in ax.vertex_order})})
+
+
+@pytest.mark.parametrize("weights", [(3, 3, 3), (3, 3, 4), (3, 4, 4)])
+def test_functor_f_on_constant_diagrams(weights):
+    """Constant complexes with identity cover maps: the output must exist,
+    validate, and satisfy the canonical relation (checked inside)."""
+    c = constant_diagram(weights)
     assert all(c.term(i).check_relations() for i in c.support)
     out = functor_F(c, weights)
     assert not out.is_zero()
@@ -299,6 +306,121 @@ def test_f_images_of_simples_share_one_algebra(monkeypatch):
             [(name, m.entries) for name, m in own.module.maps]
 
 
+def oracle_cone_functor(c, weights, alg):
+    """Reference for the cone functor: every layout part's dimension looked
+    up at each use, and a block, arrow matrix and vertex differential built
+    for every part, arrow and vertex, empty or not."""
+    p1, p2, p3 = weights
+    end, pre, cross = derived._family1_edges(p1, p2, p3)
+    f = c.algebra.field
+
+    def cover(x, y, d):
+        return c.term(d).map_of("%s->%s" % (x, y))
+
+    partner = {1: 3, 2: 1, 3: 2}
+    layout = {"0": [("0", 0)], "w": []}
+    for i in (1, 2, 3):
+        p_i = (p1, p2, p3)[i - 1]
+        for j in range(1, p_i - 1):
+            layout["%d,%d" % (i, j)] = [("%d,%d" % (i, j), 0)]
+        layout[end[i]] = [(end[i], 0), (end[partner[i]], 0), ("w", 1)]
+    layout["w"] = [(end[1], 0), (end[2], 0), (end[3], 0), ("w", 1)]
+    degs = set(c.support) | {d + 1 for d in c.support}
+
+    def part_dim(lab, off, d):
+        return c.term(d - off).dim(lab)
+
+    def vdiff(v, d):
+        parts = layout[v]
+        rows = [part_dim(lab, off, d + 1) for lab, off in parts]
+        cols = [part_dim(lab, off, d) for lab, off in parts]
+        blocks = {}
+        for idx, (lab, off) in enumerate(parts):
+            if d - off in c.diffs:
+                m = c.diffs[d - off].block(lab)
+                if not m.is_zero():
+                    blocks[(idx, idx)] = -m if off else m
+        if len(parts) > 1:
+            for idx, (lab, _) in enumerate(parts[:-1]):
+                m = cover(lab, "w", d)
+                if not m.is_zero():
+                    blocks[(len(parts) - 1, idx)] = -m
+        return ExactMatrix.from_blocks(blocks, rows, cols, f)
+
+    def arrow_blocks(arrow, d):
+        src_parts, tgt_parts = layout[arrow.source], layout[arrow.target]
+        i = int(arrow.name[1])
+        j = int(arrow.name.split("_")[1])
+        p_i = (p1, p2, p3)[i - 1]
+        if j <= p_i - 2:
+            return {(0, 0): cover(arrow.source, arrow.target, d)}
+        if j == p_i - 1:
+            arm = cover(pre[i], end[i], d)
+            cr = cover(*cross[i], d)
+            return {(0, 0): arm if i != 2 else -arm,
+                    (1, 0): cr if i == 2 else -cr}
+        return {(tgt_parts.index(part), sidx): ExactMatrix.identity(part_dim(*part, d), f)
+                for sidx, part in enumerate(src_parts)}
+
+    terms = {}
+    for d in sorted(degs):
+        dims = {v: sum(part_dim(lab, off, d) for lab, off in layout[v])
+                for v in alg.vertex_order}
+        maps = {}
+        for a in alg.quiver.arrows:
+            rows = [part_dim(lab, off, d) for lab, off in layout[a.target]]
+            cols = [part_dim(lab, off, d) for lab, off in layout[a.source]]
+            blocks = {k: m for k, m in arrow_blocks(a, d).items() if not m.is_zero()}
+            maps[a.name] = ExactMatrix.from_blocks(blocks, rows, cols, f)
+        terms[d] = make_rep(alg, dims, maps, check=True)
+    diffs = {}
+    for d in sorted(degs):
+        blocks = {v: vdiff(v, d) for v in alg.vertex_order}
+        if not all(b.is_zero() for b in blocks.values()):
+            diffs[d] = module_map(terms[d], terms[d + 1], blocks)
+    return ComplexOfReps.make(alg, terms, diffs)
+
+
+def assert_same_complex(got, want):
+    """Equal terms (dimensions and arrow-map entries) and differentials
+    (every vertex block), degree by degree."""
+    assert sorted(got.terms) == sorted(want.terms)
+    assert sorted(got.diffs) == sorted(want.diffs)
+    for d, t in want.terms.items():
+        assert got.terms[d].dims == t.dims
+        assert [(n, m.entries) for n, m in got.terms[d].maps] == \
+            [(n, m.entries) for n, m in t.maps]
+    for d, m in want.diffs.items():
+        assert [b.entries for b in got.diffs[d].blocks] == [b.entries for b in m.blocks]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("weights", [(3, 3, 3), (3, 3, 4), (3, 4, 4)], ids=str)
+def test_cone_functor_matches_the_every_block_oracle(weights, field):
+    # the stalks of every simple and indecomposable projective, and (over Q)
+    # the constant diagram: the same terms, arrow maps and differentials as
+    # when every part, arrow and vertex is assembled
+    ax = (incidence_algebra(build_Xp(*weights)) if field is None
+          else incidence_algebra(build_Xp(*weights), field))
+    alg = build_algebra(canonical_presentation(list(weights), field=ax.field))
+    inputs = [stalk_complex_of(make(ax, x))
+              for make in (simple_module, projective_module) for x in ax.vertex_order]
+    if field is None:
+        inputs.append(constant_diagram(weights))
+    for c in inputs:
+        assert_same_complex(derived._cone_functor(c, weights, alg),
+                            oracle_cone_functor(c, weights, alg))
+
+
+def test_cone_functor_builds_no_block_for_a_zero_space(monkeypatch):
+    # the 8 images of one-dimensional simples: a block matrix only for an
+    # arrow or vertex differential with two nonzero sides (272 when every
+    # arrow and vertex of every degree was assembled)
+    blocks = count_calls(monkeypatch, ExactMatrix, "from_blocks")
+    f_images_of_simples((3, 3, 3))
+    assert len(blocks) <= 9
+
+
 def oracle_check_relations(m):
     """Reference for `Representation.check_relations`: every relation is
     evaluated, also where its source or target space is 0."""
@@ -423,10 +545,26 @@ def test_beilinson_eliminates_no_empty_shape(monkeypatch):
         shapes.append((len(entries), ncols))
         return original(field, entries, ncols)
 
+    def multiplied(a, b):
+        # the function taking the product, past any generator expression
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        products.append((a.nrows, a.ncols, b.ncols, frame.f_code.co_name))
+        return matmul(a, b)
+
+    products = []
+    matmul = ExactMatrix.__matmul__
     monkeypatch.setattr(exactla, "_eliminate", recorded)
+    monkeypatch.setattr(ExactMatrix, "__matmul__", multiplied)
     left, right, equal, unimod = beilinson_table_check((3, 3, 3))
     assert equal and unimod
     assert shapes and all(nrows and ncols for nrows, ncols in shapes)
+    # nor is a product of an empty shape taken, in composing module maps
+    # or in carrying generators along paths
+    callers = {caller for *_, caller in products}
+    assert {"compose", "image"} <= callers
+    assert products and all(n and k and m for n, k, m, _ in products)
 
 
 def test_stalk_resolution_ends_in_the_stalk_degree():

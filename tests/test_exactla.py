@@ -561,6 +561,20 @@ def test_products_on_empty_and_one_by_one_shapes(f):
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=repr)
+def test_empty_products_still_check_the_inner_dimension(f):
+    # an empty product returns the zero matrix at once, but only after the
+    # shape check
+    for (n, k), (k2, m) in [((0, 2), (3, 1)), ((2, 3), (2, 0)), ((0, 0), (1, 0)),
+                            ((2, 0), (1, 2))]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ExactMatrix.zero(n, k, f) @ ExactMatrix.zero(k2, m, f)
+    one = ExactMatrix.identity(2, f)
+    assert ExactMatrix.zero(0, 2, f) @ one == ExactMatrix.zero(0, 2, f)
+    assert ExactMatrix.zero(2, 0, f).entries == ((), ())
+    assert (one @ ExactMatrix.zero(2, 0, f)).entries == ((), ())
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=repr)
 def test_empty_shapes_are_not_eliminated(f, monkeypatch):
     def eliminate(*args):
         raise AssertionError("eliminated an empty shape")

@@ -368,10 +368,6 @@ def module_map(source: Representation, target: Representation,
     return ModuleMap(source, target, tuple(full))
 
 
-def zero_map(source: Representation, target: Representation) -> ModuleMap:
-    return module_map(source, target, {})
-
-
 def hom_from_generators(p: ProjectiveRep, n: Representation,
                         gen_images: Sequence[ExactMatrix]) -> ModuleMap:
     """The module map P -> N sending the j-th projective generator to the
@@ -497,10 +493,6 @@ class ComplexOfReps:
 
     def term(self, d: int) -> Representation:
         return self.terms.get(d) or self._zero
-
-    def diff(self, d: int) -> ModuleMap:
-        m = self.diffs.get(d)
-        return zero_map(self.term(d), self.term(d + 1)) if m is None else m
 
     @property
     def support(self):

@@ -33,6 +33,12 @@ def _parse_weights(text, minimum=2):
     return ws
 
 
+def _refuse_lambdas_without_weights(weights, lambdas):
+    """--lambdas parametrises a canonical algebra, so it needs --weights."""
+    if lambdas is not None and not weights:
+        raise click.UsageError("--lambdas applies only with --weights")
+
+
 def _parse_lambdas(text, field):
     if text is None:
         return None
@@ -138,6 +144,7 @@ def incidence(ctx, poset_path):
 @click.pass_context
 def invariants(ctx, weights, lambdas, poset_path, quiver_path):
     """Derived-invariant certificate of an algebra from one source."""
+    _refuse_lambdas_without_weights(weights, lambdas)
     if poset_path and not (weights or quiver_path):
         # the incidence algebra's certificate, read off the poset
         cert = poset_certificate(Poset.load(poset_path), ctx.obj["field"])
@@ -204,6 +211,7 @@ def verify_remark_cmd(ctx, family, p2, p3, orientations):
 @click.pass_context
 def hh(ctx, poset_path, weights, lambdas, max_degree, method):
     """Hochschild cohomology dimensions, degrees 0..max-degree."""
+    _refuse_lambdas_without_weights(weights, lambdas)
     if bool(poset_path) == bool(weights):
         raise click.UsageError("provide exactly one of --poset, --weights")
     if method in ("nerve", "both") and not poset_path:

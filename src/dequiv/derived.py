@@ -19,8 +19,7 @@ from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
                       is_gentle, t2_poset, unique_path_property)
 from .algebra import (BoundQuiverAlgebra, ComplexOfReps, DerivedError, ModuleMap,
                       Representation, build_algebra, direct_sum_rep, incidence_algebra,
-                      kernel_of, make_rep, module_map, simple_module, stalk_complex_of,
-                      zero_map)
+                      kernel_of, make_rep, module_map, simple_module, stalk_complex_of)
 from .homology import (InvariantCertificate, certificate, global_dimension,
                        hom_cohomology, matches_certificate, minimal_resolution,
                        poset_certificate, poset_ext_dims, poset_global_dimension,
@@ -33,21 +32,12 @@ from .homology import (InvariantCertificate, certificate, global_dimension,
 
 @dataclass
 class RepChainMap:
+    """A family of module maps comps[d] : source^d -> target^d, a missing
+    one zero.  It is checked as a chain map through its cone (`cone`)."""
+
     source: ComplexOfReps
     target: ComplexOfReps
     comps: Dict[int, ModuleMap]
-
-    def comp(self, d: int) -> ModuleMap:
-        m = self.comps.get(d)
-        return zero_map(self.source.term(d), self.target.term(d)) if m is None else m
-
-    def check(self):
-        for d in set(self.source.support) | set(self.target.support):
-            lhs = self.target.diff(d).compose(self.comp(d))
-            rhs = self.comp(d + 1).compose(self.source.diff(d))
-            for b1, b2 in zip(lhs.blocks, rhs.blocks):
-                if not (b1 - b2).is_zero():
-                    raise DerivedError("not a chain map of complexes at degree %d" % d)
 
 
 @dataclass(frozen=True)
@@ -80,50 +70,47 @@ class StalkComplex:
         return proj_replacement(self.complex)
 
 
-def _sum_map(src: Representation, tgt: Representation,
-             sources: Sequence[Representation], targets: Sequence[Representation],
-             blocks: Dict[Tuple[int, int], ModuleMap]) -> ModuleMap:
-    """Module map src -> tgt given by a sparse block dict, src and tgt being
-    the direct sums of sources and of targets, built by the caller.  It is
-    not checked; the complex it becomes a differential of checks it.  A
-    vertex where src or tgt is zero gets its zero block from module_map."""
-    algebra = src.algebra
+def _cone_diff(fmap: RepChainMap, d: int, src: Representation,
+               tgt: Representation) -> ModuleMap:
+    """The differential C^d -> C^{d+1} of the mapping cone of f : K -> L,
+    C^d = K^{d+1} (+) L^d, as the block matrix [[-d_K, 0], [f, d_L]] read
+    off K.diffs, f.comps and L.diffs; a missing map is a zero block.  src
+    and tgt are the two direct sums, built by the caller.  The map is not
+    checked: the complex it becomes a differential of checks it.  A vertex
+    where src or tgt is zero gets its zero block from module_map."""
+    k, l = fmap.source, fmap.target
+    blocks = {}
+    if d + 1 in k.diffs:
+        blocks[(0, 0)] = -k.diffs[d + 1]
+    if d + 1 in fmap.comps:
+        blocks[(1, 0)] = fmap.comps[d + 1]
+    if d in l.diffs:
+        blocks[(1, 1)] = l.diffs[d]
+    sources, targets = (k.term(d + 1), l.term(d)), (k.term(d + 2), l.term(d + 1))
+    alg = src.algebra
     vb = {}
-    for k, v in enumerate(algebra.vertex_order):
-        if src.dims[k] and tgt.dims[k]:
+    for i, v in enumerate(alg.vertex_order):
+        if src.dims[i] and tgt.dims[i]:
             vb[v] = ExactMatrix.from_blocks(
-                {ij: mm.blocks[k] for ij, mm in blocks.items()},
-                [t.dims[k] for t in targets], [s.dims[k] for s in sources], algebra.field)
+                {ij: m.blocks[i] for ij, m in blocks.items()},
+                [t.dims[i] for t in targets], [s.dims[i] for s in sources], alg.field)
     return module_map(src, tgt, vb)
 
 
 def cone(fmap: RepChainMap) -> ComplexOfReps:
     """Mapping cone: degree i is K^{i+1} (+) L^i, differential
-    [[-d_K, 0], [f, d_L]]."""
-    fmap.check()
+    [[-d_K, 0], [f, d_L]].  ComplexOfReps.make checks it: each differential
+    is a module map, so each component of f is one, and the square of the
+    differential has the block d_L f - f d_K, so d o d = 0 holds exactly
+    when f is a chain map."""
     k, l = fmap.source, fmap.target
-    alg = k.algebra
+    for d, m in fmap.comps.items():
+        if m.source.dims != k.term(d).dims or m.target.dims != l.term(d).dims:
+            raise DerivedError("component at %d has wrong endpoints" % d)
     degs = set(d - 1 for d in k.support) | set(l.support)
-    terms = {}
-    diffs = {}
-    for d in degs:
-        terms[d] = direct_sum_rep([k.term(d + 1), l.term(d)])
-    for d in degs:
-        if d + 1 not in degs:
-            continue
-        blocks = {}
-        dk = k.diff(d + 1)
-        if not dk.is_zero():
-            blocks[(0, 0)] = -dk
-        fd = fmap.comp(d + 1)
-        if not fd.is_zero():
-            blocks[(1, 0)] = fd
-        dl = l.diff(d)
-        if not dl.is_zero():
-            blocks[(1, 1)] = dl
-        diffs[d] = _sum_map(terms[d], terms[d + 1], [k.term(d + 1), l.term(d)],
-                            [k.term(d + 2), l.term(d + 1)], blocks)
-    return ComplexOfReps.make(alg, terms, diffs)
+    terms = {d: direct_sum_rep([k.term(d + 1), l.term(d)]) for d in degs}
+    diffs = {d: _cone_diff(fmap, d, terms[d], terms[d + 1]) for d in degs if d + 1 in degs}
+    return ComplexOfReps.make(k.algebra, terms, diffs)
 
 
 def as_stalk(c: ComplexOfReps) -> StalkComplex:
@@ -153,7 +140,7 @@ def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
     complex over the canonical algebra of the same weights.
 
     The complex at a poset element x has the space c.term(d).dim(x) in
-    degree d and the differential c.diff(d).block(x); a cover x -> y acts
+    degree d and the differential c.diffs[d].block(x); a cover x -> y acts
     by the Hasse arrow "x->y". End-of-arm objects become shifted cones over
     the top object; the two printed sign patterns appear in the maps out of
     the next-to-last arm objects; the maps into the total cone are the
@@ -324,40 +311,32 @@ def proj_replacement(x: ComplexOfReps):
         return ComplexOfReps(alg, {}, {}), {}
     lo, b = x.support[0], x.support[-1]
     cap = (b - lo) + alg.dimension + 3
-    zero = x.term(b + 1)  # Q, like X, is zero above b
     p_b, cover = projective_cover(x.term(b))
-    q = {b: p_b}
-    dq: Dict[int, ModuleMap] = {}
-    eps = {b: cover}
+    # Q, like X, is zero above b, and its zero term there is X's own
+    q = ComplexOfReps(alg, {b + 1: x.term(b + 1), b: p_b}, {})
+    eps = RepChainMap(q, x, {b: cover})
     cone_terms = {b: x.term(b)}
     cone_diffs: Dict[int, ModuleMap] = {}
     for j in range(b - 1, b - 1 - cap, -1):
-        src = [q[j + 1], x.term(j)]
+        src = [q.terms[j + 1], x.term(j)]
         cone_terms[j] = direct_sum_rep(src)
-        blocks = {(1, 0): eps[j + 1]}
-        if j + 1 in dq:
-            blocks[(0, 0)] = -dq[j + 1]
-        if j in x.diffs:
-            blocks[(1, 1)] = x.diffs[j]
         # the target is the sum built one step before (X^b itself at j = b - 1)
-        d = _sum_map(cone_terms[j], cone_terms[j + 1], src,
-                     [q.get(j + 2, zero), x.term(j + 1)], blocks)
-        cone_diffs[j] = d
+        d = cone_diffs[j] = _cone_diff(eps, j, cone_terms[j], cone_terms[j + 1])
         v, incl = kernel_of(d)
         if v.is_zero() and j <= lo:
             break
-        q[j], cover = projective_cover(v)
+        q.terms[j], cover = projective_cover(v)
         tot = incl.compose(cover)  # Q^j -> C^j
-        dq[j] = _component_map(tot, src, 0)
-        eps[j] = -_component_map(tot, src, 1)
+        q.diffs[j] = _component_map(tot, src, 0)
+        eps.comps[j] = -_component_map(tot, src, 1)
     else:
         raise DerivedError("projective replacement cap %d exceeded" % cap)
     cone_complex = ComplexOfReps.make(alg, cone_terms, cone_diffs)
     if cone_complex.cohomology_dims():
         raise DerivedError("projective replacement is not a quasi-isomorphism")
     # Q's maps are blocks of the checked cone
-    return ComplexOfReps(alg, {d: p for d, p in q.items() if not p.is_zero()},
-                         {d: m for d, m in dq.items() if not m.is_zero()}), eps
+    return ComplexOfReps(alg, {d: p for d, p in q.terms.items() if not p.is_zero()},
+                         {d: m for d, m in q.diffs.items() if not m.is_zero()}), eps.comps
 
 
 def _component_map(mm: ModuleMap, targets: Sequence[Representation], idx: int) -> ModuleMap:

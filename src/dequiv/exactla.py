@@ -167,6 +167,12 @@ class PrimeField:
     def __repr__(self):
         return "GF(%d)" % self.p
 
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash((PrimeField, self.p))
+
 
 QQ = RationalField()
 

@@ -169,8 +169,9 @@ class Presentation:
     def from_json(data: dict, field=QQ) -> "Presentation":
         """Presentation from quiver JSON, every vertex label, arrow id and
         endpoint and path entry a string.  A missing key, a value of the wrong
-        JSON type, an unknown arrow, a term with an empty path or a coefficient
-        outside the field, or a relation with no terms raises QuiverError."""
+        JSON type, an unknown arrow, a term with an empty path, a coefficient
+        that is neither a string nor an integer or is outside the field, or a
+        relation with no terms raises QuiverError."""
         vertices = json_labels(data, "vertices", "quiver", QuiverError)
         arrows = []
         for a in json_key(data, "arrows", "quiver", list, QuiverError):
@@ -194,6 +195,10 @@ class Presentation:
                                       "every path in a relation needs at least 2" % where)
                 coeff = json_key(t, "coeff", where, object, QuiverError)
                 try:
+                    # a string, as to_json writes it, or an integer; no float
+                    # or boolean is read as a field element
+                    if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
+                        raise TypeError(coeff)
                     terms.append((field.from_str(coeff), path))
                 except (ValueError, TypeError, ZeroDivisionError):
                     raise QuiverError("%s has coefficient %s, which is not an element of %r"
@@ -240,7 +245,9 @@ def canonical_presentation(weights: Sequence[int], lambdas: Optional[Sequence] =
 
     Weights equal to 1 are dropped when three or more weights are present;
     fewer than two surviving weights are padded back with 1s, so the types
-    (p) and () produce the two-arm path algebras with no relations.
+    (p) and () produce the two-arm path algebras with no relations.  The t
+    surviving weights take t - 2 pairwise distinct nonzero lambdas (1, 2, ...
+    by default); any other number is refused, for t = 2 too.
     """
     ws = [int(p) for p in weights]
     if any(p < 1 for p in ws):
@@ -251,20 +258,19 @@ def canonical_presentation(weights: Sequence[int], lambdas: Optional[Sequence] =
         ws.append(1)
     t = len(ws)
     lam = [field.from_int(x) if isinstance(x, int) else x for x in (lambdas or [])]
-    if t >= 3:
-        if lambdas is None:
-            lam = [field.from_int(i - 1) for i in range(2, t)]  # 1, 2, ... by default
-            if any(field.is_zero(x) for x in lam):
-                raise QuiverError(
-                    "no default lambdas for t = %d weights over GF(%d): they must be "
-                    "t - 2 = %d distinct nonzero elements and GF(%d) has only %d"
-                    % (t, field.p, t - 2, field.p, field.p - 1))
-        if len(lam) != t - 2:
-            raise QuiverError("need %d lambda parameters for %d weights" % (t - 2, t))
+    if t >= 3 and lambdas is None:
+        lam = [field.from_int(i - 1) for i in range(2, t)]  # 1, 2, ... by default
         if any(field.is_zero(x) for x in lam):
-            raise QuiverError("lambda parameters must be nonzero")
-        if len({field.to_str(x) for x in lam}) != len(lam):
-            raise QuiverError("lambda parameters must be pairwise distinct")
+            raise QuiverError(
+                "no default lambdas for t = %d weights over GF(%d): they must be "
+                "t - 2 = %d distinct nonzero elements and GF(%d) has only %d"
+                % (t, field.p, t - 2, field.p, field.p - 1))
+    if len(lam) != t - 2:
+        raise QuiverError("need %d lambda parameters for %d weights" % (t - 2, t))
+    if any(field.is_zero(x) for x in lam):
+        raise QuiverError("lambda parameters must be nonzero")
+    if len({field.to_str(x) for x in lam}) != len(lam):
+        raise QuiverError("lambda parameters must be pairwise distinct")
     q = _canonical_quiver(ws)
     arm_path = {i: tuple("x%d_%d" % (i, j) for j in range(1, p + 1))
                 for i, p in enumerate(ws, start=1)}

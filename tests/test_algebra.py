@@ -9,7 +9,7 @@ from dequiv.quivers import canonical_presentation, kronecker_presentation
 from dequiv.algebra import (AlgebraError, ModuleMap, ProjectiveRep, Representation,
                             build_algebra, direct_sum_rep, incidence_algebra, kernel_of,
                             make_rep, module_map, projective_module, projective_rep,
-                            radical_rep, simple_module, stalk_complex_of, zero_map, zero_rep)
+                            radical_rep, simple_module, stalk_complex_of, zero_rep)
 from dequiv.algebra import hom_from_generators
 from dequiv.homology import hom_cohomology, minimal_resolution
 
@@ -393,9 +393,9 @@ def test_compose_takes_no_empty_product_and_refuses_blocks_that_do_not_compose()
     a = incidence_algebra(diamond())
     p, s = projective_rep(a, ["0"]), simple_module(a, "0")
     cover = hom_from_generators(p, s, [ExactMatrix.from_rows([[1]])])
-    back = zero_map(s, p)
-    assert back.compose(cover).blocks == zero_map(p, p).blocks
-    assert cover.compose(back).blocks == zero_map(s, s).blocks
+    back = module_map(s, p, {})
+    assert back.compose(cover).blocks == module_map(p, p, {}).blocks
+    assert cover.compose(back).blocks == module_map(s, s, {}).blocks
     # a middle block that does not match raises, also at a zero outer space
     bad = ModuleMap(p, s, tuple(ExactMatrix.zero(0, 2) for _ in a.vertex_order))
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -451,9 +451,9 @@ def test_value_classes_are_slotted_and_compare_by_value():
     p = projective_rep(a, a.vertex_order)
     s = simple_module(a, "0")
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    for obj in (m, p, s, zero_map(p, s)):
+    for obj in (m, p, s, module_map(p, s, {})):
         assert not hasattr(obj, "__dict__")
     assert m == ExactMatrix.from_rows([[1, 2], [3, 4]])
     assert m != ExactMatrix.from_rows([[1, 2], [3, 5]])
     assert p == projective_rep(a, a.vertex_order)
-    assert zero_map(p, s) == zero_map(p, s)
+    assert module_map(p, s, {}) == module_map(p, s, {})

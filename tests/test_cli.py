@@ -182,10 +182,16 @@ PATH_QUIVER = {"vertices": ["a", "b", "c"],
      'relation term {"coeff": "abc", "path": ["x", "y"]} has coefficient "abc", '
      'which is not an element of QQ'),
     (dict(PATH_QUIVER, relations=[{"terms": []}]), 'relation {"terms": []} has no terms'),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": 0.1, "path": ["x", "y"]}]}]),
+     'relation term {"coeff": 0.1, "path": ["x", "y"]} has coefficient 0.1, '
+     'which is not an element of QQ'),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": True, "path": ["x", "y"]}]}]),
+     'relation term {"coeff": true, "path": ["x", "y"]} has coefficient true, '
+     'which is not an element of QQ'),
 ], ids=["empty-path", "empty-path-with-source", "missing-key", "unknown-arrow",
         "length-1-relation", "vertices-not-a-list", "path-not-a-list",
         "arrow-id-not-a-string", "zero-denominator", "coeff-not-a-number",
-        "no-terms"])
+        "no-terms", "coeff-float", "coeff-boolean"])
 def test_malformed_quiver_names_the_problem(tmp_path, capsys, data, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(data))
@@ -218,7 +224,12 @@ def test_malformed_poset_names_the_problem(tmp_path, capsys, data, message):
      dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "abc", "path": ["x", "y"]}]}]),
      'relation term {"coeff": "abc", "path": ["x", "y"]} has coefficient "abc", '
      'which is not an element of GF(3)'),
-], ids=["hh-nerve-mixed-labels", "coeff-outside-gf3"])
+    # over GF(3) a float would truncate to 0 and its term would vanish
+    (["--field", "fp:3", "invariants", "--quiver"],
+     dict(PATH_QUIVER, relations=[{"terms": [{"coeff": 3.9, "path": ["x", "y"]}]}]),
+     'relation term {"coeff": 3.9, "path": ["x", "y"]} has coefficient 3.9, '
+     'which is not an element of GF(3)'),
+], ids=["hh-nerve-mixed-labels", "coeff-outside-gf3", "coeff-float-gf3"])
 def test_malformed_input_of_other_commands_names_the_problem(tmp_path, capsys, args,
                                                              data, message):
     path = tmp_path / "in.json"
@@ -249,6 +260,43 @@ def test_admissible_quiver_relation_is_accepted(tmp_path, capsys):
         PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x", "y"]}]}])))
     assert run(["invariants", "--quiver", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["total_dimension"] == 5
+
+
+def test_integer_coefficient_reads_as_its_string(tmp_path, capsys):
+    # a JSON integer is the field element its decimal string names
+    outs = []
+    for coeff in (-2, "-2"):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(dict(
+            PATH_QUIVER, relations=[{"terms": [{"coeff": coeff, "path": ["x", "y"]}]}])))
+        assert run(["invariants", "--quiver", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["total_dimension"] == 5
+
+
+KRONECKER = str(Path(__file__).resolve().parent / "data" / "kronecker.json")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["canonical", "--weights", "2,3", "--lambdas", "5"],
+     "need 0 lambda parameters for 2 weights"),
+    (["canonical", "--weights", "2,3", "--lambdas", "0"],
+     "need 0 lambda parameters for 2 weights"),
+    (["invariants", "--weights", "2,3", "--lambdas", "7"],
+     "need 0 lambda parameters for 2 weights"),
+    (["invariants", "--poset", "DIAMOND", "--lambdas", "7"],
+     "--lambdas applies only with --weights"),
+    (["invariants", "--quiver", KRONECKER, "--lambdas", "7"],
+     "--lambdas applies only with --weights"),
+    (["hh", "--poset", "DIAMOND", "--lambdas", "7", "--method", "both"],
+     "--lambdas applies only with --weights"),
+], ids=["canonical-t2", "canonical-t2-zero", "invariants-t2", "invariants-poset",
+        "invariants-quiver", "hh-poset"])
+def test_lambdas_that_cannot_apply_are_refused(diamond_file, capsys, args, message):
+    assert run([diamond_file if a == "DIAMOND" else a for a in args]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
 
 
 @pytest.mark.parametrize("p, weights", [(2, "2,2,2,2"), (3, "2,2,2,2,2")])

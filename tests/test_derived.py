@@ -58,10 +58,10 @@ def test_vect_cohomology():
 
 def test_chain_map_validation():
     c = two_term([[1]])
-    with pytest.raises(DerivedError):
-        # d_target o f != f o d_source = 0
-        RepChainMap(stalk_complex_of(space(1)), c,
-                    {0: linear_map(ExactMatrix.from_rows([[1]]))}).check()
+    with pytest.raises(DerivedError, match="d o d"):
+        # d_target o f != f o d_source = 0, the block of the cone's d o d
+        cone(RepChainMap(stalk_complex_of(space(1)), c,
+                         {0: linear_map(ExactMatrix.from_rows([[1]]))}))
 
 
 def test_cone_of_identity_is_acyclic():
@@ -75,7 +75,6 @@ def test_cone_of_zero_map_splits():
     a = incidence_algebra(diamond())
     s = stalk_complex_of(simple_module(a, "0"))
     t = stalk_complex_of(simple_module(a, "1"))
-    from dequiv.algebra import zero_map
     f = RepChainMap(s, t, {})
     c = cone(f)
     assert c.cohomology_dims() == {-1: 1, 0: 1}
@@ -258,6 +257,167 @@ def test_replacement_builds_one_zero_term(monkeypatch):
     zeros = count_calls(monkeypatch, algebra, "zero_rep")
     proj_replacement(x)
     assert len(zeros) == 1
+
+
+# the two cone builders before `_cone_diff`, as the oracle: the chain-map
+# check, the shared block assembler, the cone and the replacement, each
+# building its differentials in its own loop
+
+def oracle_comp(fmap, d):
+    m = fmap.comps.get(d)
+    return module_map(fmap.source.term(d), fmap.target.term(d), {}) if m is None else m
+
+
+def oracle_diff(c, d):
+    m = c.diffs.get(d)
+    return module_map(c.term(d), c.term(d + 1), {}) if m is None else m
+
+
+def oracle_check_chain_map(fmap):
+    for d in set(fmap.source.support) | set(fmap.target.support):
+        lhs = oracle_diff(fmap.target, d).compose(oracle_comp(fmap, d))
+        rhs = oracle_comp(fmap, d + 1).compose(oracle_diff(fmap.source, d))
+        for b1, b2 in zip(lhs.blocks, rhs.blocks):
+            if not (b1 - b2).is_zero():
+                raise DerivedError("not a chain map of complexes at degree %d" % d)
+
+
+def oracle_sum_map(src, tgt, sources, targets, blocks):
+    alg = src.algebra
+    vb = {}
+    for k, v in enumerate(alg.vertex_order):
+        if src.dims[k] and tgt.dims[k]:
+            vb[v] = ExactMatrix.from_blocks(
+                {ij: mm.blocks[k] for ij, mm in blocks.items()},
+                [t.dims[k] for t in targets], [s.dims[k] for s in sources], alg.field)
+    return module_map(src, tgt, vb)
+
+
+def oracle_cone(fmap):
+    oracle_check_chain_map(fmap)
+    k, l = fmap.source, fmap.target
+    degs = set(d - 1 for d in k.support) | set(l.support)
+    terms = {d: algebra.direct_sum_rep([k.term(d + 1), l.term(d)]) for d in degs}
+    diffs = {}
+    for d in degs:
+        if d + 1 not in degs:
+            continue
+        blocks = {}
+        dk = oracle_diff(k, d + 1)
+        if not dk.is_zero():
+            blocks[(0, 0)] = -dk
+        fd = oracle_comp(fmap, d + 1)
+        if not fd.is_zero():
+            blocks[(1, 0)] = fd
+        dl = oracle_diff(l, d)
+        if not dl.is_zero():
+            blocks[(1, 1)] = dl
+        diffs[d] = oracle_sum_map(terms[d], terms[d + 1], [k.term(d + 1), l.term(d)],
+                                  [k.term(d + 2), l.term(d + 1)], blocks)
+    return ComplexOfReps.make(k.algebra, terms, diffs)
+
+
+def oracle_proj_replacement(x):
+    alg = x.algebra
+    if x.is_zero():
+        return ComplexOfReps(alg, {}, {}), {}
+    lo, b = x.support[0], x.support[-1]
+    cap = (b - lo) + alg.dimension + 3
+    zero = x.term(b + 1)
+    p_b, cover = homology.projective_cover(x.term(b))
+    q, dq, eps = {b: p_b}, {}, {b: cover}
+    cone_terms, cone_diffs = {b: x.term(b)}, {}
+    for j in range(b - 1, b - 1 - cap, -1):
+        src = [q[j + 1], x.term(j)]
+        cone_terms[j] = algebra.direct_sum_rep(src)
+        blocks = {(1, 0): eps[j + 1]}
+        if j + 1 in dq:
+            blocks[(0, 0)] = -dq[j + 1]
+        if j in x.diffs:
+            blocks[(1, 1)] = x.diffs[j]
+        d = oracle_sum_map(cone_terms[j], cone_terms[j + 1], src,
+                           [q.get(j + 2, zero), x.term(j + 1)], blocks)
+        cone_diffs[j] = d
+        v, incl = algebra.kernel_of(d)
+        if v.is_zero() and j <= lo:
+            break
+        q[j], cover = homology.projective_cover(v)
+        tot = incl.compose(cover)
+        dq[j] = derived._component_map(tot, src, 0)
+        eps[j] = -derived._component_map(tot, src, 1)
+    else:
+        raise DerivedError("projective replacement cap %d exceeded" % cap)
+    assert ComplexOfReps.make(alg, cone_terms, cone_diffs).cohomology_dims() == {}
+    return ComplexOfReps(alg, {d: p for d, p in q.items() if not p.is_zero()},
+                         {d: m for d, m in dq.items() if not m.is_zero()}), eps
+
+
+def gap_complexes():
+    """M in degree 0 and N in degree 2 over k(. -> .) and the diamond, M
+    and N running over the simples and over the indecomposable projectives."""
+    out = []
+    for poset in (chain(2), diamond()):
+        a = incidence_algebra(poset)
+        for make in (simple_module, projective_module):
+            mods = [make(a, v) for v in a.vertex_order]
+            out += [ComplexOfReps.make(a, {0: m, 2: n}, {}) for m in mods for n in mods]
+    return out
+
+
+def assert_replacement_matches_the_oracle(x):
+    """The same Q and eps as the oracle, and the same cone of eps."""
+    q, eps = proj_replacement(x)
+    oq, oeps = oracle_proj_replacement(x)
+    assert_same_complex(q, oq)
+    assert eps == oeps
+    f = RepChainMap(q, x, eps)
+    assert_same_complex(cone(f), oracle_cone(f))
+
+
+def test_replacement_and_cone_match_the_oracle_on_the_f_images():
+    images = [x for w in ((3, 3, 3), (3, 3, 4), (3, 4, 4), (4, 4, 4)) for x in f_images(w)]
+    assert len(images) == 76
+    for x in images:
+        assert_replacement_matches_the_oracle(x)
+
+
+def test_replacement_and_cone_match_the_oracle_across_a_gap():
+    complexes = gap_complexes()
+    assert len(complexes) == 2 * (2 ** 2 + 4 ** 2)
+    for x in complexes:
+        assert_replacement_matches_the_oracle(x)
+
+
+def test_cone_matches_the_oracle_on_identity_and_zero_maps():
+    a = incidence_algebra(diamond())
+    s0, s1 = simple_module(a, "0"), simple_module(a, "1")
+    for f in (RepChainMap(stalk_complex_of(s0), stalk_complex_of(s0), {0: identity_map(s0)}),
+              RepChainMap(stalk_complex_of(s0), stalk_complex_of(s1), {})):
+        assert_same_complex(cone(f), oracle_cone(f))
+
+
+def test_cone_refuses_a_component_that_is_not_a_module_map():
+    # between stalks every family of vertex maps commutes with the (zero)
+    # differentials; doubling the identity of P_0 at the vertex 1 alone
+    # breaks the arrows a -> 1 and b -> 1
+    a = incidence_algebra(diamond())
+    p = projective_module(a, "0")
+    blocks = {v: ExactMatrix.identity(p.dim(v)) for v in a.vertex_order}
+    blocks["1"] = blocks["1"].scale(2)
+    f = RepChainMap(stalk_complex_of(p), stalk_complex_of(p), {0: module_map(p, p, blocks)})
+    assert not f.comps[0].check()
+    oracle_check_chain_map(f)  # a chain map of vertex-graded spaces
+    with pytest.raises(DerivedError, match="not a module map"):
+        cone(f)
+
+
+def test_cone_refuses_a_component_with_wrong_endpoints():
+    # the identity of P_0 fits S_0 -> S_0 at the vertex 0, the only vertex
+    # where the cone of two stalks of S_0 has a block to build
+    a = incidence_algebra(diamond())
+    s, p = stalk_complex_of(simple_module(a, "0")), projective_module(a, "0")
+    with pytest.raises(DerivedError, match="component at 0 has wrong endpoints"):
+        cone(RepChainMap(s, s, {0: identity_map(p)}))
 
 
 def test_f_images_of_simples_shapes():
@@ -597,22 +757,22 @@ def test_stalk_keeps_its_resolution_and_replacement(monkeypatch):
 
 def test_cone_terms_are_built_once(monkeypatch):
     sums = count_calls(monkeypatch, derived, "direct_sum_rep")
-    sum_maps = count_calls(monkeypatch, derived, "_sum_map")
+    cone_diffs = count_calls(monkeypatch, derived, "_cone_diff")
     images = dict(f_images_of_simples((3, 3, 3)))
     assert sums == []
     proj_replacement(images["w"].complex)
     # one sum C^j = Q^{j+1} (+) X^j per cone step, j = 0 and -1 here; the
     # step below takes it as its target
-    assert len(sum_maps) == 2
-    assert len(sums) == len(sum_maps)
+    assert len(cone_diffs) == 2
+    assert len(sums) == len(cone_diffs)
     sums.clear()
-    sum_maps.clear()
+    cone_diffs.clear()
     a = incidence_algebra(diamond())
     s = simple_module(a, "0")
     c = cone(RepChainMap(stalk_complex_of(s), stalk_complex_of(s), {0: identity_map(s)}))
     # the two terms S (+) 0 in degree -1 and 0 (+) S in degree 0, one
     # differential between them
-    assert len(sums) == 2 and len(sum_maps) == 1
+    assert len(sums) == 2 and len(cone_diffs) == 1
     assert c.cohomology_dims() == {}
 
 

@@ -593,3 +593,15 @@ def test_char_poly_matches_the_term_loop():
         for _ in range(10):
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             assert char_poly(rows).coeffs == IntPolynomial.of(oracle_char_poly(rows)).coeffs
+
+
+def test_prime_fields_compare_by_their_prime():
+    # field_from_spec builds a new GF(p) on every call; matrices over two
+    # such fields with the same entries are equal
+    f, g = exactla.field_from_spec("fp:3"), exactla.field_from_spec("fp:3")
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != PrimeField(5) and f != QQ and QQ != f
+    assert ExactMatrix.from_rows([[1, 2]], PrimeField(3)) == \
+        ExactMatrix.from_rows([[1, 2]], PrimeField(3))
+    assert ExactMatrix.from_rows([[1, 2]], PrimeField(3)) != \
+        ExactMatrix.from_rows([[1, 2]], PrimeField(5))

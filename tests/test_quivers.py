@@ -42,6 +42,17 @@ def test_weight_one_arms_are_dropped():
     assert set(pres.quiver.vertices) == set(canonical_presentation([3, 3]).quiver.vertices)
 
 
+def test_lambda_count_is_checked_for_every_t():
+    # t = 2 has no lambda: one given is refused, not dropped, also after
+    # the weight-one arms are dropped
+    for weights in ([2, 3], [1, 2, 3]):
+        with pytest.raises(QuiverError, match="need 0 lambda parameters for 2 weights"):
+            canonical_presentation(weights, [7])
+    assert canonical_presentation([2, 3], []).relations == ()
+    with pytest.raises(QuiverError, match="need 1 lambda parameters for 3 weights"):
+        canonical_presentation([2, 2, 2], [2, 3])
+
+
 def test_kronecker_and_a1p():
     kr = kronecker_presentation()
     assert len(kr.quiver.vertices) == 2 and len(kr.quiver.arrows) == 2

@@ -347,9 +347,6 @@ class ModuleMap:
     def __neg__(self) -> "ModuleMap":
         return ModuleMap(self.source, self.target, tuple(-b for b in self.blocks))
 
-    def scale(self, c) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, tuple(b.scale(c) for b in self.blocks))
-
 
 def module_map(source: Representation, target: Representation,
                blocks: Dict[str, ExactMatrix]) -> ModuleMap:

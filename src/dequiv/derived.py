@@ -144,20 +144,20 @@ def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
     by the Hasse arrow "x->y". End-of-arm objects become shifted cones over
     the top object; the two printed sign patterns appear in the maps out of
     the next-to-last arm objects; the maps into the total cone are the
-    canonical embeddings."""
+    canonical embeddings.  Every sign is an entry of the table that
+    `_cone_functor` assembles."""
     p1, p2, p3 = weights
     if not 3 <= p1 <= p2 <= p3:
         raise DerivedError("the cone functor is implemented for weights with p1 >= 3")
     alg = build_algebra(canonical_presentation([p1, p2, p3], field=c.algebra.field))
-    return _cone_functor(c, weights, alg)
+    return _cone_functor(c, weights, build_Xp(p1, p2, p3), alg)
 
 
-def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int],
+def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int], xp: Poset,
                   alg: BoundQuiverAlgebra) -> ComplexOfReps:
     """functor_F(c, weights) for checked weights, landing in `alg`, the
-    canonical algebra of the weights over c's field."""
-    p1, p2, p3 = weights
-    xp = build_Xp(p1, p2, p3)
+    canonical algebra of the weights over c's field; c must be a complex
+    over the incidence algebra of `xp`, the caller's X_p of the weights."""
     poset = c.algebra.poset
     if poset is None or poset.elements != xp.elements or poset.up_masks != xp.up_masks:
         raise DerivedError("complex is not over the incidence algebra of the weight-triple poset")
@@ -165,99 +165,75 @@ def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int],
     for d in c.support:
         if not c.term(d).check_relations():
             raise DerivedError("term in degree %d breaks the commutativity relations" % d)
-    end, pre, cross = _family1_edges(p1, p2, p3)
-    f = c.algebra.field
+    end, pre, cross = _family1_edges(*weights)
 
-    def cover(x, y, d):
-        """The cover map x -> y on the degree-d spaces."""
-        return c.term(d).map_of("%s->%s" % (x, y))
-
-    # block layout per canonical vertex: list of (poset element, offset)
-    # offset 1 marks the shifted top component (degree i draws K^{i-1})
-    partner = {1: 3, 2: 1, 3: 2}
-    layout: Dict[str, List[Tuple[str, int]]] = {"0": [("0", 0)], "w": []}
-    for i in (1, 2, 3):
-        p_i = (p1, p2, p3)[i - 1]
-        for j in range(1, p_i - 1):
-            layout["%d,%d" % (i, j)] = [("%d,%d" % (i, j), 0)]
-        layout[end[i]] = [(end[i], 0), (end[partner[i]], 0), ("w", 1)]
-    layout["w"] = [(end[1], 0), (end[2], 0), (end[3], 0), ("w", 1)]
+    # The table.  parts[v] lists the parts (poset element, shift) of the
+    # canonical vertex v; degree d draws a part of shift 1 from c's degree
+    # d - 1.  Each arrow and vertex differential is an item (name, source,
+    # target, entries), an entry (target part, source part, sign, map) whose
+    # map (x, y) is c's cover x -> y, and None the identity on an arrow and
+    # c's own differential at a vertex.
+    parts = {"0": [("0", 0)], "w": [(end[1], 0), (end[2], 0), (end[3], 0), ("w", 1)]}
+    arrows = []
+    for i, p_i in enumerate(weights, start=1):
+        arm = ["0"] + ["%d,%d" % (i, j) for j in range(1, p_i - 1)]
+        for j, (x, y) in enumerate(zip(arm, arm[1:]), start=1):
+            parts[y] = [(y, 0)]
+            arrows.append(("x%d_%d" % (i, j), x, y, [(0, 0, 1, (x, y))]))
+        parts[end[i]] = [(end[i], 0), (cross[i][1], 0), ("w", 1)]
+        # the printed column into the shifted cone: the arm map with signs
+        # +, -, + and the cross map with signs -, +, -
+        sign = -1 if i == 2 else 1
+        arrows.append(("x%d_%d" % (i, p_i - 1), pre[i], end[i],
+                       [(0, 0, sign, (pre[i], end[i])), (1, 0, -sign, cross[i])]))
+        # the canonical embedding of the arm cone into the total cone
+        embed = [(parts["w"].index(part), k, 1, None) for k, part in enumerate(parts[end[i]])]
+        arrows.append(("x%d_%d" % (i, p_i), end[i], "w", embed))
+    # at a vertex, c's differential on each part, negated on the shifted one,
+    # and the cross terms -y from each other part into the shifted top
+    vertices = [(v, v, v, [(k, k, -1 if off else 1, None) for k, (_, off) in enumerate(ps)]
+                 + [(len(ps) - 1, k, -1, (lab, "w")) for k, (lab, _) in enumerate(ps[:-1])])
+                for v, ps in parts.items()]
 
     degs = sorted(set(c.support) | {d + 1 for d in c.support})
-    # the dimension of each layout part and their sum, per degree and
-    # vertex, each read once; a block with an empty side is never built, as
-    # make_rep and module_map fill in the zero maps
-    part_dims = {d: {v: [c.term(d - off).dim(lab) for lab, off in parts]
-                     for v, parts in layout.items()} for d in degs}
+    # the dimension of each part and their sum, per degree and vertex, each read once
+    part_dims = {d: {v: [c.term(d - off).dim(lab) for lab, off in ps]
+                     for v, ps in parts.items()} for d in degs}
     vertex_dims = {d: {v: sum(ps) for v, ps in pd.items()} for d, pd in part_dims.items()}
 
-    def vdiff(v, d):
-        """Differential of the vertex complex at degree d."""
-        parts = layout[v]
-        rows, cols = part_dims[d + 1][v], part_dims[d][v]
-        blocks = {}
-        for idx, (lab, off) in enumerate(parts):
-            if d - off in c.diffs:
-                m = c.diffs[d - off].block(lab)
+    def assemble(d, e, items):
+        """The block matrices of the items from degree d to degree d + e (e =
+        0 on an arrow, 1 for a differential).  No block with an empty side or
+        a zero map is built, and an item with no block is left out for
+        make_rep and module_map to fill in with zero."""
+        out = {}
+        for name, src, tgt, entries in items:
+            rows, cols = part_dims[d + e][tgt], part_dims[d][src]
+            blocks = {}
+            for t, s, sign, cov in entries:
+                if not (rows[t] and cols[s]):
+                    continue
+                lab, off = parts[src][s]
+                if cov is not None:
+                    m = c.term(d - off).map_of("%s->%s" % cov)
+                elif not e:
+                    m = ExactMatrix.identity(cols[s], alg.field)
+                elif d - off in c.diffs:
+                    m = c.diffs[d - off].block(lab)
+                else:
+                    continue
                 if not m.is_zero():
-                    blocks[(idx, idx)] = -m if off else m
-        # cross terms -y: an end-of-arm block at degree d -> the shifted top
-        if len(parts) > 1:
-            for idx, (lab, _) in enumerate(parts[:-1]):
-                m = cover(lab, "w", d)
-                if not m.is_zero():
-                    blocks[(len(parts) - 1, idx)] = -m
-        return ExactMatrix.from_blocks(blocks, rows, cols, f)
+                    blocks[(t, s)] = -m if sign < 0 else m
+            if blocks:
+                out[name] = ExactMatrix.from_blocks(blocks, rows, cols, alg.field)
+        return out
 
-    def arrow_blocks(arrow: Arrow, d: int) -> Dict[Tuple[int, int], ExactMatrix]:
-        """The arrow's matrix at degree d, as blocks of the two layouts."""
-        src_parts, tgt_parts = layout[arrow.source], layout[arrow.target]
-        i = int(arrow.name[1])
-        j = int(arrow.name.split("_")[1])
-        p_i = (p1, p2, p3)[i - 1]
-        if j <= p_i - 2:
-            # plain arm covers, into the single component
-            return {(0, 0): cover(arrow.source, arrow.target, d)}
-        if j == p_i - 1:
-            # the printed column vector into the shifted cone: the arm map
-            # with signs +, -, + and the cross map with signs -, +, -
-            arm = cover(pre[i], end[i], d)
-            cr = cover(*cross[i], d)
-            return {(0, 0): arm if i != 2 else -arm,
-                    (1, 0): cr if i == 2 else -cr}
-        # canonical embedding of the arm cone into the total cone
-        return {(tgt_parts.index(part), sidx): ExactMatrix.identity(n, f)
-                for sidx, (part, n) in enumerate(zip(src_parts, part_dims[d][arrow.source]))}
-
-    # assemble representations per degree
-    terms: Dict[int, Representation] = {}
-    for d in degs:
-        dims = vertex_dims[d]
-        maps = {}
-        for a in alg.quiver.arrows:
-            if dims[a.source] and dims[a.target]:
-                blocks = {k: m for k, m in arrow_blocks(a, d).items() if not m.is_zero()}
-                maps[a.name] = ExactMatrix.from_blocks(
-                    blocks, part_dims[d][a.target], part_dims[d][a.source], f)
-        terms[d] = make_rep(alg, dims, maps, check=True)
-
-    # a degree whose blocks are all zero (the top one among them, and any
-    # below a gap in the support) gets no differential; ComplexOfReps.make
-    # checks the others
-    diffs: Dict[int, ModuleMap] = {}
-    for d in degs:
-        if d + 1 not in vertex_dims:
-            continue
-        blocks = {}
-        for v in alg.vertex_order:
-            if vertex_dims[d][v] and vertex_dims[d + 1][v]:
-                b = vdiff(v, d)
-                if not b.is_zero():
-                    blocks[v] = b
-        if blocks:
-            diffs[d] = module_map(terms[d], terms[d + 1], blocks)
-
-    return ComplexOfReps.make(alg, terms, diffs)
+    terms = {d: make_rep(alg, vertex_dims[d], assemble(d, 0, arrows), check=True) for d in degs}
+    # a degree whose blocks are all zero (the top one, and any below a gap in
+    # the support) gets no differential; ComplexOfReps.make checks the others
+    diffs = {d: assemble(d, 1, vertices) for d in degs if d + 1 in terms}
+    return ComplexOfReps.make(alg, terms, {d: module_map(terms[d], terms[d + 1], blocks)
+                                           for d, blocks in diffs.items() if blocks})
 
 
 def f_images_of_simples(weights: Tuple[int, int, int]):
@@ -268,10 +244,11 @@ def f_images_of_simples(weights: Tuple[int, int, int]):
     p1, p2, p3 = weights
     if not 3 <= p1 <= p2 <= p3:
         raise DerivedError("closed-form images only available for p1 >= 3")
-    ax = incidence_algebra(build_Xp(p1, p2, p3))
+    xp = build_Xp(p1, p2, p3)
+    ax = incidence_algebra(xp)
     alg = build_algebra(canonical_presentation([p1, p2, p3], field=ax.field))
-    return [(x, as_stalk(_cone_functor(stalk_complex_of(simple_module(ax, x)), weights, alg)))
-            for x in ax.poset.elements]
+    return [(x, as_stalk(_cone_functor(stalk_complex_of(simple_module(ax, x)), weights, xp, alg)))
+            for x in xp.elements]
 
 
 # ===========================================================================

@@ -187,6 +187,13 @@ def field_from_spec(spec: str):
     raise ValueError("unknown field spec %r" % spec)
 
 
+def _same_field(f, g):
+    """f, when g is the same field; operands over two fields are refused."""
+    if f is not g and f != g:
+        raise ValueError("operands over two fields: %r and %r" % (f, g))
+    return f
+
+
 @dataclass(slots=True)
 class ExactMatrix:
     """Dense matrix over an exact field, compared by value.
@@ -228,6 +235,7 @@ class ExactMatrix:
         """Block matrix from {(i, j): ExactMatrix}; missing blocks are zero.
         Block (i, j) must be row_dims[i] x col_dims[j]."""
         for (i, j), m in blocks.items():
+            _same_field(field, m.field)
             if (m.nrows, m.ncols) != (row_dims[i], col_dims[j]):
                 raise ValueError("block (%d, %d) is %dx%d, expected %dx%d"
                                  % (i, j, m.nrows, m.ncols, row_dims[i], col_dims[j]))
@@ -254,7 +262,7 @@ class ExactMatrix:
         return tuple(self.entries[r][c] for r in range(self.nrows))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        f = self.field
+        f = _same_field(self.field, other.field)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch %dx%d + %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
@@ -281,13 +289,14 @@ class ExactMatrix:
         """Each entry is the plain sum of its products, put in normal form
         once; a product with an empty shape is the zero matrix, with no
         product taken."""
+        f = _same_field(self.field, other.field)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         if not (self.nrows and self.ncols and other.ncols):
-            return ExactMatrix.zero(self.nrows, other.ncols, self.field)
-        normal = self.field.normal
+            return ExactMatrix.zero(self.nrows, other.ncols, f)
+        normal = f.normal
         cols = tuple(zip(*other.entries))
-        return ExactMatrix(self.field, self.nrows, other.ncols, tuple(
+        return ExactMatrix(f, self.nrows, other.ncols, tuple(
             tuple(normal(sum(map(mul, row, col))) for col in cols) for row in self.entries))
 
     def transpose(self) -> "ExactMatrix":
@@ -302,7 +311,8 @@ class ExactMatrix:
         if self.nrows != other.nrows:
             raise ValueError("shape mismatch: hstack of %dx%d and %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        return ExactMatrix(self.field, self.nrows, self.ncols + other.ncols,
+        return ExactMatrix(_same_field(self.field, other.field), self.nrows,
+                           self.ncols + other.ncols,
                            tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
 
     # -- elimination -------------------------------------------------------

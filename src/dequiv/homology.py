@@ -475,8 +475,11 @@ class ResourceRefusal(RuntimeError):
     pass
 
 
-def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int,
-                   size_budget: int = 20000) -> List[int]:
+# the most cochains hochschild_bar builds in one degree
+BAR_SIZE_BUDGET = 20000
+
+
+def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int) -> List[int]:
     """HH^0..HH^max_deg via the bar complex relative to the vertex span.
 
     Degree-n cochains are vertex-span-bimodule maps rad^{(x)n} -> A; the
@@ -503,8 +506,9 @@ def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int,
                            for r in (rad_from.get(tup[-1][1], ()) if tup else rad)])
             spaces.append([(tup, (tup[0][0], tup[-1][1]), bp) for tup in tuples[n]
                            for bp in a.basis(tup[0][0], tup[-1][1])])
-        if len(spaces[n]) > size_budget:
-            raise ResourceRefusal("bar cochain space in degree %d exceeds budget" % n)
+        if len(spaces[n]) > BAR_SIZE_BUDGET:
+            raise ResourceRefusal("bar cochain space in degree %d has %d cochains, over the "
+                                  "budget of %d" % (n, len(spaces[n]), BAR_SIZE_BUDGET))
     ranks = []  # of each coboundary C^n -> C^{n+1}, ranked once
     for n in range(max_deg + 1):
         src, tgt = spaces[n], spaces[n + 1]

@@ -33,13 +33,15 @@ class Quiver:
     def __post_init__(self):
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
-            raise QuiverError("duplicate vertex labels")
+            raise QuiverError("duplicate vertex labels: %r" % _repeated(self.vertices))
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
-            raise QuiverError("duplicate arrow names")
+            raise QuiverError("duplicate arrow names: %r" % _repeated(names))
         for a in self.arrows:
-            if a.source not in vs or a.target not in vs:
-                raise QuiverError("arrow %s has endpoint off the vertex set" % a.name)
+            for v in (a.source, a.target):
+                if v not in vs:
+                    raise QuiverError("arrow %s has endpoint off the vertex set: %r"
+                                      % (a.name, v))
         self.topological_order  # raises on an oriented cycle
 
     @cached_property
@@ -107,17 +109,11 @@ class Quiver:
         names."""
         return self._path_table[u].get(v, ())
 
-    def to_json(self, relations=None) -> dict:
-        data = {
+    def to_json(self) -> dict:
+        return {
             "vertices": list(self.vertices),
             "arrows": [{"id": a.name, "from": a.source, "to": a.target} for a in self.arrows],
         }
-        if relations is not None:
-            data["relations"] = [
-                {"terms": [{"coeff": QQ.to_str(c), "path": list(p)} for c, p in rel.terms]}
-                for rel in relations
-            ]
-        return data
 
 
 @dataclass(frozen=True)
@@ -158,12 +154,17 @@ class Presentation:
             rel.endpoints(self.quiver)
             paths = [p for _, p in rel.terms]
             if len(set(paths)) != len(paths):
-                raise QuiverError("relation repeats a path")
+                raise QuiverError("relation repeats a path: %s in %s" % (
+                    _path_text(_repeated(paths)), _relation_text(rel, self.field)))
             if not any(not self.field.is_zero(c) for c, _ in rel.terms):
-                raise QuiverError("relation with all-zero coefficients")
+                raise QuiverError("relation with all-zero coefficients: %s"
+                                  % _relation_text(rel, self.field))
 
     def to_json(self) -> dict:
-        return self.quiver.to_json(self.relations)
+        data = self.quiver.to_json()
+        data["relations"] = [{"terms": [{"coeff": self.field.to_str(c), "path": list(p)}
+                                        for c, p in rel.terms]} for rel in self.relations]
+        return data
 
     @staticmethod
     def from_json(data: dict, field=QQ) -> "Presentation":
@@ -212,6 +213,11 @@ class Presentation:
     def load(path, field=QQ) -> "Presentation":
         with open(path) as fh:
             return Presentation.from_json(json.load(fh), field)
+
+
+def _repeated(xs: Sequence):
+    """The first item of xs equal to an earlier one."""
+    return next(x for i, x in enumerate(xs) if x in xs[:i])
 
 
 def _path_text(path: tuple) -> str:

@@ -188,10 +188,21 @@ PATH_QUIVER = {"vertices": ["a", "b", "c"],
     (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": True, "path": ["x", "y"]}]}]),
      'relation term {"coeff": true, "path": ["x", "y"]} has coefficient true, '
      'which is not an element of QQ'),
+    (dict(PATH_QUIVER, vertices=["a", "b", "a", "c"]), "duplicate vertex labels: 'a'"),
+    (dict(PATH_QUIVER, arrows=PATH_QUIVER["arrows"] + [{"id": "x", "from": "a", "to": "c"}]),
+     "duplicate arrow names: 'x'"),
+    (dict(PATH_QUIVER, arrows=PATH_QUIVER["arrows"] + [{"id": "z", "from": "a", "to": "q"}]),
+     "arrow z has endpoint off the vertex set: 'q'"),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x", "y"]},
+                                             {"coeff": "2", "path": ["x", "y"]}]}]),
+     "relation repeats a path: x.y in 1*x.y + 2*x.y"),
+    (dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "0", "path": ["x", "y"]}]}]),
+     "relation with all-zero coefficients: 0*x.y"),
 ], ids=["empty-path", "empty-path-with-source", "missing-key", "unknown-arrow",
         "length-1-relation", "vertices-not-a-list", "path-not-a-list",
         "arrow-id-not-a-string", "zero-denominator", "coeff-not-a-number",
-        "no-terms", "coeff-float", "coeff-boolean"])
+        "no-terms", "coeff-float", "coeff-boolean", "duplicate-vertex", "duplicate-arrow",
+        "endpoint-off-the-vertices", "repeated-path", "all-zero-coefficients"])
 def test_malformed_quiver_names_the_problem(tmp_path, capsys, data, message):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(data))
@@ -229,7 +240,10 @@ def test_malformed_poset_names_the_problem(tmp_path, capsys, data, message):
      dict(PATH_QUIVER, relations=[{"terms": [{"coeff": 3.9, "path": ["x", "y"]}]}]),
      'relation term {"coeff": 3.9, "path": ["x", "y"]} has coefficient 3.9, '
      'which is not an element of GF(3)'),
-], ids=["hh-nerve-mixed-labels", "coeff-outside-gf3", "coeff-float-gf3"])
+    (["bgp", "--vertex", "a", "--quiver"],
+     dict(PATH_QUIVER, relations=[{"terms": [{"coeff": "1", "path": ["x", "y"]}]}]),
+     "BGP reflection applies to relation-free quivers"),
+], ids=["hh-nerve-mixed-labels", "coeff-outside-gf3", "coeff-float-gf3", "bgp-relations"])
 def test_malformed_input_of_other_commands_names_the_problem(tmp_path, capsys, args,
                                                              data, message):
     path = tmp_path / "in.json"
@@ -276,6 +290,7 @@ def test_integer_coefficient_reads_as_its_string(tmp_path, capsys):
 
 
 KRONECKER = str(Path(__file__).resolve().parent / "data" / "kronecker.json")
+A2 = str(Path(__file__).resolve().parent / "data" / "a2.json")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -291,12 +306,44 @@ KRONECKER = str(Path(__file__).resolve().parent / "data" / "kronecker.json")
      "--lambdas applies only with --weights"),
     (["hh", "--poset", "DIAMOND", "--lambdas", "7", "--method", "both"],
      "--lambdas applies only with --weights"),
+    (["invariants", "--weights", "2,2,2", "--lambdas", "0"], "lambda parameters must be nonzero"),
+    (["invariants", "--weights", "2,2,2,2", "--lambdas", "1,1"],
+     "lambda parameters must be pairwise distinct"),
 ], ids=["canonical-t2", "canonical-t2-zero", "invariants-t2", "invariants-poset",
-        "invariants-quiver", "hh-poset"])
+        "invariants-quiver", "hh-poset", "lambda-zero", "lambdas-repeated"])
 def test_lambdas_that_cannot_apply_are_refused(diamond_file, capsys, args, message):
     assert run([diamond_file if a == "DIAMOND" else a for a in args]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["canonical", "--weights", "1,2"], "weights must be >= 2"),
+    (["hh", "--poset", "DIAMOND", "--weights", "2,2,2"],
+     "provide exactly one of --poset, --weights"),
+    (["hh", "--weights", "2,2,2", "--method", "nerve"], "--method nerve requires --poset"),
+    (["verify", "xp", "--weights", "3,2,3"], "expected three nondecreasing weights"),
+    (["verify", "t2", "--weights", "2,3,4"], "expected two weights"),
+    (["hh", "--weights", "2,2,2", "--method", "bar", "--max-degree", "4"],
+     "hochschild_bar supports max_deg <= 3"),
+    (["bgp", "--quiver", A2, "--vertex", "q"], "unknown vertex q"),
+    (["--field", "gf7", "canonical", "--weights", "2,3"], "unknown field spec 'gf7'"),
+    (["verify", "remark", "--family", "4", "--p2", "2", "--p3", "2"],
+     "remark family must be 1, 2 or 3"),
+], ids=["canonical-weight-1", "hh-two-sources",
+        "hh-nerve-without-poset", "verify-xp-decreasing", "verify-t2-three-weights",
+        "hh-degree-4", "bgp-unknown-vertex", "unknown-field", "remark-family-4"])
+def test_usage_errors_name_the_problem(diamond_file, capsys, args, message):
+    assert run([diamond_file if a == "DIAMOND" else a for a in args]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def test_verify_xp_notes_that_p1_2_has_no_table(capsys):
+    assert run(["verify", "xp", "--weights", "2,3,3", "--beilinson"]) == 0
+    assert json.loads(capsys.readouterr().out)["beilinson"] == {
+        "window": [-3, 3], "equal": None, "k0_unimodular": None,
+        "note": "cone-functor images unavailable for p1 = 2"}
 
 
 @pytest.mark.parametrize("p, weights", [(2, "2,2,2,2"), (3, "2,2,2,2,2")])

@@ -568,7 +568,7 @@ def test_cone_functor_matches_the_every_block_oracle(weights, field):
     if field is None:
         inputs.append(constant_diagram(weights))
     for c in inputs:
-        assert_same_complex(derived._cone_functor(c, weights, alg),
+        assert_same_complex(derived._cone_functor(c, weights, build_Xp(*weights), alg),
                             oracle_cone_functor(c, weights, alg))
 
 

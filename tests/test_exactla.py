@@ -605,3 +605,20 @@ def test_prime_fields_compare_by_their_prime():
         ExactMatrix.from_rows([[1, 2]], PrimeField(3))
     assert ExactMatrix.from_rows([[1, 2]], PrimeField(3)) != \
         ExactMatrix.from_rows([[1, 2]], PrimeField(5))
+
+
+@pytest.mark.parametrize("combine", [
+    lambda a, b: a @ b.transpose(),
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a.hstack(b),
+    lambda a, b: ExactMatrix.from_blocks({(0, 0): a, (0, 1): b}, [1], [2, 2], a.field),
+], ids=["matmul", "add", "sub", "hstack", "from_blocks"])
+def test_arithmetic_refuses_operands_over_two_fields(combine):
+    # matmul is the reproducer [[1, 2]] over GF(3) times [[1], [1]] over Q
+    gf3, qq = ExactMatrix.from_rows([[1, 2]], PrimeField(3)), ExactMatrix.from_rows([[1, 1]])
+    with pytest.raises(ValueError, match=r"operands over two fields: GF\(3\) and QQ"):
+        combine(gf3, qq)
+    # two PrimeField(3) objects are one field
+    assert combine(gf3, ExactMatrix.from_rows([[1, 1]], PrimeField(3))).field == PrimeField(3)
+

@@ -141,10 +141,12 @@ def test_bar_on_sphere_model_sees_hh2():
     assert hochschild_of_poset(sphere_poset(), 2) == [1, 0, 1]
 
 
-def test_hochschild_size_budget_refusal():
+def test_hochschild_size_budget_refusal(monkeypatch):
+    monkeypatch.setattr(homology, "BAR_SIZE_BUDGET", 5)
     a = build_algebra(canonical_presentation([2, 2, 2]))
-    with pytest.raises(ResourceRefusal):
-        hochschild_bar(a, 3, size_budget=5)
+    with pytest.raises(ResourceRefusal) as exc:
+        hochschild_bar(a, 3)
+    assert str(exc.value) == "bar cochain space in degree 1 has 10 cochains, over the budget of 5"
 
 
 def test_mitchell_small_sweep():

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import ExactMatrix
-from .posets import (CycleError, Poset, build_Xp, build_remark_poset,
+from .posets import (CycleError, Poset, _xp_arms, build_Xp, build_remark_poset,
                      enumerate_posets, remark_free_edges, zeta_rows)
 from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
                       a1p_presentation, incidence_presentation,
@@ -127,13 +127,6 @@ def as_stalk(c: ComplexOfReps) -> StalkComplex:
 # the cone functor (family with all weights >= 3)
 # ===========================================================================
 
-def _family1_edges(p1, p2, p3):
-    end = {1: "1,%d" % (p1 - 1), 2: "2,%d" % (p2 - 1), 3: "3,%d" % (p3 - 1)}
-    pre = {1: "1,%d" % (p1 - 2), 2: "2,%d" % (p2 - 2), 3: "3,%d" % (p3 - 2)}
-    cross = {1: (pre[1], end[3]), 2: (pre[2], end[1]), 3: (pre[3], end[2])}
-    return end, pre, cross
-
-
 def functor_F(c: ComplexOfReps, weights: Tuple[int, int, int]) -> ComplexOfReps:
     """The cone construction sending a complex of modules over the
     incidence algebra of the weight-triple poset (all weights >= 3) to a
@@ -165,7 +158,7 @@ def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int], xp: Poset,
     for d in c.support:
         if not c.term(d).check_relations():
             raise DerivedError("term in degree %d breaks the commutativity relations" % d)
-    end, pre, cross = _family1_edges(*weights)
+    arms, end, pre, cross = _xp_arms(*weights)
 
     # The table.  parts[v] lists the parts (poset element, shift) of the
     # canonical vertex v; degree d draws a part of shift 1 from c's degree
@@ -176,7 +169,7 @@ def _cone_functor(c: ComplexOfReps, weights: Tuple[int, int, int], xp: Poset,
     parts = {"0": [("0", 0)], "w": [(end[1], 0), (end[2], 0), (end[3], 0), ("w", 1)]}
     arrows = []
     for i, p_i in enumerate(weights, start=1):
-        arm = ["0"] + ["%d,%d" % (i, j) for j in range(1, p_i - 1)]
+        arm = ["0"] + arms[i][:-1]
         for j, (x, y) in enumerate(zip(arm, arm[1:]), start=1):
             parts[y] = [(y, 0)]
             arrows.append(("x%d_%d" % (i, j), x, y, [(0, 0, 1, (x, y))]))

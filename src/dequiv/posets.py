@@ -466,52 +466,35 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
 
 # -- the weight-triple families ---------------------------------------------
 
-def _arm_labels(i: int, length: int):
-    return ["%d,%d" % (i, j) for j in range(1, length + 1)]
+def _xp_arms(p1: int, p2: int, p3: int):
+    """The arms of X_p for a weight triple 2 <= p1 <= p2 <= p3, as dicts
+    keyed by i = 1, 2, 3: arm i is 'i,1', ..., 'i,p_i-1'; its end e_i is
+    'i,p_i-1' and its pre-end f_i is 'i,p_i-2', or '0' when p_i = 2; the
+    cross cover of arm i is (f_i, e_i') with i' = 3, 1, 2 for i = 1, 2, 3.
+    Returns (arms, ends, pre-ends, cross covers)."""
+    if not (2 <= p1 <= p2 <= p3):
+        raise PosetError("weights must satisfy 2 <= p1 <= p2 <= p3, got (%d,%d,%d)" % (p1, p2, p3))
+    arms = {i: ["%d,%d" % (i, j) for j in range(1, p)] for i, p in ((1, p1), (2, p2), (3, p3))}
+    end = {i: arm[-1] for i, arm in arms.items()}
+    pre = {i: arm[-2] if len(arm) > 1 else "0" for i, arm in arms.items()}
+    cross = {i: (pre[i], end[j]) for i, j in ((1, 3), (2, 1), (3, 2))}
+    return arms, end, pre, cross
 
 
 def build_Xp(p1: int, p2: int, p3: int) -> Poset:
     """The poset attached to a weight triple 2 <= p1 <= p2 <= p3.
 
     Elements are '0', 'i,j' and 'w'; there are p1+p2+p3-1 of them.  The
-    cover template depends on which weights equal 2.
+    covers are the chains '0' < 'i,1' < ... < 'i,p_i-1' < 'w' and the
+    three cross covers of `_xp_arms`.  Where a weight is 2 some of them are
+    implied by the others and are not covers of the closure.
     """
-    if not (2 <= p1 <= p2 <= p3):
-        raise PosetError("weights must satisfy 2 <= p1 <= p2 <= p3, got (%d,%d,%d)" % (p1, p2, p3))
-    arms = {i: _arm_labels(i, p) for i, p in ((1, p1 - 1), (2, p2 - 1), (3, p3 - 1))}
-    elems = ["0"] + arms[1] + arms[2] + arms[3] + ["w"]
-    covers = []
-    for i in (1, 2, 3):
-        for a, b in zip(arms[i], arms[i][1:]):
-            covers.append((a, b))
-    if p1 > 2:
-        # all three arms full; cross covers tie consecutive arms together
-        for i in (1, 2, 3):
-            covers.append(("0", arms[i][0]))
-            covers.append((arms[i][-1], "w"))
-        covers.append(("1,%d" % (p1 - 2), "3,%d" % (p3 - 1)))
-        covers.append(("2,%d" % (p2 - 2), "1,%d" % (p1 - 1)))
-        covers.append(("3,%d" % (p3 - 2), "2,%d" % (p2 - 1)))
-    elif p2 > 2:
-        # p1 = 2 < p2 <= p3: arm 1 hangs off the end of arm 2
-        covers.append(("0", arms[2][0]))
-        covers.append(("0", arms[3][0]))
-        covers.append(("2,%d" % (p2 - 2), "1,1"))
-        covers.append(("3,%d" % (p3 - 2), "2,%d" % (p2 - 1)))
-        for i in (1, 2, 3):
-            covers.append((arms[i][-1], "w"))
-    elif p3 > 2:
-        # p1 = p2 = 2 < p3
-        covers.append(("0", "1,1"))
-        covers.append(("0", arms[3][0]))
-        covers.append(("3,%d" % (p3 - 2), "2,1"))
-        for i in (1, 2, 3):
-            covers.append((arms[i][-1], "w"))
-    else:
-        for i in (1, 2, 3):
-            covers.append(("0", "%d,1" % i))
-            covers.append(("%d,1" % i, "w"))
-    return poset_from_covers(elems, covers)
+    arms, _, _, cross = _xp_arms(p1, p2, p3)
+    covers = list(cross.values())
+    for arm in arms.values():
+        path = ["0"] + arm + ["w"]
+        covers += zip(path, path[1:])
+    return poset_from_covers(["0"] + arms[1] + arms[2] + arms[3] + ["w"], covers)
 
 
 def remark_free_edges(family: int, p2: int, p3: int):

@@ -257,6 +257,12 @@ def test_module_map_shape_validation():
         module_map(s, s, {"c0": ExactMatrix.from_rows([[1, 0]])})
 
 
+def test_make_rep_refuses_a_map_of_the_wrong_shape():
+    a = incidence_algebra(chain(2))
+    with pytest.raises(AlgebraError, match=r"^map for arrow c0->c1 has wrong shape$"):
+        make_rep(a, {"c0": 1, "c1": 1}, {"c0->c1": ExactMatrix.from_rows([[1, 0]])})
+
+
 def test_kronecker_structure():
     a = build_algebra(kronecker_presentation())
     assert a.dimension == 4

@@ -420,6 +420,26 @@ def test_cone_refuses_a_component_with_wrong_endpoints():
         cone(RepChainMap(s, s, {0: identity_map(p)}))
 
 
+def test_complex_refuses_a_differential_between_the_wrong_terms():
+    with pytest.raises(DerivedError, match=r"^differential at 0 has wrong endpoints$"):
+        ComplexOfReps.make(POINT, {0: space(1), 1: space(2)},
+                           {0: linear_map(ExactMatrix.from_rows([[1]]))})
+
+
+def test_as_stalk_refuses_the_zero_complex_and_two_degrees():
+    with pytest.raises(DerivedError, match=r"^zero complex has no stalk degree$"):
+        as_stalk(ComplexOfReps.make(POINT, {}, {}))
+    # the zero differential is dropped, leaving two terms and no differential
+    with pytest.raises(DerivedError, match=r"^complex is not a stalk: support \[0, 1\]$"):
+        as_stalk(two_term([[0]]))
+
+
+def test_derived_hom_dims_refuses_an_unknown_method():
+    s = StalkComplex(space(1), 0)
+    with pytest.raises(DerivedError, match=r"^unknown method 'bogus'$"):
+        derived_hom_dims(s, s, 0, method="bogus")
+
+
 def test_f_images_of_simples_shapes():
     p1, p2, p3 = 3, 3, 3
     alg = build_algebra(canonical_presentation([p1, p2, p3]))
@@ -471,7 +491,7 @@ def oracle_cone_functor(c, weights, alg):
     up at each use, and a block, arrow matrix and vertex differential built
     for every part, arrow and vertex, empty or not."""
     p1, p2, p3 = weights
-    end, pre, cross = derived._family1_edges(p1, p2, p3)
+    _, end, pre, cross = derived._xp_arms(p1, p2, p3)
     f = c.algebra.field
 
     def cover(x, y, d):

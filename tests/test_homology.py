@@ -57,6 +57,31 @@ def test_non_minimal_differential_is_refused():
         homology._assert_minimal(handmade)
 
 
+def test_minimal_resolution_refuses_to_pass_its_cap(monkeypatch):
+    # a kernel_of that hands back the syzygy it was given, with its identity
+    # as the inclusion, never reaches zero; chain(2) has dimension 3
+    def same_syzygy(cover):
+        m = cover.target
+        return m, algebra.module_map(m, m, {v: ExactMatrix.identity(m.dim(v), m.algebra.field)
+                                            for v in m.algebra.vertex_order})
+
+    monkeypatch.setattr(homology, "kernel_of", same_syzygy)
+    a = incidence_algebra(chain(2))
+    with pytest.raises(homology.ResolutionError, match=r"^resolution cap 3 exceeded$"):
+        minimal_resolution(simple_module(a, "c0"))
+
+
+def test_projective_cover_refuses_a_cover_that_is_not_onto(monkeypatch):
+    # S_c0 + S_c1 has one top generator at each vertex; dropping the last
+    # leaves nothing that maps onto c1
+    top = homology._top_generators
+    monkeypatch.setattr(homology, "_top_generators", lambda m: top(m)[:-1])
+    a = incidence_algebra(chain(2))
+    m = algebra.direct_sum_rep([simple_module(a, "c0"), simple_module(a, "c1")])
+    with pytest.raises(homology.ResolutionError, match=r"^projective cover not surjective at c1$"):
+        homology.projective_cover(m)
+
+
 def test_ext_truncation_consistency():
     # Ext^i must not depend on the requested window size
     a = incidence_algebra(diamond())

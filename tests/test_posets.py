@@ -10,6 +10,7 @@ from dequiv.posets import (CycleError, Poset, PosetError, _members, antichain,
                            are_isomorphic, build_Xp, build_remark_poset,
                            canonical_key, chain, diamond, enumerate_posets,
                            order_complex, poset_from_covers, remark_free_edges)
+from dequiv.quivers import canonical_presentation
 
 
 def poset_product(p: Poset, q: Poset) -> Poset:
@@ -523,6 +524,75 @@ def test_xp_has_unique_bottom_and_top():
     bottoms = [x for x in p.elements if all((x, y) in p.relation for y in p.elements)]
     tops = [x for x in p.elements if all((y, x) in p.relation for y in p.elements)]
     assert bottoms == ["0"] and tops == ["w"]
+
+
+def oracle_build_Xp(p1, p2, p3):
+    """Reference X_p: one cover template for each way of having weights
+    equal to 2, every cover of the Hasse diagram listed."""
+    arms = {i: ["%d,%d" % (i, j) for j in range(1, p)] for i, p in ((1, p1), (2, p2), (3, p3))}
+    elems = ["0"] + arms[1] + arms[2] + arms[3] + ["w"]
+    covers = [(a, b) for i in (1, 2, 3) for a, b in zip(arms[i], arms[i][1:])]
+    if p1 > 2:
+        for i in (1, 2, 3):
+            covers += [("0", arms[i][0]), (arms[i][-1], "w")]
+        covers.append(("1,%d" % (p1 - 2), "3,%d" % (p3 - 1)))
+        covers.append(("2,%d" % (p2 - 2), "1,%d" % (p1 - 1)))
+        covers.append(("3,%d" % (p3 - 2), "2,%d" % (p2 - 1)))
+    elif p2 > 2:
+        # arm 1 hangs off the end of arm 2
+        covers += [("0", arms[2][0]), ("0", arms[3][0])]
+        covers.append(("2,%d" % (p2 - 2), "1,1"))
+        covers.append(("3,%d" % (p3 - 2), "2,%d" % (p2 - 1)))
+        covers += [(arms[i][-1], "w") for i in (1, 2, 3)]
+    elif p3 > 2:
+        covers += [("0", "1,1"), ("0", arms[3][0]), ("3,%d" % (p3 - 2), "2,1")]
+        covers += [(arms[i][-1], "w") for i in (1, 2, 3)]
+    else:
+        for i in (1, 2, 3):
+            covers += [("0", "%d,1" % i), ("%d,1" % i, "w")]
+    return poset_from_covers(elems, covers)
+
+
+def weight_triples(top):
+    return [(p1, p2, p3) for p1 in range(2, top + 1) for p2 in range(p1, top + 1)
+            for p3 in range(p2, top + 1)]
+
+
+def test_xp_matches_the_four_template_oracle():
+    triples = weight_triples(8)
+    assert len(triples) == 84
+    for w in triples:
+        got, want = build_Xp(*w), oracle_build_Xp(*w)
+        assert (got.elements, got.up_masks) == (want.elements, want.up_masks), w
+
+
+def test_xp_is_the_canonical_quiver_plus_three_cross_covers():
+    # the cone functor names its parts by canonical vertices: X_p has the
+    # canonical vertices in their order, and its covers are the canonical
+    # arrows plus the cross covers ('1,p1-2', '3,p3-1'), ('2,p2-2', '1,p1-1'),
+    # ('3,p3-2', '2,p2-1'); where p1 = 2 some of these are implied by others
+    triples = weight_triples(7)
+    assert len(triples) == 56
+    for p1, p2, p3 in triples:
+        xp = build_Xp(p1, p2, p3)
+        quiver = canonical_presentation([p1, p2, p3]).quiver
+        assert xp.elements == quiver.vertices
+        pre = {i: "%d,%d" % (i, p - 2) if p > 2 else "0" for i, p in ((1, p1), (2, p2), (3, p3))}
+        cross = {(pre[1], "3,%d" % (p3 - 1)), (pre[2], "1,%d" % (p1 - 1)),
+                 (pre[3], "2,%d" % (p2 - 1))}
+        template = {(a.source, a.target) for a in quiver.arrows} | cross
+        covers = set(xp.covers())
+        if p1 >= 3:
+            assert covers == template, (p1, p2, p3)
+        else:
+            assert covers <= template, (p1, p2, p3)
+
+
+@pytest.mark.parametrize("weights", [(3, 2, 4), (1, 3, 3)], ids=str)
+def test_xp_refuses_unordered_or_small_weights(weights):
+    with pytest.raises(PosetError, match=r"^weights must satisfy 2 <= p1 <= p2 <= p3, got "
+                                         r"\(%d,%d,%d\)$" % weights):
+        build_Xp(*weights)
 
 
 def test_order_complex_of_diamond():

@@ -115,6 +115,12 @@ def test_t2_poset_is_relation_free():
         assert unique_path_property(pres.quiver)
 
 
+@pytest.mark.parametrize("p1, p2", [(1, 3), (3, 1)])
+def test_t2_poset_refuses_a_weight_below_two(p1, p2):
+    with pytest.raises(QuiverError, match=r"^t2_poset requires p1, p2 >= 2$"):
+        t2_poset(p1, p2)
+
+
 def test_presentation_json_round_trip():
     pres = canonical_presentation([2, 2, 3])
     again = Presentation.from_json(pres.to_json())

@@ -6,7 +6,6 @@ between the simples of an incidence algebra from interval cohomology."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import QQ, ExactMatrix, IntPolynomial, char_poly, smith_normal_form
@@ -239,11 +238,20 @@ def cartan_antisym_rank_mod2(c: Sequence[Sequence[int]]) -> int:
 
 
 def _coxeter_rows(c: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Phi = -C^{-T} C as integer rows: entry (i, j) is minus the product of
-    column i of C^{-1} with column j of C."""
-    c_cols = list(zip(*c))
-    return [[-sum(map(mul, inv_col, c_col)) for c_col in c_cols]
-            for inv_col in zip(*_inverse_unitriangular(c))]
+    """Phi = -C^{-T} C as integer rows, solved from C^T Phi = -C by forward
+    substitution: C^T is lower unitriangular, so row i of Phi is
+    -C_i - sum_{k<i} c_ki Phi_k, over the k with c_ki != 0.  No inverse is
+    built.  The shape is checked first, as for `_inverse_unitriangular`."""
+    _check_unitriangular(c)
+    phi: List[List[int]] = []
+    for i, row in enumerate(c):
+        new = [-x for x in row]
+        for k in range(i):
+            ck = c[k][i]
+            if ck:
+                new = [x - ck * y for x, y in zip(new, phi[k])]
+        phi.append(new)
+    return phi
 
 
 def cartan_coxeter_polynomial(c: Sequence[Sequence[int]]) -> IntPolynomial:
@@ -399,10 +407,21 @@ def _reduced_cohomology(faces: Sequence[Sequence[tuple]], top: int, field) -> Li
     return [size[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 2)]
 
 
+def _core_cohomology(p: Poset, core: int, top: int, field) -> List[int]:
+    """dim H~^d, d = -1..top, of the order complex of p's subposet on the
+    elements of the mask core, which `_core` has shrunk."""
+    elements = [p.elements[k] for k in _members(core)]
+    return _reduced_cohomology(order_complex(p, elements), top, field)
+
+
 def nerve_cohomology(p: Poset, max_deg: int, field=QQ) -> List[int]:
     """Simplicial cohomology dims of the order complex over field, degrees
-    0..max_deg: the reduced cohomology plus k in degree 0 (p nonempty)."""
-    reduced = _reduced_cohomology(order_complex(p), max_deg, field)[1:]
+    0..max_deg: the reduced cohomology plus k in degree 0 (p nonempty).
+    The complex is that of p's core (`_core`), which has the homotopy type
+    of p's; a poset with a least or a greatest element has a one-point core."""
+    up = p.up_masks
+    core = _core(up, _down_masks(up), (1 << p.n) - 1)
+    reduced = _core_cohomology(p, core, max_deg, field)[1:]
     return [h + (1 if d == 0 and p.n else 0) for d, h in enumerate(reduced)]
 
 
@@ -426,10 +445,13 @@ def _interval_ext_dims(p: Poset, down: Sequence[int], i: int, j: int,
                        max_i: int, field) -> List[int]:
     """poset_ext_dims for the elements i < j of p, given by index, with
     down the down-set masks of p."""
-    up = p.up_masks
-    inner = _core(up, down, up[i] & down[j] & ~(1 << i | 1 << j))
-    elements = [p.elements[k] for k in _members(inner)]
-    return [0] + _reduced_cohomology(order_complex(p, elements), max_i - 2, field)
+    core = _interval_core(p.up_masks, down, i, j)
+    return [0] + _core_cohomology(p, core, max_i - 2, field)
+
+
+def _interval_core(up: Sequence[int], down: Sequence[int], i: int, j: int) -> int:
+    """The core of the open interval (i, j), as a mask over element indices."""
+    return _core(up, down, up[i] & down[j] & ~(1 << i | 1 << j))
 
 
 def _core(up: Sequence[int], down: Sequence[int], q: int) -> int:
@@ -458,14 +480,23 @@ def _core(up: Sequence[int], down: Sequence[int], q: int) -> int:
 
 def poset_global_dimension(p: Poset, field=QQ) -> int:
     """Global dimension of the incidence algebra of p: the largest n with
-    Ext^n(S_x, S_y) != 0.  The order complex of an open interval has
-    dimension below its size, which bounds the degrees to compute."""
-    down = _down_masks(p.up_masks)
+    Ext^n(S_x, S_y) != 0.
+
+    Ext^n(S_x, S_y) = H~^{n-2} of the order complex of the core of (x, y),
+    whose dimension is below the core's size, so n <= |core| + 1 over every
+    field: a pair whose core has |core| + 1 <= g, the largest degree found
+    so far, cannot raise g, and no complex is built for it."""
+    up = p.up_masks
+    down = _down_masks(up)
     g = 0
-    for i, m in enumerate(p.up_masks):
+    for i, m in enumerate(up):
         for j in _members(m & ~(1 << i)):
-            exts = _interval_ext_dims(p, down, i, j, p.n, field)
-            g = max(g, max((n for n, d in enumerate(exts) if d), default=0))
+            core = _interval_core(up, down, i, j)
+            if core.bit_count() + 1 <= g:
+                continue
+            reduced = _core_cohomology(p, core, p.n - 2, field)
+            # reduced[k] is H~^{k-1}, which is Ext^{k+1}
+            g = max(g, max((k + 1 for k, d in enumerate(reduced) if d), default=0))
     return g
 
 
@@ -486,7 +517,7 @@ def hochschild_bar(a: BoundQuiverAlgebra, max_deg: int) -> List[int]:
     vertex span is separable, so the relative complex computes absolute
     Hochschild cohomology.  Degrees above 3 are refused up front."""
     if max_deg > 3:
-        raise ResourceRefusal("hochschild_bar supports max_deg <= 3")
+        raise ResourceRefusal("hochschild_bar supports max_deg <= 3, got %d" % max_deg)
     f = a.field
     # radical basis elements (u, v, path), and those out of each vertex
     rad, rad_from = [], {}

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dequiv import algebra, exactla, homology
 from dequiv.exactla import QQ, ExactMatrix, PrimeField, char_poly
-from dequiv.posets import (CycleError, antichain, build_Xp, build_remark_poset,
-                           chain, diamond, enumerate_posets, poset_from_covers,
-                           remark_free_edges, zeta_rows)
+from dequiv.posets import (CycleError, _down_masks, _members, antichain, build_Xp,
+                           build_remark_poset, chain, diamond, enumerate_posets,
+                           order_complex, poset_from_covers, remark_free_edges,
+                           zeta_rows)
 from dequiv.quivers import (Arrow, Presentation, Quiver, a1p_presentation,
                             bgp_reflect, canonical_presentation,
                             kronecker_presentation)
@@ -172,6 +173,13 @@ def test_hochschild_size_budget_refusal(monkeypatch):
     with pytest.raises(ResourceRefusal) as exc:
         hochschild_bar(a, 3)
     assert str(exc.value) == "bar cochain space in degree 1 has 10 cochains, over the budget of 5"
+
+
+def test_hochschild_bar_refusal_names_the_degree():
+    a = build_algebra(canonical_presentation([2, 2, 2]))
+    with pytest.raises(ResourceRefusal) as exc:
+        hochschild_bar(a, 4)
+    assert str(exc.value) == "hochschild_bar supports max_deg <= 3, got 4"
 
 
 def test_mitchell_small_sweep():
@@ -462,10 +470,48 @@ def oracle_coxeter_rows(c):
 
 
 def test_coxeter_rows_match_the_index_loop():
+    rows = [zeta_rows(p) for n in range(1, 7) for p in enumerate_posets(n)]
+    assert len(rows) == 405
+    rows += [a.cartan_matrix().to_int_rows() for a in search_algebras()]
     for w in CANONICAL_TRIPLES:
-        for c in (build_algebra(canonical_presentation(w)).cartan_matrix().to_int_rows(),
-                  zeta_rows(build_Xp(*w))):
-            assert _coxeter_rows(c) == oracle_coxeter_rows(c)
+        rows += [build_algebra(canonical_presentation(w)).cartan_matrix().to_int_rows(),
+                 zeta_rows(build_Xp(*w))]
+    for c in rows:
+        assert _coxeter_rows(c) == oracle_coxeter_rows(c)
+
+
+def test_coxeter_polynomial_builds_no_inverse(monkeypatch):
+    # Phi is solved from C^T Phi = -C row by row; the shape check still
+    # refuses a matrix that is not unitriangular, with the same message
+    calls = []
+    real = homology._inverse_unitriangular
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(homology, "_inverse_unitriangular", counted)
+    for w in CANONICAL_TRIPLES:
+        cartan_coxeter_polynomial(zeta_rows(build_Xp(*w)))
+    assert calls == []
+    for c in ([[2]], [[1, 0], [1, 1]], [[1, 1]]):
+        with pytest.raises(ValueError) as exc:
+            cartan_coxeter_polynomial(c)
+        assert str(exc.value) == "Cartan matrix is not unitriangular in the vertex order"
+
+
+def count_order_complexes(monkeypatch):
+    """Record the elements of every order complex `homology` builds."""
+    real = homology.order_complex
+    built = []
+
+    def order_complex(q, elements=None):
+        elements = list(q.elements if elements is None else elements)
+        built.append(elements)
+        return real(q, elements)
+
+    monkeypatch.setattr(homology, "order_complex", order_complex)
+    return built
 
 
 @pytest.mark.parametrize("p, largest_core", [(chain(20), 1), (build_Xp(3, 3, 20), 6)],
@@ -476,18 +522,84 @@ def test_long_intervals_shrink_to_their_cores(monkeypatch, p, largest_core):
     # six elements, the two ends of each arm.  No order complex of a long
     # interval (2^18 chains in chain(20)) is built, and gldim still agrees
     # with the simples' resolutions
-    real = homology.order_complex
-    sizes = []
-
-    def order_complex(q, elements=None):
-        elements = list(q.elements if elements is None else elements)
-        sizes.append(len(elements))
-        assert len(elements) <= largest_core
-        return real(q, elements)
-
-    monkeypatch.setattr(homology, "order_complex", order_complex)
+    built = count_order_complexes(monkeypatch)
     assert poset_global_dimension(p) == resolution_gldim(incidence_algebra(p))
-    assert max(sizes) == largest_core
+    assert max(len(e) for e in built) == largest_core
+
+
+def boolean_lattice(n):
+    """The subsets of {1..n} under inclusion, named by their members ("b13")."""
+    subsets = [frozenset(k + 1 for k in range(n) if m >> k & 1) for m in range(1 << n)]
+    name = lambda s: "b" + "".join(map(str, sorted(s)))
+    return poset_from_covers([name(s) for s in subsets],
+                             [(name(s), name(s | {x})) for s in subsets
+                              for x in range(1, n + 1) if x not in s])
+
+
+def rp2_with_bottom_and_top(rp2):
+    covers = [("bottom", x) for x in rp2.elements if len(x) == 1]
+    covers += [(x, "top") for x in rp2.elements if len(x) == 3]
+    return poset_from_covers(rp2.elements + ("bottom", "top"), rp2.covers() + tuple(covers))
+
+
+def oracle_nerve_cohomology(p, max_deg, field=QQ):
+    """nerve_cohomology on the whole order complex, with no core taken."""
+    reduced = homology._reduced_cohomology(order_complex(p), max_deg, field)[1:]
+    return [h + (1 if d == 0 and p.n else 0) for d, h in enumerate(reduced)]
+
+
+def oracle_poset_global_dimension(p, field=QQ):
+    """poset_global_dimension with the Ext of every open interval computed,
+    none skipped."""
+    down = _down_masks(p.up_masks)
+    g = 0
+    for i, m in enumerate(p.up_masks):
+        for j in _members(m & ~(1 << i)):
+            exts = homology._interval_ext_dims(p, down, i, j, p.n, field)
+            g = max(g, max((n for n, d in enumerate(exts) if d), default=0))
+    return g
+
+
+SMALL_POSETS = [p for n in range(1, 7) for p in enumerate_posets(n)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "GF2"])
+def test_nerve_on_the_core_matches_the_whole_order_complex(rp2, field):
+    assert len(SMALL_POSETS) == 405
+    for p in SMALL_POSETS + [rp2, boolean_lattice(4)]:
+        assert nerve_cohomology(p, 4, field) == oracle_nerve_cohomology(p, 4, field), \
+            p.to_json()
+
+
+@pytest.mark.parametrize("field, rp2_gldim", [(QQ, 3), (PrimeField(2), 4)], ids=["Q", "GF2"])
+def test_gldim_skip_matches_every_interval(rp2, field, rp2_gldim):
+    posets = SMALL_POSETS + [build_Xp(p1, p2, p3) for p3 in range(2, 9)
+                             for p2 in range(2, p3 + 1) for p1 in range(2, p2 + 1)]
+    assert len(posets) == 405 + 84
+    for p in posets:
+        assert poset_global_dimension(p, field) == oracle_poset_global_dimension(p, field), \
+            p.to_json()
+    p = rp2_with_bottom_and_top(rp2)
+    assert poset_global_dimension(p, field) == oracle_poset_global_dimension(p, field) == rp2_gldim
+
+
+def test_nerve_of_a_lattice_is_one_point(monkeypatch):
+    # B_5 has a bottom, so every other element is a beat point in turn and
+    # the core is one element: one complex of one vertex, where the whole
+    # order complex has 2,163 chains
+    built = count_order_complexes(monkeypatch)
+    assert nerve_cohomology(boolean_lattice(5), 3) == [1, 0, 0, 0]
+    assert [len(e) for e in built] == [1]
+
+
+def test_gldim_builds_complexes_only_for_intervals_that_can_raise_it(monkeypatch):
+    # X_(3,3,3) has 19 pairs x < y.  A pair is skipped when |core| + 1 <= g,
+    # the largest degree found so far: every empty core after the first
+    # cover gives g = 1, and every two-point core after the six-element
+    # circle of (0, w) gives g = 3.  5 of the 19 complexes are built
+    built = count_order_complexes(monkeypatch)
+    assert poset_global_dimension(build_Xp(3, 3, 3)) == 3
+    assert [len(e) for e in built] == [0, 2, 2, 2, 6]
 
 
 def test_interval_cohomology_is_taken_over_the_field(rp2):
@@ -495,9 +607,7 @@ def test_interval_cohomology_is_taken_over_the_field(rp2):
     # plane is the open interval (bottom, top), so Ext^n(S_bottom, S_top) is
     # H~^{n-2}(RP^2): k in degrees 3 and 4 over GF(2), zero over Q
     gf2 = PrimeField(2)
-    covers = [("bottom", x) for x in rp2.elements if len(x) == 1]
-    covers += [(x, "top") for x in rp2.elements if len(x) == 3]
-    p = poset_from_covers(rp2.elements + ("bottom", "top"), rp2.covers() + tuple(covers))
+    p = rp2_with_bottom_and_top(rp2)
     assert poset_ext_dims(p, "bottom", "top", 5, gf2) == [0, 0, 0, 1, 1, 0]
     assert poset_ext_dims(p, "bottom", "top", 5, QQ) == [0] * 6
     assert nerve_cohomology(rp2, 3, gf2) == [1, 1, 1, 0]

@@ -247,66 +247,61 @@ def _arrangements(classes: Sequence[Sequence[int]]) -> List[List[int]]:
         labels[a + 1:] = labels[:a:-1]
 
 
-def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
-    """The least strict-relation bitmask of the poset with up-set masks up
-    (as in `Poset.up_masks`) over the orderings allowed by its refined
-    colouring, and an ordering of element indices reaching it.
+def _canonical_labelling(up: Sequence[int], down: Sequence[int],
+                         pairs: Sequence[Tuple[int, int]],
+                         sizes: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """The least strict-relation bitmask of a poset over the orderings
+    allowed by its refined colouring, and an ordering of element indices
+    reaching it.  The poset is given by its up-set masks up (as in
+    `Poset.up_masks`) and, as `_relation` reads them off up, its down-set
+    masks, its strict pairs (i, j), element i below element j, and
+    sizes[i], the numbers of elements strictly below and strictly above i.
 
-    Colours start as the ranks of (number of elements below, number above)
-    and are refined by re-ranking the signatures (colour, sorted colours
-    below, sorted colours above) until no class splits or every class is
-    a single element; the ranks depend only on the order, so colours are
-    invariant.  Orderings list the colour cells in colour order, each cell
-    arranged in every way that can change the bitmask: twins (elements
-    with the same strict down-set and the same strict up-set, hence
-    incomparable and of one colour) are swapped by an automorphism, so
-    only the sequence of twin classes in a cell is varied.  An ordering
-    sends the element at position a to the row a, so x < y sets bit
-    pos(x) * n + pos(y).  Isomorphic posets reach the same least bitmask,
-    and equal bitmasks give an isomorphism.
+    Colours start as the ranks of sizes and are refined by re-ranking the
+    signatures (colour, sorted colours below, sorted colours above) until
+    no class splits or every class is a single element; the ranks depend
+    only on the order, so colours are invariant.  Orderings list the colour
+    cells in colour order, each cell arranged in every way that can change
+    the bitmask: twins (elements with the same strict down-set and the same
+    strict up-set, hence incomparable and of one colour) are swapped by an
+    automorphism, so only the sequence of twin classes in a cell is varied.
+    An ordering sends the element at position a to the row a, so x < y
+    sets bit pos(x) * n + pos(y).  Isomorphic posets reach the same least
+    bitmask, and equal bitmasks give an isomorphism.
 
     Three cases need less work and give the same result.  Twins have the
     same neighbours, so a round cannot split a cell that is one twin
     class: refinement stops once every cell is one, and the twin classes
-    are only found when the first colouring is not discrete.  When every
-    class is a single element, the position of an element is its colour.
-    When every cell is one twin class, the one ordering lists the cells in
-    colour order, each cell's members in index order.
+    are only found when the first colouring is not discrete; the lists of
+    elements above and below each element are only built for a round.
+    When every class is a single element, the position of an element is
+    its colour.  When every cell is one twin class, the one ordering lists
+    the cells in colour order, each cell's members in index order.
     """
     n = len(up)
-    above: List[List[int]] = [[] for _ in range(n)]
-    below: List[List[int]] = [[] for _ in range(n)]
-    down = [0] * n
-    pairs = []
-    for i, m in enumerate(up):
-        m ^= 1 << i
-        ups = above[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            ups.append(j)
-            below[j].append(i)
-            down[j] |= 1 << i
-            pairs.append((i, j))
-            m ^= low
-    sigs = [(len(below[i]), len(above[i])) for i in range(n)]
-    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    colour = [rank[s] for s in sigs]
+    rank = {s: r for r, s in enumerate(sorted(set(sizes)))}
+    colour = [rank[s] for s in sizes]
     count = len(rank)
     if count < n:
         # twin classes in the order of their lowest member
         twins: Dict[tuple, List[int]] = {}
         for i in range(n):
-            twins.setdefault((down[i], up[i] ^ 1 << i), []).append(i)
-        while count < len(twins):
-            sigs = [(colour[i], tuple(sorted([colour[j] for j in below[i]])),
-                     tuple(sorted([colour[j] for j in above[i]]))) for i in range(n)]
-            split = set(sigs)
-            if len(split) == count:
-                break
-            rank = {s: r for r, s in enumerate(sorted(split))}
-            colour = [rank[s] for s in sigs]
-            count = len(rank)
+            twins.setdefault((down[i] ^ 1 << i, up[i] ^ 1 << i), []).append(i)
+        if count < len(twins):
+            above: List[List[int]] = [[] for _ in range(n)]
+            below: List[List[int]] = [[] for _ in range(n)]
+            for i, j in pairs:
+                above[i].append(j)
+                below[j].append(i)
+            while count < len(twins):
+                sigs = [(colour[i], tuple(sorted([colour[j] for j in below[i]])),
+                         tuple(sorted([colour[j] for j in above[i]]))) for i in range(n)]
+                split = set(sigs)
+                if len(split) == count:
+                    break
+                rank = {s: r for r, s in enumerate(sorted(split))}
+                colour = [rank[s] for s in sigs]
+                count = len(rank)
     if count == n:
         order = [0] * n
         for i, c in enumerate(colour):
@@ -333,6 +328,17 @@ def _canonical_labelling(up: Sequence[int]) -> Tuple[int, List[int]]:
     return best, best_order
 
 
+def _relation(up: Sequence[int]) -> tuple:
+    """What `_canonical_labelling` reads of the poset with up-set masks up
+    besides up: the down-set masks, the strict pairs (i, j), element i below
+    element j, and the numbers of elements strictly below and strictly above
+    each element."""
+    down = _down_masks(up)
+    pairs = [(i, j) for i, m in enumerate(up) for j in _members(m ^ 1 << i)]
+    sizes = [(d.bit_count() - 1, u.bit_count() - 1) for d, u in zip(down, up)]
+    return down, pairs, sizes
+
+
 def are_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
     """An order-isomorphism p -> q as a dict, or None.
 
@@ -341,8 +347,8 @@ def are_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
     """
     if p.n != q.n or p.order_pairs() != q.order_pairs():
         return None
-    bits_p, order_p = _canonical_labelling(p.up_masks)
-    bits_q, order_q = _canonical_labelling(q.up_masks)
+    bits_p, order_p = _canonical_labelling(p.up_masks, *_relation(p.up_masks))
+    bits_q, order_q = _canonical_labelling(q.up_masks, *_relation(q.up_masks))
     if bits_p != bits_q:
         return None
     assign = {p.elements[i]: q.elements[j] for i, j in zip(order_p, order_q)}
@@ -356,7 +362,7 @@ def are_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
 
 def canonical_key(p: Poset):
     """A canonical form (n, bits): hashable, equal iff posets are isomorphic."""
-    return (p.n, _canonical_labelling(p.up_masks)[0])
+    return (p.n, _canonical_labelling(p.up_masks, *_relation(p.up_masks))[0])
 
 
 # -- enumeration ------------------------------------------------------------
@@ -410,8 +416,12 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
     smaller poset, deduplicated by canonical form.  Each level is kept as
     the up-set masks of the first candidate of each class, sorted by
     canonical key, and a `Poset` is built only for the classes of the last
-    level.  Three kinds of candidate are dropped before they are
-    canonicalised, none of which changes the listing:
+    level.  The relation that the labelling reads (`_relation`) is read off
+    each parent once; a candidate's is the parent's with the new element
+    added: its down-set is the ideal and itself, it lies above each member
+    of the ideal, and each of those has one more element above it.  Three
+    kinds of candidate are dropped before they are canonicalised, none of
+    which changes the listing:
 
     - another maximal element has a strictly larger down-set than the new
       one: every poset still arises by adding a maximal element of largest
@@ -436,7 +446,7 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
         last_connected = connected_only and size == n
         seen = {}
         for up in level:
-            down = _down_masks(up)
+            down, pairs, sizes = _relation(up)
             # the down-sets with each twin class made a chain by index
             chained, lower = [], {}
             for i, (u, d) in enumerate(zip(up, down)):
@@ -456,9 +466,19 @@ def enumerate_posets(n: int, connected_only: bool = False) -> List[Poset]:
                     continue
                 if last_connected and not all(ideal & c for c in comps):
                     continue
-                masks = tuple(m | new_bit if ideal >> i & 1 else m
-                              for i, m in enumerate(up)) + (new_bit,)
-                seen.setdefault(_canonical_labelling(masks)[0], masks)
+                # the parent's relation, extended by the new element over ideal
+                masks, grown = list(up), list(sizes)
+                below = list(_members(ideal))
+                for i in below:
+                    masks[i] |= new_bit
+                    d, u = grown[i]
+                    grown[i] = (d, u + 1)
+                masks.append(new_bit)
+                grown.append((len(below), 0))
+                masks = tuple(masks)
+                bits = _canonical_labelling(masks, down + [ideal | new_bit],
+                                            pairs + [(i, size - 1) for i in below], grown)[0]
+                seen.setdefault(bits, masks)
         level = [masks for _, masks in sorted(seen.items())]
     elements = tuple(str(i) for i in range(n))
     return [Poset(elements, up) for up in level]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -108,6 +109,18 @@ def test_determinism(capsys):
     first = capsys.readouterr().out
     run(["posets", "enumerate", "--n", "4"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("args, size, digest", [
+    ([], 1047279, "a16d4e95a60d3701862f04c522a18c2b7970fe1b8536a386c98e4d308881d6e4"),
+    (["--connected"], 878169, "c2a111579ed96cb8fd5f6adc2303b511f330057b47ef36618de3628d36cadafd"),
+], ids=["all", "connected"])
+def test_enumeration_listing_is_pinned(capsys, args, size, digest):
+    """The 7-element listings, byte for byte: every class, its labels, its
+    covers and the order of the list."""
+    assert run(["posets", "enumerate", "--n", "7"] + args) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_enumeration_output_ignores_hash_seed():

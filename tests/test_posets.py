@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,103 @@ def test_enumeration_size_is_capped():
     for n in (0, 9):
         with pytest.raises(PosetError, match="1 <= n <= 8, got %d" % n):
             enumerate_posets(n)
+
+
+def labelling_from_masks(up: Sequence[int]) -> Tuple[int, List[int]]:
+    """Reference for `_canonical_labelling`: the labelling that takes the
+    up-set masks alone and rebuilds the down-sets, strict pairs and
+    neighbour lists from them on every call, copied unchanged but for the
+    module of `_arrangements`, its docstring included:
+
+    The least strict-relation bitmask of the poset with up-set masks up
+    (as in `Poset.up_masks`) over the orderings allowed by its refined
+    colouring, and an ordering of element indices reaching it.
+
+    Colours start as the ranks of (number of elements below, number above)
+    and are refined by re-ranking the signatures (colour, sorted colours
+    below, sorted colours above) until no class splits or every class is
+    a single element; the ranks depend only on the order, so colours are
+    invariant.  Orderings list the colour cells in colour order, each cell
+    arranged in every way that can change the bitmask: twins (elements
+    with the same strict down-set and the same strict up-set, hence
+    incomparable and of one colour) are swapped by an automorphism, so
+    only the sequence of twin classes in a cell is varied.  An ordering
+    sends the element at position a to the row a, so x < y sets bit
+    pos(x) * n + pos(y).  Isomorphic posets reach the same least bitmask,
+    and equal bitmasks give an isomorphism.
+
+    Three cases need less work and give the same result.  Twins have the
+    same neighbours, so a round cannot split a cell that is one twin
+    class: refinement stops once every cell is one, and the twin classes
+    are only found when the first colouring is not discrete.  When every
+    class is a single element, the position of an element is its colour.
+    When every cell is one twin class, the one ordering lists the cells in
+    colour order, each cell's members in index order.
+    """
+    n = len(up)
+    above: List[List[int]] = [[] for _ in range(n)]
+    below: List[List[int]] = [[] for _ in range(n)]
+    down = [0] * n
+    pairs = []
+    for i, m in enumerate(up):
+        m ^= 1 << i
+        ups = above[i]
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            ups.append(j)
+            below[j].append(i)
+            down[j] |= 1 << i
+            pairs.append((i, j))
+            m ^= low
+    sigs = [(len(below[i]), len(above[i])) for i in range(n)]
+    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    colour = [rank[s] for s in sigs]
+    count = len(rank)
+    if count < n:
+        # twin classes in the order of their lowest member
+        twins: Dict[tuple, List[int]] = {}
+        for i in range(n):
+            twins.setdefault((down[i], up[i] ^ 1 << i), []).append(i)
+        while count < len(twins):
+            sigs = [(colour[i], tuple(sorted([colour[j] for j in below[i]])),
+                     tuple(sorted([colour[j] for j in above[i]]))) for i in range(n)]
+            split = set(sigs)
+            if len(split) == count:
+                break
+            rank = {s: r for r, s in enumerate(sorted(split))}
+            colour = [rank[s] for s in sigs]
+            count = len(rank)
+    if count == n:
+        order = [0] * n
+        for i, c in enumerate(colour):
+            order[c] = i
+        return sum(1 << (colour[i] * n + colour[j]) for i, j in pairs), order
+    cells: List[List[List[int]]] = [[] for _ in range(count)]
+    for members in twins.values():
+        cells[colour[members[0]]].append(members)
+    if count == len(twins):
+        orderings: Iterable[List[int]] = [[i for (members,) in cells for i in members]]
+    else:
+        orderings = ([i for part in parts for i in part]
+                     for parts in itertools.product(*(posets._arrangements(c) for c in cells)))
+    best, best_order = -1, None
+    pos = [0] * n
+    for order in orderings:
+        for a, i in enumerate(order):
+            pos[i] = a
+        bits = 0
+        for i, j in pairs:
+            bits |= 1 << (pos[i] * n + pos[j])
+        if best_order is None or bits < best:
+            best, best_order = bits, order
+    return best, best_order
+
+
+def labelling(up):
+    """`_canonical_labelling` of the poset with up-set masks up, its
+    relation read off the masks by `_relation`."""
+    return posets._canonical_labelling(up, *posets._relation(up))
 
 
 def oracle_labelling(up):
@@ -140,11 +238,11 @@ def count_orderings(monkeypatch):
     the number of orderings each labelling call tries (the product of the
     arrangement counts of its cells)."""
     tried = []
-    labelling, arrangements = posets._canonical_labelling, posets._arrangements
+    labelling_of, arrangements = posets._canonical_labelling, posets._arrangements
 
-    def counting_labelling(up):
+    def counting_labelling(*relation):
         tried.append(1)
-        return labelling(up)
+        return labelling_of(*relation)
 
     def counting_arrangements(classes):
         out = arrangements(classes)
@@ -203,43 +301,54 @@ def test_connected_enumeration_canonicalises_only_connected_candidates(monkeypat
 
 def test_labelling_equals_oracle_on_enumeration_candidates(monkeypatch):
     """On every candidate that enumerate_posets(7) canonicalises (all
-    levels n <= 7, 2,774 candidates), the bitmask equals the oracle's, the
-    returned ordering reproduces it, and both equal those of the labelling
-    that refines to the end and arranges every cell."""
-    candidates = []
-    labelling = posets._canonical_labelling
+    levels n <= 7, 2,774 candidates), the relation handed to the labelling
+    is the one `_relation` reads off the candidate's up-set masks, the
+    bitmask equals the oracle's, the returned ordering reproduces it, and
+    (bitmask, ordering) equals that of the labelling from masks alone and
+    of the one that refines to the end and arranges every cell."""
+    calls = []
+    labelling_of = posets._canonical_labelling
 
-    def recording_labelling(up):
-        candidates.append(tuple(up))
-        return labelling(up)
+    def recording_labelling(*relation):
+        result = labelling_of(*relation)
+        calls.append((relation, result))
+        return result
 
     monkeypatch.setattr(posets, "_canonical_labelling", recording_labelling)
     enumerate_posets(7)
-    assert len(candidates) == 2774
-    for up in candidates:
-        bits, order = labelling(up)
+    assert len(calls) == 2774
+    for (up, down, pairs, sizes), (bits, order) in calls:
+        want_down, want_pairs, want_sizes = posets._relation(up)
+        assert (down, sorted(pairs), sizes) == (want_down, want_pairs, want_sizes)
         assert sorted(order) == list(range(len(up)))
         assert bits == oracle_labelling(up) == relation_bits(up, order)
-        assert (bits, order) == full_refinement_labelling(up)
+        assert (bits, order) == labelling_from_masks(up) == full_refinement_labelling(up)
+
+
+def shuffled(p: Poset, rng) -> List[int]:
+    """The up-set masks of p with its elements in a random order: element
+    i of p becomes element perm[i]."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    up = [0] * p.n
+    for i, m in enumerate(p.up_masks):
+        up[perm[i]] = sum(1 << perm[j] for j in _members(m))
+    return up
 
 
 def test_labelling_equals_reference_on_shuffled_posets():
     """Every poset with n <= 6 (405), its elements in three seeded random
     orders each, so that twin classes are not runs of consecutive indices:
-    the bitmask and the ordering equal those of the labelling that refines
-    to the end and arranges every cell."""
+    the bitmask and the ordering equal those of the labelling from masks
+    alone and of the one that refines to the end and arranges every
+    cell."""
     rng = random.Random(6)
     count = 0
     for n in range(1, 7):
         for p in enumerate_posets(n):
             for _ in range(3):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                # element i of p becomes element perm[i]
-                up = [0] * n
-                for i, m in enumerate(p.up_masks):
-                    up[perm[i]] = sum(1 << perm[j] for j in _members(m))
-                assert posets._canonical_labelling(up) == full_refinement_labelling(up)
+                up = shuffled(p, rng)
+                assert labelling(up) == labelling_from_masks(up) == full_refinement_labelling(up)
             count += 1
     assert count == 405
 
@@ -279,7 +388,7 @@ def oracle_enumeration(n, connected_only=False):
                     continue
                 masks = tuple(m | new_bit if ideal >> i & 1 else m
                               for i, m in enumerate(up)) + (new_bit,)
-                seen.setdefault(posets._canonical_labelling(masks)[0], masks)
+                seen.setdefault(labelling_from_masks(masks)[0], masks)
         level = [masks for _, masks in sorted(seen.items())]
     elements = tuple(str(i) for i in range(n))
     found = [Poset(elements, up) for up in level]
@@ -324,6 +433,27 @@ def test_wide_posets_try_one_ordering(monkeypatch, p):
     assert canonical_key(p) == canonical_key(q)
     assert_replays(p, q, are_isomorphic(p, q))
     assert tried == [1, 1, 1, 1]
+
+
+def chain_with_one_over_its_bottom(k):
+    """A k-chain and one more element above its bottom only: the bottom
+    has k elements above it, and the new element one below it."""
+    p = chain(k)
+    return poset_from_covers(p.elements + ("x",), p.covers() + (("c0", "x"),))
+
+
+@pytest.mark.parametrize("p", [chain(20), bottom_top_around(15), chain_with_one_over_its_bottom(17)],
+                         ids=["chain20", "bottom_top_15", "chain17_plus_one"])
+def test_labelling_of_wide_posets_equals_the_masks_only_labelling(p):
+    """Posets of 18 to 20 elements, where the number of elements above or
+    below an element reaches 16 or more, in their own order and in three
+    seeded random orders: the bitmask and ordering equal those of the
+    labelling from masks alone.  On the last, (below, above) = (0, 18) for
+    the bottom and (1, 0) for the new element, so the colours must rank the
+    counts as pairs, not as a key packed into four bits a count."""
+    rng = random.Random(17)
+    for up in [list(p.up_masks)] + [shuffled(p, rng) for _ in range(3)]:
+        assert labelling(up) == labelling_from_masks(up)
 
 
 def test_covers_against_relation_scan():
@@ -494,9 +624,9 @@ def test_isomorphism_replay_refuses_a_bad_witness_under_O(run_optimized):
         "from dequiv import posets\n"
         "labelling = posets._canonical_labelling\n"
         "calls = []\n"
-        "def reversed_second(up):\n"
-        "    bits, order = labelling(up)\n"
-        "    calls.append(up)\n"
+        "def reversed_second(*relation):\n"
+        "    bits, order = labelling(*relation)\n"
+        "    calls.append(relation)\n"
         "    return bits, order[::-1] if len(calls) == 2 else order\n"
         "posets._canonical_labelling = reversed_second\n"
         "posets.are_isomorphic(posets.chain(2, 'c'), posets.chain(2, 'd'))\n")

@@ -19,8 +19,7 @@ from .derived import (DerivedError, no_poset_search, verify_remark_family,
                       verify_t2, verify_weights)
 
 INPUT_ERRORS = (PosetError, QuiverError, AlgebraError, DerivedError,
-                ResourceRefusal, ValueError, KeyError, OSError,
-                json.JSONDecodeError)
+                ResourceRefusal, OSError, json.JSONDecodeError, UnicodeDecodeError)
 
 
 def _parse_weights(text, minimum=2):

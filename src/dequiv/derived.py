@@ -20,7 +20,7 @@ from .quivers import (Presentation, Quiver, Arrow, canonical_presentation,
 from .algebra import (BoundQuiverAlgebra, ComplexOfReps, DerivedError, ModuleMap,
                       Representation, build_algebra, direct_sum_rep, incidence_algebra,
                       kernel_of, make_rep, module_map, simple_module, stalk_complex_of)
-from .homology import (InvariantCertificate, certificate, global_dimension,
+from .homology import (INVARIANTS, InvariantCertificate, certificate, global_dimension,
                        hom_cohomology, matches_certificate, minimal_resolution,
                        poset_certificate, poset_ext_dims, poset_global_dimension,
                        projective_cover)
@@ -378,14 +378,13 @@ def verify_weights(p1: int, p2: int, p3: int, with_beilinson: bool = False) -> d
     certified from the poset."""
     cc = certificate(build_algebra(canonical_presentation([p1, p2, p3])))
     cx = poset_certificate(build_Xp(p1, p2, p3))
-    fields = ["simples", "det_cartan", "coxeter", "snf_antisym"]
     jc, jx = cc.to_json(), cx.to_json()
-    equal_fields = [f for f in fields if jc[f] == jx[f]]
+    equal_fields = [i.key for i in INVARIANTS if jc[i.key] == jx[i.key]]
     report = {
         "weights": [p1, p2, p3],
         "certificates": {"canonical": jc, "poset": jx},
         "equal_fields": equal_fields,
-        "verdict": "pass" if len(equal_fields) == len(fields) else "fail",
+        "verdict": "pass" if len(equal_fields) == len(INVARIANTS) else "fail",
     }
     if with_beilinson:
         if p1 >= 3:

@@ -283,10 +283,35 @@ def euler_form_check(a: BoundQuiverAlgebra) -> bool:
 COXETER_CONVENTION = "phi=-C^{-T}C"
 
 
+class Invariant:
+    """One compared invariant of a Cartan matrix C: its JSON key, its value
+    from the integer rows of C, its JSON form, an optional gate and the
+    certificate attribute that stores it (the key unless attr names one).
+    A gate is a cheaper necessary test: a function of the rows of C and the
+    same value read off the stored field."""
+
+    def __init__(self, key, of, as_json, gate=None, attr=None):
+        self.key, self.of, self.as_json, self.gate, self.attr = key, of, as_json, gate, attr or key
+
+
+# The compared invariants, cheapest first: certificates are built, compared,
+# written and matched from this table alone.  det C checks the unitriangular
+# shape that every later entry relies on.  The GF(2) rank of C - C^T is its
+# number of odd invariant factors (`cartan_antisym_rank_mod2`), so a
+# difference there proves the Smith forms differ before one is computed.
+INVARIANTS = (
+    Invariant("simples", len, int, attr="simple_count"),
+    Invariant("det_cartan", cartan_det, int, attr="cartan_det"),
+    Invariant("snf_antisym", cartan_snf_antisym, list,
+              gate=(cartan_antisym_rank_mod2, lambda snf: sum(d & 1 for d in snf))),
+    Invariant("coxeter", cartan_coxeter_polynomial, lambda p: list(p.coeffs)),
+)
+
+
 @dataclass(frozen=True)
 class InvariantCertificate:
-    """Derived-invariant fingerprint.  total_dimension and the gldim value
-    are informational only and excluded from invariant comparison.
+    """Derived-invariant fingerprint: the values of `INVARIANTS`, compared,
+    and total_dimension, gldim and vertex_order, informational only.
 
     Finiteness of gldim is derived invariant too, but it is not compared:
     quivers here have no oriented cycles, so every algebra is directed and
@@ -300,39 +325,23 @@ class InvariantCertificate:
     gldim: int
     vertex_order: tuple
 
-    def key(self):
-        return (self.simple_count, self.cartan_det, self.coxeter.coeffs,
-                self.snf_antisym)
-
     def same_invariants(self, other: "InvariantCertificate") -> bool:
-        return self.key() == other.key()
+        return all(getattr(self, i.attr) == getattr(other, i.attr) for i in INVARIANTS)
 
     def to_json(self) -> dict:
-        return {
-            "simples": self.simple_count,
-            "total_dimension": self.total_dimension,
-            "det_cartan": self.cartan_det,
-            "coxeter": list(self.coxeter.coeffs),
-            "snf_antisym": list(self.snf_antisym),
-            "gldim": self.gldim,
-            "convention": COXETER_CONVENTION,
-            "vertex_order": list(self.vertex_order),
-        }
+        out = {i.key: i.as_json(getattr(self, i.attr)) for i in INVARIANTS}
+        out.update(total_dimension=self.total_dimension, gldim=self.gldim,
+                   convention=COXETER_CONVENTION, vertex_order=list(self.vertex_order))
+        return out
 
 
 def _cartan_certificate(c: Sequence[Sequence[int]], total_dimension: int,
                         gldim: int, vertex_order: tuple) -> InvariantCertificate:
     """The certificate of an algebra with Cartan matrix c (integer rows in
     a topological vertex order) and the given informational fields."""
-    return InvariantCertificate(
-        simple_count=len(c),
-        total_dimension=total_dimension,
-        cartan_det=cartan_det(c),
-        coxeter=cartan_coxeter_polynomial(c),
-        snf_antisym=cartan_snf_antisym(c),
-        gldim=gldim,
-        vertex_order=vertex_order,
-    )
+    return InvariantCertificate(total_dimension=total_dimension, gldim=gldim,
+                                vertex_order=vertex_order,
+                                **{i.attr: i.of(c) for i in INVARIANTS})
 
 
 def certificate(a: BoundQuiverAlgebra) -> InvariantCertificate:
@@ -354,24 +363,15 @@ def poset_certificate(p: Poset, field=QQ) -> InvariantCertificate:
 
 def matches_certificate(c: Sequence[Sequence[int]], target: InvariantCertificate) -> bool:
     """certificate(a).same_invariants(target) for an algebra a with Cartan
-    matrix c (integer rows in a topological vertex order), computing the
-    compared fields cheapest first and stopping at the first that differs:
-    simple count, det C, the GF(2) rank of C - C^T against the number of
-    odd invariant factors of the target's Smith form, the Smith form of
-    C - C^T, Coxeter polynomial.  The GF(2) rank is the number of odd
-    invariant factors of C - C^T (`cartan_antisym_rank_mod2`), so a
-    difference there proves the Smith forms differ; a candidate that
-    agrees is still compared on the whole Smith form.  gldim is never
-    computed; it is not part of the comparison."""
-    if len(c) != target.simple_count:
-        return False
-    if cartan_det(c) != target.cartan_det:
-        return False
-    if cartan_antisym_rank_mod2(c) != sum(d & 1 for d in target.snf_antisym):
-        return False
-    if cartan_snf_antisym(c) != target.snf_antisym:
-        return False
-    return cartan_coxeter_polynomial(c).coeffs == target.coxeter.coeffs
+    matrix c (integer rows in a topological vertex order), walking
+    `INVARIANTS` cheapest first and stopping at the first that differs; an
+    entry's gate is compared before its value.  gldim is never computed; it
+    is not part of the comparison."""
+    for i in INVARIANTS:
+        stored = getattr(target, i.attr)
+        if (i.gate and i.gate[0](c) != i.gate[1](stored)) or i.of(c) != stored:
+            return False
+    return True
 
 
 # -- nerve (simplicial) cohomology and interval cohomology -------------------

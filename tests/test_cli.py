@@ -29,6 +29,26 @@ def test_verify_xp_pass_exit_code(capsys):
     assert set(out["equal_fields"]) == {"simples", "det_cartan", "coxeter", "snf_antisym"}
 
 
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_internal_fault_does_not_exit_as_bad_input(monkeypatch, error):
+    # an error raised inside a pipeline on valid arguments is a fault of the
+    # program, not of its input: it propagates instead of exiting 2
+    def broken(*args, **kwargs):
+        raise error("fault inside the pipeline")
+
+    monkeypatch.setattr(cli, "verify_weights", broken)
+    with pytest.raises(error, match="fault inside the pipeline"):
+        run(["verify", "xp", "--weights", "2,2,2"])
+
+
+@pytest.mark.parametrize("source", ["--poset", "--quiver"])
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, source):
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["invariants", source, str(path)]) == 2
+    assert "codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_verify_t2_and_remark(capsys):
     assert run(["verify", "t2", "--weights", "2,3"]) == 0
     assert run(["verify", "remark", "--family", "3", "--p2", "2", "--p3", "2"]) == 0

@@ -878,7 +878,7 @@ def test_search_compares_in_cost_order(monkeypatch):
     target = canonical_target([2, 2, 2, 2])
     gldims = count_calls(monkeypatch, homology, "global_dimension", derived)
     smith_forms = count_calls(monkeypatch, homology, "smith_normal_form")
-    coxeters = count_calls(monkeypatch, homology, "cartan_coxeter_polynomial")
+    coxeters = count_calls(monkeypatch, homology, "char_poly")
     algebras = count_calls(monkeypatch, derived, "incidence_algebra")
     hits = derived.search_matching_posets(target, 6)
     assert len(hits) == 1  # lambda = 2: the octahedron poset 2+2+2
@@ -961,7 +961,10 @@ def test_hasse_paths_match_recursive_walk():
 
 
 def test_verify_pipelines():
-    assert verify_weights(2, 2, 2)["verdict"] == "pass"
+    r = verify_weights(2, 2, 2)
+    assert r["verdict"] == "pass"
+    # every compared invariant agrees, listed in the table's cost order
+    assert r["equal_fields"] == [i.key for i in homology.INVARIANTS]
     assert verify_t2(2, 3)["verdict"] == "pass"
     assert verify_22p(2)["verdict"] == "pass"
     r = verify_remark_family(3, 2, 2)

@@ -308,10 +308,32 @@ def test_zeta_rows_are_the_cartan_matrix_in_a_linear_extension():
         cartan_det([[1, 0], [1, 1]])
 
 
-def test_certificate_key_ignores_gldim():
-    a = build_algebra(kronecker_presentation())
-    cert = certificate(a)
-    assert cert.key() == (2, 1, (1, -2, 1), (2, 2))
+def test_same_invariants_ignores_gldim():
+    cert = certificate(build_algebra(kronecker_presentation()))
+    assert (cert.simple_count, cert.cartan_det, cert.coxeter.coeffs,
+            cert.snf_antisym) == (2, 1, (1, -2, 1), (2, 2))
+    for change in (dict(gldim=cert.gldim + 1), dict(total_dimension=99),
+                   dict(vertex_order=("b", "a"))):
+        assert cert.same_invariants(dataclasses.replace(cert, **change))
+
+
+def test_each_table_entry_is_compared():
+    # X_(2,2,2) matches the canonical (2,2,2) algebra; a target with any one
+    # entry of INVARIANTS changed matches neither route.  The Smith form
+    # (1, 1) becomes (1, 3), with as many odd factors, so its gate passes
+    # and the value itself is compared
+    target = certificate(build_algebra(canonical_presentation([2, 2, 2])))
+    zeta = zeta_rows(build_Xp(2, 2, 2))
+    assert matches_certificate(zeta, target)
+    changed = {"simple_count": target.simple_count + 1,
+               "cartan_det": -1,
+               "snf_antisym": target.snf_antisym[:-1] + (target.snf_antisym[-1] * 3,),
+               "coxeter": exactla.IntPolynomial.of(target.coxeter.coeffs[:-1] + (2,))}
+    assert [i.attr for i in homology.INVARIANTS] == list(changed)
+    for attr, value in changed.items():
+        other = dataclasses.replace(target, **{attr: value})
+        assert not matches_certificate(zeta, other), attr
+        assert not target.same_invariants(other), attr
 
 
 # -- the Hom-complex builder against the per-coordinate oracle ---------------
